@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NonconvergenceError, UnsupportedAngleSetError
 from .integration import QuadratureConfig, converged_correlation, estimate_correlation
@@ -26,6 +25,10 @@ from .states import FamilyKind, StateFamily
 
 #: Index tuple entry marking a party an inequality term does not measure.
 UNMEASURED = None
+
+#: Refinement tolerance of the angle optimizer's objective, looser than the
+#: engine default so that each of its many evaluations stays cheap.
+OPTIMIZER_REL_TOL = 1e-5
 
 TermIndices = tuple[int | None, ...]
 AngleSet = tuple[tuple[EffectiveRotation, ...], ...]
@@ -346,8 +349,10 @@ def optimize_angles(
     (bounded by ETS_THREADS) and ties resolve to the lowest start index so
     results stay reproducible.
     """
+    # Imported on use: scipy.optimize is most of the package's import time.
+    from scipy.optimize import minimize
     if config is None:
-        config = QuadratureConfig(rel_tol=1e-5)
+        config = QuadratureConfig(rel_tol=OPTIMIZER_REL_TOL)
     nparams = 2 * sum(spec.settings_per_party)
     rng = np.random.default_rng(seed)
     starts = [rng.uniform(0.0, 2.0 * math.pi, size=nparams) for _ in range(restarts)]

@@ -4,8 +4,11 @@ Two entry points.  :func:`thermal_average` integrates an arbitrary function of
 the sampled mixture variables against their Gaussian weights.  The correlation
 estimators exploit the structure of sign-of-x statistics on ± amplitude
 lattices: the integrand factorizes over mixture variables, each contributing a
-two-axis integral of per-mode 2x2 node matrices, so even four-variable
-mixtures reduce to a handful of planar quadratures.
+two-axis integral of per-mode 2x2 node matrices.  Every such block is a sum of
+two products of an x factor and a y factor, so the planar integral of a
+variable feeding k modes is a sum of 2^k products of 1-D moments, one summed
+over each axis.  No 2-D grid is ever formed; a pass costs O(2^k·n) for n
+nodes per axis.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ _COMPOSITE_BASE_ORDER = 12
 _MAX_AXIS_NODES = 200
 _MC_BATCHES = 8
 _EVAL_CHUNK = 1 << 20
+# Axis rules kept in memory: a few per state, so this spans many states.
+_AXIS_RULE_CACHE = 256
+
+# Per-mode 2x2 blocks over the (+,−) branch pair.  A rotated block is
+# erf·A + e^{−2s²x²}·h(y)·B with A = M·_REFLECT·M and B = M·_TURN·M; a Gram
+# block (also an unmeasured mode's) is δ + (1−δ)·e^{−2s²x²}·e^{−2s²y²}.
+_REFLECT = np.diag([1.0, -1.0])
+_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+_GRAM_BLOCKS = (np.eye(2), 1.0 - np.eye(2))
 
 
 class Method(enum.Enum):
@@ -136,97 +148,103 @@ def _composite_axis(mu: float, sigma: float, order: int, smax: float, eta_min: f
     return x, weight * density
 
 
+@lru_cache(maxsize=_AXIS_RULE_CACHE)
 def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float,
-               level: int, config: QuadratureConfig):
-    """Refinement ladder for one axis.
+               level: int, nodes_per_axis: int):
+    """Refinement ladder for one axis, as read-only (nodes, weights).
 
     Narrow weights climb three Gauss-Hermite node doublings and then switch
     to the windowed composite rule, which handles integrands the Hermite
     polynomials resolve slowly; wide weights use the composite rule from the
-    start with panel-order doubling.
+    start with panel-order doubling.  Rules are memoized: every term of a
+    functional, every refinement pass and every identical variable of a
+    state asks for the same ones.
     """
     if sigma == 0.0:
-        return np.array([mu]), np.array([1.0])
-    if sigma <= _GH_SIGMA_MAX:
-        if level <= 2:
-            n = min(config.nodes_per_axis * (1 << level), _MAX_AXIS_NODES)
-            return _gauss_axis(mu, sigma, n)
+        nodes, weights = np.array([mu]), np.array([1.0])
+    elif sigma > _GH_SIGMA_MAX:
+        order = _COMPOSITE_BASE_ORDER * (1 << min(level, 2))
+        nodes, weights = _composite_axis(mu, sigma, order, smax, eta_min)
+    elif level <= 2:
+        n = min(nodes_per_axis * (1 << level), _MAX_AXIS_NODES)
+        nodes, weights = _gauss_axis(mu, sigma, n)
+    else:
         order = _COMPOSITE_BASE_ORDER * (1 << (level - 3))
-        return _composite_axis(mu, sigma, order, smax, eta_min)
-    order = _COMPOSITE_BASE_ORDER * (1 << min(level, 2))
-    return _composite_axis(mu, sigma, order, smax, eta_min)
+        nodes, weights = _composite_axis(mu, sigma, order, smax, eta_min)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _variable_sigma(V: float) -> float:
     return math.sqrt(max(V - 1.0, 0.0) / 4.0)
 
 
+@lru_cache(maxsize=None)
+def _moment_subscripts(k: int) -> tuple[str, str]:
+    """einsum specs for a variable feeding k modes.
+
+    The first sums per-mode axis factors (u: numerator or Gram, one term
+    letter per mode, x: node) against the axis weights into 2^k moments per
+    u; the second contracts the moments with the per-mode coefficient blocks
+    for every branch pair (j, i).
+    """
+    terms = "abcdefgh"[:k]
+    axis_sum = ",".join(f"u{t}x" for t in terms) + ",x->u" + terms
+    pair_sum = f"u{terms}," + ",".join(f"u{t}ji" for t in terms) + "->uji"
+    return axis_sum, pair_sum
+
+
 def _engine_pass(coeffs, signs, variables, matrices, detector: DetectorModel,
                  grids) -> tuple[float, float]:
     """One evaluation of the factorized numerator and denominator.
 
-    ``grids`` supplies (X, Y, W) per variable, either tensor axes for
-    deterministic rules or flat sampled pairs for Monte Carlo.  Both the
-    rotated product and the bare Gram product accumulate per branch pair;
-    their branch-coefficient contractions give the unnormalized correlation
-    and the state trace.
+    ``grids`` supplies (x, y, w) per variable: 1-D node arrays for the two
+    axes and ``w``, the x weights followed by the y weights.  Deterministic
+    rules and Monte Carlo samples alike enter as the product measure of the
+    two axes.  Every per-mode block is a sum of two separable terms, so each
+    variable needs only the 2^k products of per-mode axis factors (k modes),
+    summed over x and over y separately; the angle coefficients then contract
+    those moments for all branch pairs at once.  The numerator (rotated
+    blocks) and the denominator (Gram blocks) travel together on a leading
+    axis; their branch-coefficient contractions give the unnormalized
+    correlation and the state trace.
     """
     nb = len(coeffs)
-    numf = np.ones((nb, nb), dtype=complex)
-    denf = np.ones((nb, nb), dtype=complex)
+    factors = np.ones((2, nb, nb), dtype=complex)
 
-    for (V, _center, scales), (X, Y, W) in zip(variables, grids):
-        modes = sorted(scales)
-        f_blocks = {}
-        g_blocks = {}
-        for m in modes:
+    for (_V, _center, scales), (x, y, w) in zip(variables, grids):
+        wx = w[:x.size]
+        wy = w[x.size:]
+        x_factors = []
+        y_factors = []
+        blocks = []
+        for m in sorted(scales):
             s = scales[m]
-            eta = detector.eta_for(m)
-            sx = s * X
-            sy = s * Y
-            e = erf(_SQRT2 * eta * sx)
-            gauss_x = np.exp(-2.0 * sx ** 2)
-            gauss_y = np.exp(-2.0 * sy ** 2)
-            o = gauss_x * (1j * (2.0 / _SQRT_PI)
-                           * np.exp(-2.0 * (1.0 - eta * eta) * sy ** 2)
-                           * dawsn(_SQRT2 * eta * sy))
-            ov = gauss_x * gauss_y
-            g_blocks[m] = ((1.0, ov), (ov, 1.0))
+            sx = s * x
+            sy = s * y
+            gram_x = (np.ones_like(sx), np.exp(-2.0 * sx * sx))
+            gram_y = (np.ones_like(sy), np.exp(-2.0 * sy * sy))
             mat = matrices[m]
             if mat is None:
-                f_blocks[m] = g_blocks[m]
-                continue
-            d = ((e, -o), (o, -e))
-            f_blocks[m] = tuple(
-                tuple(
-                    sum(mat[b, t] * d[t][tp] * mat[tp, k]
-                        for t in (0, 1) for tp in (0, 1))
-                    for k in (0, 1))
-                for b in (0, 1))
+                num_x, num_y, num_blocks = gram_x, gram_y, _GRAM_BLOCKS
+            else:
+                eta = detector.eta_for(m)
+                num_x = (erf(_SQRT2 * eta * sx), gram_x[1])
+                num_y = (gram_y[0],
+                         (2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
+                         * dawsn(_SQRT2 * eta * sy))
+                num_blocks = (mat @ _REFLECT @ mat, mat @ _TURN @ mat)
+            rows = np.array([(1 - sign[m]) // 2 for sign in signs])
+            x_factors.append(np.array((num_x, gram_x)))
+            y_factors.append(np.array((num_y, gram_y)))
+            blocks.append(np.array((num_blocks, _GRAM_BLOCKS))[:, :, rows[:, None], rows])
+        axis_sum, pair_sum = _moment_subscripts(len(blocks))
+        moments = np.einsum(axis_sum, *x_factors, wx) * np.einsum(axis_sum, *y_factors, wy)
+        factors *= np.einsum(pair_sum, moments, *blocks)
 
-        n_mat = np.empty((nb, nb), dtype=complex)
-        g_mat = np.empty((nb, nb), dtype=complex)
-        for j in range(nb):
-            for i in range(nb):
-                prod_f = W
-                prod_g = W
-                for m in modes:
-                    bi = (1 - signs[j][m]) // 2
-                    ki = (1 - signs[i][m]) // 2
-                    prod_f = prod_f * f_blocks[m][bi][ki]
-                    prod_g = prod_g * g_blocks[m][bi][ki]
-                n_mat[j, i] = np.sum(prod_f)
-                g_mat[j, i] = np.sum(prod_g)
-        numf *= n_mat
-        denf *= g_mat
-
-    num = 0.0 + 0.0j
-    den = 0.0 + 0.0j
-    for j in range(nb):
-        for i in range(nb):
-            w = coeffs[j].conjugate() * coeffs[i]
-            num += w * numf[j, i]
-            den += w * denf[j, i]
+    coeffs = np.asarray(coeffs)
+    num, den = np.einsum("uji,j,i->u", factors, coeffs.conj(), coeffs)
     return num.real, den.real
 
 
@@ -237,9 +255,9 @@ def _deterministic_grids(variables, detector: DetectorModel, level: int,
         sigma = _variable_sigma(V)
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        x, wx = _axis_rule(center, sigma, smax, eta_min, level, config)
-        y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, config)
-        grids.append((x[:, None], y[None, :], wx[:, None] * wy[None, :]))
+        x, wx = _axis_rule(center, sigma, smax, eta_min, level, config.nodes_per_axis)
+        y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, config.nodes_per_axis)
+        grids.append((x, y, np.concatenate((wx, wy))))
     return grids
 
 
@@ -253,14 +271,19 @@ def _sampled_grids(variables, rng: np.random.Generator, count: int):
         else:
             x = rng.normal(center, sigma, size=count)
             y = rng.normal(0.0, sigma, size=count)
-        grids.append((x, y, np.full(count, 1.0 / count)))
+        grids.append((x, y, np.full(2 * count, 1.0 / count)))
     return grids
 
 
-def _resolve_settings(family: StateFamily, settings: Sequence[PartySetting]):
+def _resolve_settings(family: StateFamily, settings: Sequence[PartySetting],
+                      detector: DetectorModel):
     if len(settings) != family.num_modes:
         raise ValueError(
             f"family has {family.num_modes} modes but got {len(settings)} settings")
+    if isinstance(detector.eta, tuple) and len(detector.eta) != family.num_modes:
+        raise ValueError(
+            f"family has {family.num_modes} modes but the detector gives "
+            f"{len(detector.eta)} per-mode efficiencies")
     return [None if s.ignored else s.rotation.matrix for s in settings]
 
 
@@ -281,7 +304,7 @@ def estimate_correlation(
     detector = detector or DetectorModel()
     config = config or QuadratureConfig()
     coeffs, signs, variables = family_structure(family)
-    matrices = _resolve_settings(family, settings)
+    matrices = _resolve_settings(family, settings, detector)
 
     # Every mixture variable contributes an independent planar integral here,
     # so deterministic rules stay affordable at any party count; only an

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import NoCrossingError, NonconvergenceError
-from .inequalities import (AngleSet, InequalitySpec, canonical_angles,
+from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec, canonical_angles,
                            evaluate_with_error, optimize_angles, worker_limit)
 from .integration import QuadratureConfig
 from .measurement import DetectorModel
@@ -84,7 +84,8 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
 
     Canonical and explicit sets are shared across the grid.  Optimization runs
     once per (V, eta) at the largest displacement of the plan, where the
-    functional sits on its plateau, and the result is reused along d.
+    functional sits on its plateau, and the result is reused along d.  The
+    optimizer integrates with the plan's config at its own looser tolerance.
     """
     if not isinstance(plan.angles, str):
         shared = (tuple(tuple(p) for p in plan.angles), "explicit")
@@ -96,11 +97,12 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
 
     resolved = {}
     d_ref = plan.d_grid[-1]
+    config = replace(plan.cfg, rel_tol=OPTIMIZER_REL_TOL)
     for V in plan.V_grid:
         for eta in plan.eta_grid:
             found = optimize_angles(
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
-                detector=DetectorModel(eta),
+                detector=DetectorModel(eta), config=config,
                 restarts=plan.optimizer_restarts, seed=plan.optimizer_seed)
             resolved[(V, eta)] = (found.angles, found.provenance)
     return resolved

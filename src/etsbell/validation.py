@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .inequalities import INEQUALITIES, canonical_angles, evaluate, optimize_angles, verify_lr_bound
 from .integration import QuadratureConfig, converged_correlation
@@ -98,6 +97,8 @@ def check_svetlichny4_plateau() -> CheckResult:
 
 
 def check_sasa_exactness() -> CheckResult:
+    # Imported on use: scipy.optimize is most of the package's import time.
+    from scipy.optimize import brentq
     spec = INEQUALITIES["sasa"]
     angles = canonical_angles(spec, FamilyKind.CLUSTER4_CONDITIONAL).angles
     worst = 0.0

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from etsbell import cli
+from etsbell import cli, sweeps
+from etsbell.inequalities import OPTIMIZER_REL_TOL, OptimizationResult, canonical_angles
 from etsbell.sweeps import SweepResult, SweepRow
 
 
@@ -154,6 +155,22 @@ def test_failed_rows_become_null_in_json(tmp_path, capsys, monkeypatch):
     doc = json.loads(out_path.read_text())
     assert doc["rows"][0]["value"] is None
     assert doc["rows"][0]["err"] is None
+
+
+def test_scan_optimize_passes_nodes_to_optimizer(capsys, monkeypatch):
+    seen = []
+
+    def fake_optimize_angles(spec, family, detector=None, config=None, **kwargs):
+        seen.append(config)
+        angles = canonical_angles(spec, family.kind).angles
+        return OptimizationResult(value=0.0, angles=angles, start_index=0)
+
+    monkeypatch.setattr(sweeps, "optimize_angles", fake_optimize_angles)
+    code, _out, _err = run(capsys, [
+        "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
+        "--V", "1", "--d", "1", "--angles", "optimize", "--nodes", "24"])
+    assert code == 0
+    assert [(c.nodes_per_axis, c.rel_tol) for c in seen] == [(24, OPTIMIZER_REL_TOL)]
 
 
 def test_figure_preset_writes_csv(tmp_path, capsys):

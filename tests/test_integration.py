@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference
 import qubit_oracle
+from etsbell import integration
 from etsbell.errors import NonconvergenceError
 from etsbell.integration import (
     Method,
@@ -145,6 +147,47 @@ def test_uniform_detector_tuple_matches_scalar():
     a = converged_correlation(fam, EQUATORIAL, DetectorModel(0.55))
     b = converged_correlation(fam, EQUATORIAL, DetectorModel((0.55,) * 3))
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_detector_tuple_length_must_match_modes():
+    fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
+    for eta in ((0.55, 0.55), (0.55,) * 4):
+        with pytest.raises(ValueError, match=f"3 modes .* {len(eta)} per-mode"):
+            estimate_correlation(fam, EQUATORIAL, DetectorModel(eta))
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_separable_pass_matches_dense_reference(kind, monkeypatch):
+    # the engine integrates on the reference's own Gauss-Hermite axes, so
+    # both sides sum over the same tensor nodes and must agree to rounding
+    nodes = 24
+
+    def tensor_axes(variables, detector, level, config):
+        grids = []
+        for V, center, _scales in variables:
+            x, wx = dense_reference.axis(center, V, nodes)
+            y, wy = dense_reference.axis(0.0, V, nodes)
+            grids.append((x, y, np.concatenate((wx, wy))))
+        return grids
+
+    monkeypatch.setattr(integration, "_deterministic_grids", tensor_axes)
+    rng = np.random.default_rng(29)
+    modes = StateFamily(kind, 1.0, 0.0).num_modes
+    per_mode = (0.9, 0.3, 0.6, 1.0)[:modes]
+    for V in (1.0, 5.0, 100.0):
+        for eta in (1.0, 0.3, per_mode):
+            etas = per_mode if isinstance(eta, tuple) else (eta,) * modes
+            angles = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+                      for _ in range(modes)]
+            for unmeasured in (None, 1):
+                term = [None if m == unmeasured else a for m, a in enumerate(angles)]
+                settings = [IGNORE if a is None else PartySetting(EffectiveRotation(*a))
+                            for a in term]
+                num, den = dense_reference.correlation(
+                    kind.value, V, 1.2, term, etas, nodes)
+                got, _err = estimate_correlation(
+                    StateFamily(kind, V, 1.2), settings, DetectorModel(eta))
+                assert got == pytest.approx(num / den, abs=1e-12), (V, eta, unmeasured)
 
 
 def test_monte_carlo_agrees_with_quadrature():
