@@ -10,7 +10,7 @@ from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4
                            get_inequality, hybrid_partition_bound, optimize_angles,
                            term_settings, verify_lr_bound)
 from .integration import (Method, QuadratureConfig, converged_correlation,
-                          estimate_correlation, thermal_average)
+                          estimate_correlation, estimate_correlations, thermal_average)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, DichotomicKernel,
                           EffectiveRotation, PartySetting, apply_inefficiency,
                           apply_rotation, correlation, joint_sign_probabilities,

@@ -136,8 +136,7 @@ def _config_metadata(cfg: QuadratureConfig) -> dict:
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = INEQUALITIES[args.inequality]
     kind = FamilyKind(args.family)
-    cfg = QuadratureConfig(nodes_per_axis=args.nodes, mc_samples=args.mc_samples,
-                           mc_seed=args.seed)
+    cfg = QuadratureConfig(nodes_per_axis=args.nodes)
     if args.angles == "explicit":
         if not args.angle_list:
             parser.error("--angles explicit requires --angle-list")
@@ -309,8 +308,6 @@ def build_parser() -> _Parser:
     scan.add_argument("--angle-list", default=None,
                       help="explicit angles: 'θ,γ[,θ,γ]' per party, parties joined by ';'")
     scan.add_argument("--nodes", type=int, default=40, help="quadrature nodes per axis")
-    scan.add_argument("--mc-samples", type=int, default=200_000)
-    scan.add_argument("--seed", type=int, default=20260815)
     scan.add_argument("--out", default=None, help="output path (default: stdout)")
     scan.add_argument("--format", default="csv", choices=("csv", "json"))
 

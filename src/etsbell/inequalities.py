@@ -18,8 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonconvergenceError, UnsupportedAngleSetError
-from .integration import QuadratureConfig, converged_correlation, estimate_correlation
+from .errors import UnsupportedAngleSetError
+# The single-term estimators stay importable from here beside the batched one.
+from .integration import (QuadratureConfig, converged_correlation,  # noqa: F401
+                          estimate_correlation, estimate_correlations)
 from .measurement import IGNORE, DetectorModel, EffectiveRotation, PartySetting, zx_rotation
 from .states import FamilyKind, StateFamily
 
@@ -159,6 +161,14 @@ def term_settings(spec: InequalitySpec, angles: AngleSet,
     return tuple(settings)
 
 
+def _term_estimates(spec: InequalitySpec, family: StateFamily, angles: AngleSet,
+                    detector: DetectorModel | None,
+                    config: QuadratureConfig | None) -> list[tuple[float, float]]:
+    """(value, err) of every term, all from one batched engine call."""
+    settings = [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
+    return estimate_correlations(family, settings, detector, config)
+
+
 def evaluate(
     spec: InequalitySpec,
     family: StateFamily,
@@ -167,12 +177,9 @@ def evaluate(
     config: QuadratureConfig | None = None,
 ) -> float:
     """|functional| of the thermal-state family at the given settings."""
-
-    def corr(indices: TermIndices) -> float:
-        return converged_correlation(
-            family, term_settings(spec, angles, indices), detector, config)
-
-    return abs(functional_value(spec, corr))
+    estimates = _term_estimates(spec, family, angles, detector, config)
+    values = {indices: value for (_sign, indices), (value, _err) in zip(spec.terms, estimates)}
+    return abs(functional_value(spec, values.__getitem__))
 
 
 def evaluate_with_error(
@@ -185,9 +192,8 @@ def evaluate_with_error(
     """|functional| plus the summed per-term error estimates (conservative)."""
     total = 0.0
     err = 0.0
-    for sign, indices in spec.terms:
-        value, term_err = estimate_correlation(
-            family, term_settings(spec, angles, indices), detector, config)
+    for (sign, _indices), (value, term_err) in zip(
+            spec.terms, _term_estimates(spec, family, angles, detector, config)):
         total += sign * value
         err += term_err
     return abs(total), err
@@ -347,7 +353,8 @@ def optimize_angles(
     Restart 0 is seeded from the canonical angle set when one exists; the
     remaining starts draw uniformly from [0, 2π).  Restarts run concurrently
     (bounded by ETS_THREADS) and ties resolve to the lowest start index so
-    results stay reproducible.
+    results stay reproducible.  An evaluation that does not converge raises
+    its :class:`NonconvergenceError` out of the optimizer.
     """
     # Imported on use: scipy.optimize is most of the package's import time.
     from scipy.optimize import minimize
@@ -363,11 +370,7 @@ def optimize_angles(
         pass
 
     def objective(x: np.ndarray) -> float:
-        angles = _angles_from_vector(spec, x)
-        try:
-            return -evaluate(spec, family, angles, detector, config)
-        except NonconvergenceError:
-            return 0.0
+        return -evaluate(spec, family, _angles_from_vector(spec, x), detector, config)
 
     def solve(start: np.ndarray):
         result = minimize(

@@ -9,6 +9,13 @@ two products of an x factor and a y factor, so the planar integral of a
 variable feeding k modes is a sum of 2^k products of 1-D moments, one summed
 over each axis.  No 2-D grid is ever formed; a pass costs O(2^k·n) for n
 nodes per axis.
+
+An estimate runs in two steps.  The moments depend on the state, the
+detector, the refinement level and which modes a term leaves unmeasured,
+but not on the measurement angles; one pass forms them, kernels included,
+for every term of a functional, and a small memo keeps the last few so that
+an optimizer's evaluations of one state share them.  Each term's angle
+blocks are then contracted with the shared moments.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -45,13 +52,18 @@ _MC_BATCHES = 8
 _EVAL_CHUNK = 1 << 20
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
+# Moment sets kept in memory: one state's refinement levels, which an
+# optimizer revisits at every evaluation.  A sweep moves to a new state at
+# every point, so it finds nothing here and computes its own.
+_MOMENT_CACHE = 4
 
 # Per-mode 2x2 blocks over the (+,−) branch pair.  A rotated block is
 # erf·A + e^{−2s²x²}·h(y)·B with A = M·_REFLECT·M and B = M·_TURN·M; a Gram
-# block (also an unmeasured mode's) is δ + (1−δ)·e^{−2s²x²}·e^{−2s²y²}.
+# block (also an unmeasured mode's) is δ + (1−δ)·e^{−2s²x²}·e^{−2s²y²}, the
+# pair below.
 _REFLECT = np.diag([1.0, -1.0])
 _TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
-_GRAM_BLOCKS = (np.eye(2), 1.0 - np.eye(2))
+_GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)))
 
 
 class Method(enum.Enum):
@@ -195,70 +207,166 @@ def _moment_subscripts(k: int) -> tuple[str, str]:
     return axis_sum, pair_sum
 
 
-def _engine_pass(coeffs, signs, variables, matrices, detector: DetectorModel,
-                 grids) -> tuple[float, float]:
-    """One evaluation of the factorized numerator and denominator.
+class _Moments(NamedTuple):
+    """The angle-independent half of a pass over one state.
+
+    ``coeffs`` are the branch coefficients.  ``variables`` holds, per
+    mixture variable, its modes and each mode's branch rows (0 where the
+    branch has +α, 1 where it has −α).  ``numerators`` maps a pattern of
+    unmeasured modes (True per mode a term leaves out) to one array per
+    variable: its 2^k numerator moments stacked on the Gram moments.
+    """
+
+    coeffs: np.ndarray
+    variables: tuple
+    numerators: dict
+
+
+def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
+                 grids) -> _Moments:
+    """Per-variable moments of every pattern in ``patterns``.
 
     ``grids`` supplies (x, y, w) per variable: 1-D node arrays for the two
     axes and ``w``, the x weights followed by the y weights.  Deterministic
     rules and Monte Carlo samples alike enter as the product measure of the
     two axes.  Every per-mode block is a sum of two separable terms, so each
     variable needs only the 2^k products of per-mode axis factors (k modes),
-    summed over x and over y separately; the angle coefficients then contract
-    those moments for all branch pairs at once.  The numerator (rotated
-    blocks) and the denominator (Gram blocks) travel together on a leading
-    axis; their branch-coefficient contractions give the unnormalized
-    correlation and the state trace.
+    summed over x and over y separately.  A mode that a term leaves
+    unmeasured takes the Gram factors in place of the detector's, so the
+    numerator moments are formed once per pattern, each together with the
+    Gram moments of the denominator.  Nothing here depends on the
+    measurement angles.
     """
-    nb = len(coeffs)
-    factors = np.ones((2, nb, nb), dtype=complex)
-
+    measured = {m for p in patterns for m, off in enumerate(p) if not off}
+    numerators = {p: [] for p in patterns}
+    structure = []
     for (_V, _center, scales), (x, y, w) in zip(variables, grids):
         wx = w[:x.size]
         wy = w[x.size:]
-        x_factors = []
-        y_factors = []
-        blocks = []
-        for m in sorted(scales):
-            s = scales[m]
-            sx = s * x
-            sy = s * y
-            gram_x = (np.ones_like(sx), np.exp(-2.0 * sx * sx))
-            gram_y = (np.ones_like(sy), np.exp(-2.0 * sy * sy))
-            mat = matrices[m]
-            if mat is None:
-                num_x, num_y, num_blocks = gram_x, gram_y, _GRAM_BLOCKS
-            else:
+        modes = tuple(sorted(scales))
+        factors = {}
+        for m in modes:
+            sx = scales[m] * x
+            sy = scales[m] * y
+            gauss_x = np.exp(-2.0 * sx * sx)
+            factors[m, True] = ((np.ones_like(sx), gauss_x),
+                                (np.ones_like(sy), np.exp(-2.0 * sy * sy)))
+            if m in measured:
                 eta = detector.eta_for(m)
-                num_x = (erf(_SQRT2 * eta * sx), gram_x[1])
-                num_y = (gram_y[0],
-                         (2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
-                         * dawsn(_SQRT2 * eta * sy))
-                num_blocks = (mat @ _REFLECT @ mat, mat @ _TURN @ mat)
-            rows = np.array([(1 - sign[m]) // 2 for sign in signs])
-            x_factors.append(np.array((num_x, gram_x)))
-            y_factors.append(np.array((num_y, gram_y)))
-            blocks.append(np.array((num_blocks, _GRAM_BLOCKS))[:, :, rows[:, None], rows])
-        axis_sum, pair_sum = _moment_subscripts(len(blocks))
-        moments = np.einsum(axis_sum, *x_factors, wx) * np.einsum(axis_sum, *y_factors, wy)
-        factors *= np.einsum(pair_sum, moments, *blocks)
+                factors[m, False] = (
+                    (erf(_SQRT2 * eta * sx), gauss_x),
+                    (np.ones_like(sy),
+                     (2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
+                     * dawsn(_SQRT2 * eta * sy)))
+        axis_sum, _pair_sum = _moment_subscripts(len(modes))
+        # Only the variable's own modes matter, so patterns that agree on
+        # them share one sum.
+        by_local = {}
+        for p in patterns:
+            local = tuple(p[m] for m in modes)
+            if local not in by_local:
+                x_factors = [np.array((factors[m, off][0], factors[m, True][0]))
+                             for m, off in zip(modes, local)]
+                y_factors = [np.array((factors[m, off][1], factors[m, True][1]))
+                             for m, off in zip(modes, local)]
+                moments = (np.einsum(axis_sum, *x_factors, wx)
+                           * np.einsum(axis_sum, *y_factors, wy))
+                moments.flags.writeable = False
+                by_local[local] = moments
+            numerators[p].append(by_local[local])
+        rows = tuple(np.array([(1 - sign[m]) // 2 for sign in signs]) for m in modes)
+        structure.append((modes, rows))
+    coeffs = np.array(coeffs)
+    coeffs.flags.writeable = False
+    return _Moments(coeffs, tuple(structure), numerators)
 
-    coeffs = np.asarray(coeffs)
-    num, den = np.einsum("uji,j,i->u", factors, coeffs.conj(), coeffs)
-    return num.real, den.real
+
+def _contract(moments: _Moments, blocks, term_patterns) -> np.ndarray:
+    """Unnormalized correlation and state trace of every term, shaped (terms, 2).
+
+    ``blocks`` holds, per mode, the (terms, 2, 2, 2, 2) blocks of
+    :func:`_term_blocks`.  Each variable's planar integral is the sum over
+    its 2^k moments of the moment times one block per mode, taken for every
+    branch pair at once; the branch coefficients then weigh the product over
+    variables.  Each term is contracted on its own, its numerator together
+    with the Gram denominator: einsum chooses its loop order from the
+    operand shapes, so on a stacked term axis a term's last bits would
+    depend on how many terms share the stack.
+    """
+    coeffs = moments.coeffs
+    per_variable = []
+    for modes, rows in moments.variables:
+        pairs = [blocks[m][:, :, :, r[:, None], r] for m, r in zip(modes, rows)]
+        per_variable.append((_moment_subscripts(len(modes))[1], pairs))
+    out = np.empty((len(term_patterns), 2))
+    for t, pattern in enumerate(term_patterns):
+        factors = 1.0
+        for (pair_sum, pairs), numerator in zip(per_variable, moments.numerators[pattern]):
+            factors = factors * np.einsum(pair_sum, numerator, *(p[t] for p in pairs))
+        out[t] = np.einsum("uji,j,i->u", factors, coeffs.conj(), coeffs).real
+    return out
+
+
+def _term_blocks(family: StateFamily, term_settings, detector: DetectorModel):
+    """Per-mode angle blocks of every term, and each term's unmeasured pattern.
+
+    For mode m, ``blocks[m]`` has shape (terms, 2, 2, 2, 2): per term the
+    numerator pair (A, B) with A = M·_REFLECT·M and B = M·_TURN·M, or the
+    Gram pair where the term leaves the mode unmeasured, stacked on the Gram
+    pair of the denominator.
+    """
+    for settings in term_settings:
+        if len(settings) != family.num_modes:
+            raise ValueError(
+                f"family has {family.num_modes} modes but got {len(settings)} settings")
+    if isinstance(detector.eta, tuple) and len(detector.eta) != family.num_modes:
+        raise ValueError(
+            f"family has {family.num_modes} modes but the detector gives "
+            f"{len(detector.eta)} per-mode efficiencies")
+    # Terms share each party's few settings, so each matrix is built once.
+    matrices = {s.rotation: None for settings in term_settings for s in settings
+                if not s.ignored}
+    for rotation in matrices:
+        matrices[rotation] = rotation.matrix
+    blocks = []
+    for m in range(family.num_modes):
+        column = [settings[m] for settings in term_settings]
+        a = np.array([_GRAM_BLOCKS[0] if s.ignored else matrices[s.rotation]
+                      for s in column], dtype=complex)
+        block = np.empty((len(column), 2, 2, 2, 2), dtype=complex)
+        block[:, 0, 0] = a @ _REFLECT @ a
+        block[:, 0, 1] = a @ _TURN @ a
+        block[[s.ignored for s in column], 0] = _GRAM_BLOCKS
+        block[:, 1] = _GRAM_BLOCKS
+        blocks.append(block)
+    patterns = [tuple(s.ignored for s in settings) for settings in term_settings]
+    return blocks, patterns
 
 
 def _deterministic_grids(variables, detector: DetectorModel, level: int,
-                         config: QuadratureConfig):
+                         nodes_per_axis: int):
     grids = []
     for V, center, scales in variables:
         sigma = _variable_sigma(V)
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        x, wx = _axis_rule(center, sigma, smax, eta_min, level, config.nodes_per_axis)
-        y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, config.nodes_per_axis)
+        x, wx = _axis_rule(center, sigma, smax, eta_min, level, nodes_per_axis)
+        y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, nodes_per_axis)
         grids.append((x, y, np.concatenate((wx, wy))))
     return grids
+
+
+@lru_cache(maxsize=_MOMENT_CACHE)
+def _deterministic_moments(family: StateFamily, detector: DetectorModel, level: int,
+                           nodes_per_axis: int, patterns: tuple) -> _Moments:
+    """Memoized moments of one state at one refinement level.
+
+    They do not depend on the measurement angles, so every evaluation an
+    optimizer makes on its state shares them.
+    """
+    coeffs, signs, variables = family_structure(family)
+    grids = _deterministic_grids(variables, detector, level, nodes_per_axis)
+    return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
 
 
 def _sampled_grids(variables, rng: np.random.Generator, count: int):
@@ -275,70 +383,32 @@ def _sampled_grids(variables, rng: np.random.Generator, count: int):
     return grids
 
 
-def _resolve_settings(family: StateFamily, settings: Sequence[PartySetting],
-                      detector: DetectorModel):
-    if len(settings) != family.num_modes:
-        raise ValueError(
-            f"family has {family.num_modes} modes but got {len(settings)} settings")
-    if isinstance(detector.eta, tuple) and len(detector.eta) != family.num_modes:
-        raise ValueError(
-            f"family has {family.num_modes} modes but the detector gives "
-            f"{len(detector.eta)} per-mode efficiencies")
-    return [None if s.ignored else s.rotation.matrix for s in settings]
-
-
-def estimate_correlation(
-    family: StateFamily,
-    settings: Sequence[PartySetting],
-    detector: DetectorModel | None = None,
-    config: QuadratureConfig | None = None,
-) -> tuple[float, float]:
-    """Correlation of outcome signs with a refinement-based error estimate.
-
-    Deterministic quadrature refines the per-axis resolution until two
-    successive levels agree to ``rel_tol`` (relative, floored at one, since
-    correlations are order one).  The Monte Carlo backend reports the batch
-    spread instead and doubles the sample budget up to twice.  Raises
-    :class:`NonconvergenceError` when the ladder is exhausted.
-    """
-    detector = detector or DetectorModel()
-    config = config or QuadratureConfig()
-    coeffs, signs, variables = family_structure(family)
-    matrices = _resolve_settings(family, settings, detector)
-
-    # Every mixture variable contributes an independent planar integral here,
-    # so deterministic rules stay affordable at any party count; only an
-    # explicit request routes the estimate through sampling.
-    if config.method is Method.MONTE_CARLO:
-        return _mc_estimate(coeffs, signs, variables, matrices, detector, config)
-
-    # Wide-weight variables are on the composite rule from level 0 and have
-    # no levels past 2; narrow ones may still need the composite tail.
-    max_level = 2
-    for V, _center, _scales in variables:
-        sigma = _variable_sigma(V)
-        if 0.0 < sigma <= _GH_SIGMA_MAX:
-            max_level = 4
-            break
-
-    value = math.nan
-    err = math.inf
+def _refinement_steps(family, detector, nodes_per_axis, blocks, term_patterns, patterns):
+    """Values of every term per refinement level, with the level-to-level change."""
+    # Every variable of a family carries its V.  Wide weights are on the
+    # composite rule from level 0 and have no levels past 2; narrow ones may
+    # still need the composite tail.
+    sigma = _variable_sigma(family.V)
+    top_level = 4 if 0.0 < sigma <= _GH_SIGMA_MAX else 2
     previous = None
-    for level in range(max_level + 1):
-        grids = _deterministic_grids(variables, detector, level, config)
-        num, den = _engine_pass(coeffs, signs, variables, matrices, detector, grids)
-        value = num / den
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= config.rel_tol * max(abs(value), 1.0):
-                return value, err
-        previous = value
-    raise NonconvergenceError(
-        f"correlation refinement stalled at {value!r} with error {err:.3g}",
-        value=value, err_estimate=err)
+    for level in range(top_level + 1):
+        moments = _deterministic_moments(family, detector, level, nodes_per_axis, patterns)
+        num, den = _contract(moments, blocks, term_patterns).T
+        values = num / den
+        if previous is None:
+            yield values, np.full(values.shape, math.inf)
+        else:
+            yield values, np.abs(values - previous)
+        previous = values
 
 
-def _mc_estimate(coeffs, signs, variables, matrices, detector, config):
+def _sampled_steps(family, detector, config, blocks, term_patterns, patterns):
+    """Values of every term per sampling attempt, with the batch spread.
+
+    One seeded stream serves the whole stack, so every term sees the samples
+    it would see alone; the budget doubles from one attempt to the next.
+    """
+    coeffs, signs, variables = family_structure(family)
     rng = np.random.default_rng(config.mc_seed)
     samples = config.mc_samples
     for _attempt in range(3):
@@ -348,18 +418,71 @@ def _mc_estimate(coeffs, signs, variables, matrices, detector, config):
         den_total = 0.0
         for _b in range(_MC_BATCHES):
             grids = _sampled_grids(variables, rng, per_batch)
-            num, den = _engine_pass(coeffs, signs, variables, matrices, detector, grids)
+            moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
+            num, den = _contract(moments, blocks, term_patterns).T
             batch_values.append(num / den)
-            num_total += num
-            den_total += den
-        value = num_total / den_total
-        err = float(np.std(batch_values, ddof=1) / math.sqrt(_MC_BATCHES))
-        if err <= config.rel_tol * max(abs(value), 1.0):
-            return value, err
+            num_total = num_total + num
+            den_total = den_total + den
+        batches = np.array(batch_values).T
+        errs = np.array([np.std(np.ascontiguousarray(row), ddof=1) for row in batches])
+        yield num_total / den_total, errs / math.sqrt(_MC_BATCHES)
         samples *= 2
-    raise NonconvergenceError(
-        f"sampling stalled at {value!r} with batch error {err:.3g}",
-        value=value, err_estimate=err)
+
+
+def estimate_correlations(
+    family: StateFamily,
+    term_settings: Sequence[Sequence[PartySetting]],
+    detector: DetectorModel | None = None,
+    config: QuadratureConfig | None = None,
+) -> list[tuple[float, float]]:
+    """Correlation of outcome signs for each term, with an error estimate.
+
+    ``term_settings`` holds one per-mode setting sequence per term; all terms
+    share one pass per refinement step.  Each term stops at its own first
+    step that meets ``rel_tol`` (relative, floored at one, since
+    correlations are order one).  Deterministic quadrature refines the
+    per-axis resolution and reports the change from the previous level; the
+    Monte Carlo backend reports the batch spread and doubles the sample
+    budget up to twice.  Raises :class:`NonconvergenceError` for the first
+    term whose ladder is exhausted.
+    """
+    detector = detector or DetectorModel()
+    config = config or QuadratureConfig()
+    blocks, term_patterns = _term_blocks(family, term_settings, detector)
+    patterns = tuple(sorted(set(term_patterns)))
+
+    # Every mixture variable contributes an independent planar integral here,
+    # so deterministic rules stay affordable at any party count; only an
+    # explicit request routes the estimate through sampling.
+    if config.method is Method.MONTE_CARLO:
+        steps = _sampled_steps(family, detector, config, blocks, term_patterns, patterns)
+        stalled = "sampling stalled at {!r} with batch error {:.3g}"
+    else:
+        steps = _refinement_steps(family, detector, config.nodes_per_axis, blocks,
+                                  term_patterns, patterns)
+        stalled = "correlation refinement stalled at {!r} with error {:.3g}"
+
+    results = [None] * len(term_patterns)
+    for values, errs in steps:
+        for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+            if results[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
+                results[t] = (value, err)
+        if None not in results:
+            return results
+    t = results.index(None)
+    value, err = float(values[t]), float(errs[t])
+    raise NonconvergenceError(stalled.format(value, err), value=value, err_estimate=err)
+
+
+def estimate_correlation(
+    family: StateFamily,
+    settings: Sequence[PartySetting],
+    detector: DetectorModel | None = None,
+    config: QuadratureConfig | None = None,
+) -> tuple[float, float]:
+    """Correlation of outcome signs with an error estimate: the one-term case
+    of :func:`estimate_correlations`."""
+    return estimate_correlations(family, [settings], detector, config)[0]
 
 
 def converged_correlation(

@@ -9,7 +9,6 @@ mode and the Gram decay controlling the normalization of GHZ-type branches.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 #: Largest Svetlichny value reachable with zx-plane settings on the W state.
@@ -80,24 +79,10 @@ def sasa_closed(V: float, d: float, eta: float = 1.0) -> float:
     return 2.0 * e ** 3 * (1.0 + e)
 
 
-@lru_cache(maxsize=1)
-def _w_prefactor() -> float:
-    """Pin the W correlation prefactor against the engine at a reference point.
-
-    At z-axis readouts and large displacement every branch contributes the
-    parity of exactly one flipped mode, so the correlation tends to −1 and the
-    prefactor to −1/3.
-    """
-    from .integration import converged_correlation
-    from .measurement import PartySetting, zx_rotation
-    from .states import FamilyKind, StateFamily
-
-    family = StateFamily(FamilyKind.W3, V=10.0, d=40.0)
-    settings = [PartySetting(zx_rotation(0.0))] * 3
-    value = converged_correlation(family, settings)
-    bracket = 3.0
-    e = sign_contrast(10.0, 40.0)
-    return value / (bracket * e ** 3)
+# Prefactor of the W correlation at large displacement.  At z-axis readouts
+# every branch contributes the parity of exactly one flipped mode, so the
+# correlation tends to −1 while the bracket below tends to 3.
+_W_PREFACTOR = -1.0 / 3.0
 
 
 def w_correlation_closed(V: float, d: float, angles: Sequence[float],
@@ -105,16 +90,16 @@ def w_correlation_closed(V: float, d: float, angles: Sequence[float],
     """Large-displacement correlation of the W-type thermal state.
 
     ``angles`` are zx-plane measurement angles per party (0 reads out z).
-    The value is c·[cosϑ₁cosϑ₂cosϑ₃ + 2cos(ϑ₁+ϑ₂+ϑ₃)]·E³ with c ≈ −1/3
-    pinned once against the quadrature engine; branch cross terms decay
-    with displacement, so this form is asymptotic rather than exact.
+    The value is c·[cosϑ₁cosϑ₂cosϑ₃ + 2cos(ϑ₁+ϑ₂+ϑ₃)]·E³ with c = −1/3;
+    branch cross terms decay with displacement, so this form is asymptotic
+    rather than exact.
     """
     if len(angles) != 3:
         raise ValueError(f"expected 3 angles, got {len(angles)}")
     t1, t2, t3 = angles
     bracket = math.cos(t1) * math.cos(t2) * math.cos(t3) + 2.0 * math.cos(t1 + t2 + t3)
     e = sign_contrast(V, d, eta)
-    return _w_prefactor() * bracket * e ** 3
+    return _W_PREFACTOR * bracket * e ** 3
 
 
 def compensated_displacement(d: float, V: float, eta: float) -> float:

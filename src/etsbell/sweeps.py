@@ -60,7 +60,10 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point: the functional value, its error and the verdict."""
+    """One grid point: the functional value, its error and the verdict.
+
+    ``reason`` says why a failed point failed and is empty otherwise.
+    """
 
     V: float
     d: float
@@ -71,6 +74,7 @@ class SweepRow:
     failed: bool
     angles_used: AngleSet
     provenance: str
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,10 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan's functional at every grid point.
 
     Rows come back ordered lexicographically by (V, d, eta).  Nonconvergent
-    points carry NaN values and the failed flag; every other row is exact to
-    its error estimate and marks violation only when the value clears the
-    local bound by more than that error.
+    points carry NaN values, the failed flag and the error message as their
+    reason; every other row is exact to its error estimate and marks
+    violation only when the value clears the local bound by more than that
+    error.
     """
     angle_map = _resolve_angles(plan)
     points = [(V, d, eta)
@@ -127,10 +132,10 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         detector = DetectorModel(eta)
         try:
             value, err = evaluate_with_error(plan.spec, family, angles, detector, plan.cfg)
-        except NonconvergenceError:
+        except NonconvergenceError as exc:
             return SweepRow(V=V, d=d, eta=eta, value=math.nan, err=math.nan,
                             violated=False, failed=True,
-                            angles_used=angles, provenance=provenance)
+                            angles_used=angles, provenance=provenance, reason=str(exc))
         return SweepRow(V=V, d=d, eta=eta, value=value, err=err,
                         violated=value > plan.spec.lr_bound + err, failed=False,
                         angles_used=angles, provenance=provenance)

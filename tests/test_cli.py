@@ -57,6 +57,8 @@ def test_scan_json_mirrors_csv(tmp_path, capsys):
     assert doc["metadata"]["family"] == "ghz3-cond"
     assert doc["metadata"]["angles"]["mode"] == "canonical"
     assert doc["metadata"]["config"]["nodes_per_axis"] == 40
+    assert doc["metadata"]["config"]["mc_samples"] == 200_000
+    assert doc["metadata"]["config"]["mc_seed"] == 20260815
 
     with csv_path.open() as fh:
         csv_rows = list(csv.DictReader(fh))
@@ -66,6 +68,14 @@ def test_scan_json_mirrors_csv(tmp_path, capsys):
             assert float(text_row[key]) == pytest.approx(
                 json_row[key], rel=1e-11, abs=1e-11)
         assert (text_row["violated"] == "true") == json_row["violated"]
+
+
+@pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
+def test_scan_has_no_sampling_flags(capsys, flag):
+    # scan always integrates deterministically, so sampling knobs are refused
+    code, _out, err = run(capsys, SCAN + [flag, "1000"])
+    assert code == 1
+    assert "unrecognized arguments" in err
 
 
 def test_scan_range_syntax(capsys):

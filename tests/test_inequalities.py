@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import qubit_oracle
-from etsbell.errors import UnsupportedAngleSetError
+from etsbell.errors import NonconvergenceError, UnsupportedAngleSetError
 from etsbell.inequalities import (
     INEQUALITIES,
     MERMIN3,
@@ -28,6 +28,7 @@ from etsbell.inequalities import (
     verify_lr_bound,
     worker_limit,
 )
+from etsbell.integration import Method, QuadratureConfig
 from etsbell.states import FamilyKind, StateFamily
 
 SQRT2 = math.sqrt(2.0)
@@ -217,3 +218,11 @@ def test_optimizer_recovers_mermin_maximum():
     assert result.value >= 2.0 * SQRT2 - 1e-3
     assert result.start_index == 0
     assert result.angles
+
+
+def test_optimizer_raises_on_nonconvergence():
+    # a nonconvergent evaluation is an error, never a score of zero
+    fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.0)
+    cfg = QuadratureConfig(method=Method.MONTE_CARLO, rel_tol=1e-12, mc_samples=1000)
+    with pytest.raises(NonconvergenceError, match="sampling stalled"):
+        optimize_angles(MERMIN3, fam, config=cfg, restarts=1)

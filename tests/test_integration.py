@@ -9,11 +9,13 @@ import dense_reference
 import qubit_oracle
 from etsbell import integration
 from etsbell.errors import NonconvergenceError
+from etsbell.inequalities import INEQUALITIES, term_settings
 from etsbell.integration import (
     Method,
     QuadratureConfig,
     converged_correlation,
     estimate_correlation,
+    estimate_correlations,
     thermal_average,
 )
 from etsbell.measurement import (
@@ -156,27 +158,56 @@ def test_detector_tuple_length_must_match_modes():
             estimate_correlation(fam, EQUATORIAL, DetectorModel(eta))
 
 
-@pytest.mark.parametrize("kind", list(FamilyKind))
-def test_separable_pass_matches_dense_reference(kind, monkeypatch):
-    # the engine integrates on the reference's own Gauss-Hermite axes, so
-    # both sides sum over the same tensor nodes and must agree to rounding
-    nodes = 24
+DENSE_NODES = 24
 
-    def tensor_axes(variables, detector, level, config):
+
+@pytest.fixture
+def tensor_grids(monkeypatch):
+    """Route the engine through the dense reference's Gauss-Hermite axes.
+
+    Both sides then sum over the same tensor nodes and must agree to
+    rounding.  The moment memo is cleared on entry and on exit, so no
+    moments formed on other grids are served here and none formed here
+    outlive the test.
+    """
+
+    def tensor_axes(variables, detector, level, nodes_per_axis):
         grids = []
         for V, center, _scales in variables:
-            x, wx = dense_reference.axis(center, V, nodes)
-            y, wy = dense_reference.axis(0.0, V, nodes)
+            x, wx = dense_reference.axis(center, V, DENSE_NODES)
+            y, wy = dense_reference.axis(0.0, V, DENSE_NODES)
             grids.append((x, y, np.concatenate((wx, wy))))
         return grids
 
     monkeypatch.setattr(integration, "_deterministic_grids", tensor_axes)
+    integration._deterministic_moments.cache_clear()
+    yield DENSE_NODES
+    integration._deterministic_moments.cache_clear()
+
+
+def _detector_cases(modes: int):
+    """(DetectorModel eta, per-mode etas): 1, 0.3 and an uneven tuple."""
+    per_mode = (0.9, 0.3, 0.6, 1.0)[:modes]
+    return [(1.0, (1.0,) * modes), (0.3, (0.3,) * modes), (per_mode, per_mode)]
+
+
+def _random_angles(rng, spec):
+    return tuple(
+        tuple(EffectiveRotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+              for _ in range(count))
+        for count in spec.settings_per_party)
+
+
+def _stack(spec, angles):
+    return [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_separable_pass_matches_dense_reference(kind, tensor_grids):
     rng = np.random.default_rng(29)
     modes = StateFamily(kind, 1.0, 0.0).num_modes
-    per_mode = (0.9, 0.3, 0.6, 1.0)[:modes]
     for V in (1.0, 5.0, 100.0):
-        for eta in (1.0, 0.3, per_mode):
-            etas = per_mode if isinstance(eta, tuple) else (eta,) * modes
+        for eta, etas in _detector_cases(modes):
             angles = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
                       for _ in range(modes)]
             for unmeasured in (None, 1):
@@ -184,10 +215,87 @@ def test_separable_pass_matches_dense_reference(kind, monkeypatch):
                 settings = [IGNORE if a is None else PartySetting(EffectiveRotation(*a))
                             for a in term]
                 num, den = dense_reference.correlation(
-                    kind.value, V, 1.2, term, etas, nodes)
+                    kind.value, V, 1.2, term, etas, tensor_grids)
                 got, _err = estimate_correlation(
                     StateFamily(kind, V, 1.2), settings, DetectorModel(eta))
                 assert got == pytest.approx(num / den, abs=1e-12), (V, eta, unmeasured)
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_stacked_terms_match_dense_reference(kind, tensor_grids):
+    # every term of every functional with the family's party count, SASA's
+    # unmeasured-party terms included, from one batched call per functional
+    rng = np.random.default_rng(31)
+    modes = StateFamily(kind, 1.0, 0.0).num_modes
+    for spec in INEQUALITIES.values():
+        if spec.parties != modes:
+            continue
+        stack = _stack(spec, _random_angles(rng, spec))
+        for V in (1.0, 5.0, 100.0):
+            for eta, etas in _detector_cases(modes):
+                got = estimate_correlations(StateFamily(kind, V, 1.2), stack,
+                                            DetectorModel(eta))
+                assert len(got) == len(stack)
+                for settings, (value, _err) in zip(stack, got):
+                    term = [None if s.ignored else (s.rotation.theta, s.rotation.phase)
+                            for s in settings]
+                    num, den = dense_reference.correlation(
+                        kind.value, V, 1.2, term, etas, tensor_grids)
+                    assert value == pytest.approx(num / den, abs=1e-12), \
+                        (spec.name, V, eta, term)
+
+
+@pytest.mark.parametrize("config", [
+    QuadratureConfig(),
+    QuadratureConfig(method=Method.MONTE_CARLO, rel_tol=1e-2, mc_samples=2000),
+], ids=["deterministic", "monte-carlo"])
+def test_stacked_call_equals_one_term_calls(config):
+    # bit for bit: a term's arithmetic must not depend on the rest of its stack
+    rng = np.random.default_rng(37)
+    memo = integration._deterministic_moments
+    for kind, name in ((FamilyKind.GHZ3_KERR, "svetlichny3"), (FamilyKind.W3, "mermin3"),
+                       (FamilyKind.CLUSTER4_CROSS_KERR, "sasa"),
+                       (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4")):
+        spec = INEQUALITIES[name]
+        family = StateFamily(kind, 5.0, 1.3)
+        detector = DetectorModel(0.7)
+        stack = _stack(spec, _random_angles(rng, spec))
+        memo.cache_clear()
+        stacked = estimate_correlations(family, stack, detector, config)
+        for settings, want in zip(stack, stacked):
+            memo.cache_clear()
+            assert estimate_correlation(family, settings, detector, config) == want, name
+
+
+def test_moment_memo_never_serves_a_stale_entry():
+    memo = integration._deterministic_moments
+    family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
+    base = (family, EQUATORIAL, DetectorModel(0.8), QuadratureConfig())
+    memo.cache_clear()
+    first = estimate_correlation(*base)
+    hits = memo.cache_info().hits
+    assert estimate_correlation(*base) == first
+    assert memo.cache_info().hits > hits
+    variants = {
+        "eta": (family, EQUATORIAL, DetectorModel(0.5), QuadratureConfig()),
+        "eta per mode": (family, EQUATORIAL, DetectorModel((0.8, 0.8, 0.5)),
+                         QuadratureConfig()),
+        "nodes_per_axis": (family, EQUATORIAL, DetectorModel(0.8),
+                           QuadratureConfig(nodes_per_axis=24)),
+        "family kind": (StateFamily(FamilyKind.GHZ3_BEAM_SPLITTER, 5.0, 1.5),
+                        EQUATORIAL, DetectorModel(0.8), QuadratureConfig()),
+        "displacement": (StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 2.5),
+                         EQUATORIAL, DetectorModel(0.8), QuadratureConfig()),
+        "unmeasured pattern": (family, EQUATORIAL[:2] + [IGNORE], DetectorModel(0.8),
+                               QuadratureConfig()),
+    }
+    for name, variant in variants.items():
+        memo.cache_clear()
+        estimate_correlation(*base)
+        warm = estimate_correlation(*variant)
+        memo.cache_clear()
+        assert warm == estimate_correlation(*variant), name
+        assert warm[0] != first[0], name
 
 
 def test_monte_carlo_agrees_with_quadrature():

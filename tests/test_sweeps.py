@@ -52,6 +52,7 @@ def test_sweep_matches_closed_form():
         assert row.value == pytest.approx(want, abs=1e-9), (row.V, row.d)
         assert row.violated == (row.value > SV3.lr_bound + row.err)
         assert not row.failed
+        assert row.reason == ""
 
 
 def test_sweep_zero_displacement_rows_are_null():
@@ -85,6 +86,7 @@ def test_sweep_isolates_nonconverged_rows():
     assert row.failed
     assert math.isnan(row.value)
     assert not row.violated
+    assert row.reason.startswith("sampling stalled")
 
 
 def test_sweep_thread_limit_does_not_change_results(monkeypatch):
