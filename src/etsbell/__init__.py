@@ -1,8 +1,8 @@
 """Entangled-thermal-state Bell tests with dichotomized homodyne readout."""
 
-from .errors import (AmplitudeRangeError, BranchStructureError, EtsError,
-                     FaddeevaOverflowError, GramNormError, NoCrossingError,
-                     NonconvergenceError, RotationError, UnsupportedAngleSetError)
+from .errors import (AmplitudeRangeError, EtsError, FaddeevaOverflowError,
+                     NoCrossingError, NonconvergenceError, RotationError,
+                     UnsupportedAngleSetError)
 from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4,
                            WWZB4, AngleSet, CanonicalAngles, InequalitySpec,
                            OptimizationResult, canonical_angles, deterministic_bound,
@@ -10,11 +10,9 @@ from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4
                            get_inequality, hybrid_partition_bound, optimize_angles,
                            term_settings, verify_lr_bound)
 from .integration import (Method, QuadratureConfig, converged_correlation,
-                          estimate_correlation, estimate_correlations, thermal_average)
-from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, DichotomicKernel,
-                          EffectiveRotation, PartySetting, apply_inefficiency,
-                          apply_rotation, correlation, joint_sign_probabilities,
-                          zx_rotation)
+                          estimate_correlation, estimate_correlations)
+from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
+                          PartySetting, zx_rotation)
 from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, W_SVETLICHNY_MAX,
                       compensated_displacement, ghz_correlation_closed, gram_decay,
                       sasa_closed, sign_contrast, spin_ghz_correlation,
@@ -23,9 +21,7 @@ from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, W_SVETLICHNY_MAX
 from .phase_space import (AMP_MAX, ComplexAmplitude, HalfLineSign, coherent_overlap,
                           faddeeva, halfline_interference_integral,
                           quadrature_amplitude)
-from .states import (BranchSuperposition, FamilyKind, StateFamily,
-                     ThermalMixtureSpec, cluster_branches, family_structure,
-                     ghz_branches, make_family, w_branches)
+from .states import FamilyKind, StateFamily, family_structure
 from .sweeps import (SweepPlan, SweepResult, SweepRow, crossing_displacement,
                      run_sweep)
 

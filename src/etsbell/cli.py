@@ -123,6 +123,17 @@ def _write_output(rows: list[dict], metadata: dict, out: str | None, fmt: str) -
             handle.write(text)
 
 
+def _row(kind: FamilyKind, spec: InequalitySpec, V: float, d: float, eta: float,
+         value: float, err: float, violated: bool) -> dict:
+    """One output row: the grid point, its value and the functional's bounds."""
+    return {
+        "family": kind.value, "inequality": spec.name,
+        "V": V, "d": d, "eta": eta, "value": value, "err": err,
+        "lr_bound": spec.lr_bound, "quantum_max": spec.quantum_max,
+        "violated": violated,
+    }
+
+
 def _config_metadata(cfg: QuadratureConfig) -> dict:
     return {
         "nodes_per_axis": cfg.nodes_per_axis,
@@ -161,16 +172,8 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
 
     provenances = sorted({row.provenance for row in result.rows})
-    rows = [
-        {
-            "family": kind.value, "inequality": spec.name,
-            "V": row.V, "d": row.d, "eta": row.eta,
-            "value": row.value, "err": row.err,
-            "lr_bound": spec.lr_bound, "quantum_max": spec.quantum_max,
-            "violated": row.violated,
-        }
-        for row in result.rows
-    ]
+    rows = [_row(kind, spec, row.V, row.d, row.eta, row.value, row.err, row.violated)
+            for row in result.rows]
     metadata = {
         "version": __version__,
         "family": kind.value,
@@ -192,12 +195,7 @@ def _closed_form_rows(kind: FamilyKind, spec: InequalitySpec, eta: float,
     for V in V_values:
         for d in _figure_d_grid(V):
             value = formula(V, d, eta)
-            rows.append({
-                "family": kind.value, "inequality": spec.name,
-                "V": V, "d": d, "eta": eta, "value": value, "err": 0.0,
-                "lr_bound": spec.lr_bound, "quantum_max": spec.quantum_max,
-                "violated": value > spec.lr_bound,
-            })
+            rows.append(_row(kind, spec, V, d, eta, value, 0.0, value > spec.lr_bound))
     return rows
 
 
@@ -207,14 +205,8 @@ def _sweep_rows(kind: FamilyKind, spec: InequalitySpec, eta: float,
     for V in V_values:
         plan = SweepPlan(family=kind, spec=spec, V_grid=(V,),
                          d_grid=_figure_d_grid(V), eta_grid=(eta,))
-        for row in run_sweep(plan).rows:
-            rows.append({
-                "family": kind.value, "inequality": spec.name,
-                "V": row.V, "d": row.d, "eta": row.eta,
-                "value": row.value, "err": row.err,
-                "lr_bound": spec.lr_bound, "quantum_max": spec.quantum_max,
-                "violated": row.violated,
-            })
+        rows.extend(_row(kind, spec, row.V, row.d, row.eta, row.value, row.err, row.violated)
+                    for row in run_sweep(plan).rows)
     return rows
 
 

@@ -13,14 +13,6 @@ class FaddeevaOverflowError(EtsError, ValueError):
     """The scaled complementary error function cannot be evaluated safely."""
 
 
-class BranchStructureError(EtsError, ValueError):
-    """A branch superposition violates its structural invariants."""
-
-
-class GramNormError(EtsError, ValueError):
-    """The Gram-matrix norm of a branch superposition is not strictly positive."""
-
-
 class RotationError(EtsError, ValueError):
     """An effective rotation cannot be applied to the given mode."""
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +20,8 @@ from .errors import UnsupportedAngleSetError
 # The single-term estimators stay importable from here beside the batched one.
 from .integration import (QuadratureConfig, converged_correlation,  # noqa: F401
                           estimate_correlation, estimate_correlations)
-from .measurement import IGNORE, DetectorModel, EffectiveRotation, PartySetting, zx_rotation
+from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
+                          PartySetting, zx_rotation)
 from .states import FamilyKind, StateFamily
 
 #: Index tuple entry marking a party an inequality term does not measure.
@@ -221,16 +220,8 @@ def _repeated_equatorial(parties: int, p0: float, p1: float) -> AngleSet:
 _W_THETA_A = math.pi + math.atan(1.0 / math.sqrt(2.0))
 _W_THETA_B = 2.0 * math.pi - math.atan(1.0 / math.sqrt(2.0))
 
-_PAULI_X = EffectiveRotation(math.pi / 2.0, 0.0)
-_PAULI_Y = EffectiveRotation(math.pi / 2.0, math.pi / 2.0)
-_PAULI_Z = EffectiveRotation(math.pi, 0.0)
-
-_SASA_ANGLES: AngleSet = (
-    (_PAULI_Z, _PAULI_X),
-    (_PAULI_Y,),
-    (_PAULI_X, _PAULI_Y),
-    (_PAULI_X, _PAULI_Y),
-)
+_SASA_ANGLES: AngleSet = tuple(
+    tuple(PAULI_ROTATIONS[axis] for axis in party) for party in ("zx", "y", "xy", "xy"))
 
 _GHZ3_PHASES = ((3.0 * math.pi / 4.0, math.pi / 4.0),
                 (math.pi / 2.0, 0.0),
@@ -298,18 +289,6 @@ def canonical_angles(inequality: str | InequalitySpec,
             f"no canonical angles for inequality {name!r} on family {kind.value!r}")
 
 
-def worker_limit(task_count: int) -> int:
-    """Worker count for parallel evaluation, capped by ETS_THREADS."""
-    limit = os.cpu_count() or 1
-    env = os.environ.get("ETS_THREADS")
-    if env:
-        try:
-            limit = max(1, int(env))
-        except ValueError:
-            raise ValueError(f"ETS_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(limit, task_count))
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     """Best functional value found and the settings achieving it."""
@@ -351,10 +330,9 @@ def optimize_angles(
     """Maximize |functional| over all measurement angles with Nelder-Mead.
 
     Restart 0 is seeded from the canonical angle set when one exists; the
-    remaining starts draw uniformly from [0, 2π).  Restarts run concurrently
-    (bounded by ETS_THREADS) and ties resolve to the lowest start index so
-    results stay reproducible.  An evaluation that does not converge raises
-    its :class:`NonconvergenceError` out of the optimizer.
+    remaining starts draw uniformly from [0, 2π).  Restarts run in order and
+    ties resolve to the lowest start index.  An evaluation that does not
+    converge raises its :class:`NonconvergenceError` out of the optimizer.
     """
     # Imported on use: scipy.optimize is most of the package's import time.
     from scipy.optimize import minimize
@@ -378,19 +356,10 @@ def optimize_angles(
             options={"xatol": 1e-3, "fatol": 1e-7, "maxiter": 150 * nparams})
         return -float(result.fun), result.x
 
-    workers = worker_limit(len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve, starts))
-    else:
-        outcomes = [solve(s) for s in starts]
-
-    best_index = 0
-    best_value, best_x = outcomes[0]
-    for index, (value, x) in enumerate(outcomes[1:], start=1):
-        if value > best_value:
-            best_index = index
-            best_value, best_x = value, x
+    outcomes = [solve(s) for s in starts]
+    # max keeps the first of equal values: the lowest start index wins ties.
+    best_index = max(range(len(outcomes)), key=lambda k: outcomes[k][0])
+    best_value, best_x = outcomes[best_index]
     return OptimizationResult(
         value=best_value,
         angles=_angles_from_vector(spec, best_x),

@@ -1,8 +1,6 @@
-"""Quadrature engine for thermal averages and correlation estimates.
+"""Quadrature engine for thermal correlation estimates.
 
-Two entry points.  :func:`thermal_average` integrates an arbitrary function of
-the sampled mixture variables against their Gaussian weights.  The correlation
-estimators exploit the structure of sign-of-x statistics on ± amplitude
+The estimators exploit the structure of sign-of-x statistics on ± amplitude
 lattices: the integrand factorizes over mixture variables, each contributing a
 two-axis integral of per-mode 2x2 node matrices.  Every such block is a sum of
 two products of an x factor and a y factor, so the planar integral of a
@@ -16,6 +14,10 @@ but not on the measurement angles; one pass forms them, kernels included,
 for every term of a functional, and a small memo keeps the last few so that
 an optimizer's evaluations of one state share them.  Each term's angle
 blocks are then contracted with the shared moments.
+
+The moments come from deterministic per-axis rules (Gauss-Hermite, or a
+windowed composite Gauss-Legendre rule for wide weights) refined level by
+level, or, on request, from seeded Monte Carlo samples of the same weights.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -49,7 +51,6 @@ _FINE_PANEL_FRACTION = 0.4
 _COMPOSITE_BASE_ORDER = 12
 _MAX_AXIS_NODES = 200
 _MC_BATCHES = 8
-_EVAL_CHUNK = 1 << 20
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement levels, which an
@@ -67,9 +68,8 @@ _GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)))
 
 
 class Method(enum.Enum):
-    """Integration backend selection."""
+    """Integration backend: deterministic rules (AUTO) or sampling."""
 
-    GAUSS_HERMITE = "gauss-hermite"
     MONTE_CARLO = "monte-carlo"
     AUTO = "auto"
 
@@ -494,130 +494,3 @@ def converged_correlation(
     """Correlation of outcome signs, converged to the configured tolerance."""
     value, _err = estimate_correlation(family, settings, detector, config)
     return value
-
-
-def _evaluate_pointwise(f: Callable, columns, count: int) -> np.ndarray:
-    """Evaluate f over sample columns, vectorized when f cooperates."""
-    try:
-        out = np.asarray(f(tuple(columns)))
-        if out.shape == (count,):
-            return out.astype(complex)
-    except Exception:
-        pass
-    values = np.empty(count, dtype=complex)
-    for k in range(count):
-        values[k] = f(tuple(col[k] for col in columns))
-    return values
-
-
-def thermal_average(
-    f: Callable[[tuple[complex, ...]], complex],
-    variables: Sequence[tuple[float, float]],
-    config: QuadratureConfig | None = None,
-) -> complex:
-    """Average f over the Gaussian mixture variables.
-
-    ``variables`` lists (V, center) pairs; each variable with V > 1 carries an
-    isotropic complex Gaussian weight of per-axis variance (V−1)/4 centered on
-    the real axis, while V = 1 pins the variable at its center.  ``f``
-    receives one complex value per variable (or equal-length arrays when it
-    vectorizes).  Auto method uses tensor Gauss-Hermite for up to two free
-    variables and sampling beyond that.
-    """
-    config = config or QuadratureConfig()
-    variables = [(float(V), float(center)) for V, center in variables]
-    free = [k for k, (V, _c) in enumerate(variables) if _variable_sigma(V) > 0.0]
-
-    if not free:
-        point = tuple(complex(center) for _V, center in variables)
-        return complex(f(point))
-
-    method = config.method
-    if method is Method.AUTO:
-        method = Method.GAUSS_HERMITE if len(free) <= 2 else Method.MONTE_CARLO
-
-    if method is Method.GAUSS_HERMITE:
-        return _thermal_average_gh(f, variables, free, config)
-    return _thermal_average_mc(f, variables, free, config)
-
-
-def _thermal_average_gh(f, variables, free, config):
-    previous = None
-    value = None
-    err = math.inf
-    n = config.nodes_per_axis
-    for _level in range(3):
-        axes = []
-        for k in free:
-            V, center = variables[k]
-            sigma = _variable_sigma(V)
-            axes.append(_gauss_axis(center, sigma, n))
-            axes.append(_gauss_axis(0.0, sigma, n))
-        shape = tuple(nodes.size for nodes, _w in axes)
-        count = int(np.prod(shape))
-
-        # The tensor grid is never materialized; each chunk of flat indices
-        # is unraveled into per-axis node positions on demand, so memory
-        # stays bounded regardless of how many variables are free.
-        total = 0.0 + 0.0j
-        for start in range(0, count, _EVAL_CHUNK):
-            stop = min(start + _EVAL_CHUNK, count)
-            idx = np.unravel_index(np.arange(start, stop), shape)
-            weight = np.ones(stop - start)
-            columns = []
-            pos = 0
-            for k, (V, center) in enumerate(variables):
-                if k in free:
-                    xn, xw = axes[pos]
-                    yn, yw = axes[pos + 1]
-                    columns.append(xn[idx[pos]] + 1j * yn[idx[pos + 1]])
-                    weight = weight * xw[idx[pos]] * yw[idx[pos + 1]]
-                    pos += 2
-                else:
-                    columns.append(np.full(stop - start, complex(center)))
-            vals = _evaluate_pointwise(f, columns, stop - start)
-            total += np.sum(vals * weight)
-
-        value = complex(total)
-        if previous is not None:
-            err = abs(value - previous)
-            if err <= config.rel_tol * max(abs(value), 1.0):
-                return value
-        previous = value
-        if n >= _MAX_AXIS_NODES:
-            break
-        n = min(2 * n, _MAX_AXIS_NODES)
-    raise NonconvergenceError(
-        f"thermal average stalled at {value!r} with error {err:.3g}",
-        value=abs(value), err_estimate=err)
-
-
-def _thermal_average_mc(f, variables, free, config):
-    rng = np.random.default_rng(config.mc_seed)
-    samples = config.mc_samples
-    value = None
-    err = math.inf
-    for _attempt in range(3):
-        per_batch = max(1, samples // _MC_BATCHES)
-        batch_means = []
-        for _b in range(_MC_BATCHES):
-            columns = []
-            for k, (V, center) in enumerate(variables):
-                sigma = _variable_sigma(V)
-                if k in free:
-                    xs = rng.normal(center, sigma, size=per_batch)
-                    ys = rng.normal(0.0, sigma, size=per_batch)
-                    columns.append(xs + 1j * ys)
-                else:
-                    columns.append(np.full(per_batch, complex(center)))
-            vals = _evaluate_pointwise(f, columns, per_batch)
-            batch_means.append(complex(np.mean(vals)))
-        value = complex(np.mean(batch_means))
-        deviations = np.abs(np.array(batch_means) - value)
-        err = float(np.sqrt(np.sum(deviations ** 2) / (_MC_BATCHES - 1) / _MC_BATCHES))
-        if err <= config.rel_tol * max(abs(value), 1.0):
-            return value
-        samples *= 2
-    raise NonconvergenceError(
-        f"thermal average sampling stalled at {value!r} with batch error {err:.3g}",
-        value=abs(value), err_estimate=err)

@@ -1,9 +1,9 @@
-"""Local rotations, detector models and dichotomized homodyne statistics.
+"""Local rotations, party settings and the detector model.
 
 A measurement setting per mode is an effective two-branch rotation acting on
 the ± amplitude pair of that mode, or no setting at all when a party is
 ignored by a correlation term.  Outcomes are the signs of x-quadrature
-readings, optionally smeared by detector inefficiency.
+readings, smeared by the detector's inefficiency.
 """
 
 from __future__ import annotations
@@ -11,15 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GramNormError, RotationError
-from .phase_space import HalfLineSign, _halfline_kernel
-from .states import BranchSuperposition
-
-SignPattern = tuple[HalfLineSign, ...]
+from .errors import RotationError
 
 _TWO_PI = 2.0 * math.pi
 
@@ -102,171 +97,3 @@ class DetectorModel:
         if isinstance(self.eta, tuple):
             return all(e == 1.0 for e in self.eta)
         return self.eta == 1.0
-
-
-class DichotomicKernel:
-    """Matrix element ⟨β|Π̂_s|α⟩ of the sign-of-x binning at efficiency η."""
-
-    def __init__(self, eta: float = 1.0):
-        if not (0.0 < eta <= 1.0):
-            raise ValueError(f"detector efficiency must lie in (0, 1], got {eta}")
-        self.eta = eta
-
-    def __call__(self, alpha: complex, beta: complex, sign: HalfLineSign | int) -> complex:
-        return _halfline_kernel(alpha, beta, int(sign), self.eta)
-
-
-def apply_inefficiency(kernel: DichotomicKernel, eta: float) -> DichotomicKernel:
-    """Smear a dichotomic kernel with an extra inefficiency stage.
-
-    Losses compose multiplicatively; a unit-efficiency stage returns the
-    kernel unchanged.
-    """
-    if eta == 1.0:
-        return kernel
-    return DichotomicKernel(kernel.eta * eta)
-
-
-def _infer_sign_lattice(state: BranchSuperposition):
-    """Express branch amplitudes as signs on a per-mode ± base amplitude.
-
-    Returns (bases, sign_rows).  Raises RotationError when some mode's
-    amplitudes do not form a ±pair around a common value.
-    """
-    n = state.num_modes
-    bases: list[complex] = []
-    sign_rows = [[0] * n for _ in state.branches]
-    for m in range(n):
-        column = [complex(amps[m]) for _c, amps in state.branches]
-        base = 0.0 + 0.0j
-        for v in column:
-            if abs(v) > 1e-12:
-                base = v
-                break
-        # The ± convention must not depend on branch ordering, or composing
-        # rotations would silently swap the pair; pick the representative
-        # with positive real part (positive imaginary on the boundary).
-        if base.real < -1e-12 * abs(base) or (
-                abs(base.real) <= 1e-12 * abs(base) and base.imag < 0.0):
-            base = -base
-        tol = 1e-9 * max(1.0, abs(base))
-        for row, v in zip(sign_rows, column):
-            if abs(v - base) <= tol:
-                row[m] = 1
-            elif abs(v + base) <= tol:
-                row[m] = -1
-            else:
-                raise RotationError(
-                    f"mode {m} amplitudes are not a ± pair: {v!r} vs base {base!r}")
-        bases.append(base)
-    return bases, [tuple(r) for r in sign_rows]
-
-
-def apply_rotation(
-    state: BranchSuperposition,
-    rotations: Sequence[EffectiveRotation | None],
-) -> BranchSuperposition:
-    """Apply per-mode effective rotations to a ±lattice superposition.
-
-    Entries set to None leave the corresponding mode untouched.  Branches
-    produced with coinciding amplitude patterns are merged.
-    """
-    if len(rotations) != state.num_modes:
-        raise RotationError(
-            f"got {len(rotations)} rotations for {state.num_modes} modes")
-    bases, sign_rows = _infer_sign_lattice(state)
-    matrices = [r.matrix if r is not None else None for r in rotations]
-
-    merged: dict[tuple[int, ...], complex] = {}
-    for (coeff, _amps), signs in zip(state.branches, sign_rows):
-        partial: dict[tuple[int, ...], complex] = {(): complex(coeff)}
-        for m, s in enumerate(signs):
-            mat = matrices[m]
-            nxt: dict[tuple[int, ...], complex] = {}
-            if mat is None:
-                for key, c in partial.items():
-                    nxt[key + (s,)] = nxt.get(key + (s,), 0.0) + c
-            else:
-                col = (1 - s) // 2
-                for out_sign, row_idx in ((1, 0), (-1, 1)):
-                    w = mat[row_idx, col]
-                    if w == 0.0:
-                        continue
-                    for key, c in partial.items():
-                        k = key + (out_sign,)
-                        nxt[k] = nxt.get(k, 0.0) + c * w
-            partial = nxt
-        for key, c in partial.items():
-            merged[key] = merged.get(key, 0.0) + c
-
-    peak = max(abs(c) for c in merged.values()) if merged else 0.0
-    branches = tuple(
-        (c, tuple(s * b for s, b in zip(key, bases)))
-        for key, c in sorted(merged.items())
-        if abs(c) > 1e-14 * max(peak, 1.0)
-    )
-    if not branches:
-        raise RotationError("rotation annihilated every branch")
-    return BranchSuperposition(num_modes=state.num_modes, branches=branches)
-
-
-def joint_sign_probabilities(
-    state: BranchSuperposition,
-    detector: DetectorModel | None = None,
-) -> dict[SignPattern, float]:
-    """Joint probabilities of all sign-of-x outcome patterns.
-
-    Probabilities are normalized by the state's trace under the same detector
-    model, so the returned values sum to one.
-    """
-    detector = detector or DetectorModel()
-    n = state.num_modes
-
-    # Per mode and branch pair, both half-line kernels plus their sum.
-    kernels: list[dict[tuple[int, int], tuple[complex, complex]]] = []
-    for m in range(n):
-        eta = detector.eta_for(m)
-        per_mode: dict[tuple[int, int], tuple[complex, complex]] = {}
-        for i, (_ci, amps_i) in enumerate(state.branches):
-            for j, (_cj, amps_j) in enumerate(state.branches):
-                plus = _halfline_kernel(amps_i[m], amps_j[m], 1, eta)
-                minus = _halfline_kernel(amps_i[m], amps_j[m], -1, eta)
-                per_mode[(i, j)] = (plus, minus)
-        kernels.append(per_mode)
-
-    raw: dict[SignPattern, float] = {}
-    total = 0.0
-    for pattern_bits in range(2 ** n):
-        pattern = tuple(
-            HalfLineSign.PLUS if (pattern_bits >> m) & 1 == 0 else HalfLineSign.MINUS
-            for m in range(n)
-        )
-        acc = 0.0 + 0.0j
-        for i, (c_i, _amps_i) in enumerate(state.branches):
-            for j, (c_j, _amps_j) in enumerate(state.branches):
-                prod = c_i * complex(c_j).conjugate()
-                for m, s in enumerate(pattern):
-                    plus, minus = kernels[m][(i, j)]
-                    prod *= plus if s is HalfLineSign.PLUS else minus
-                acc += prod
-        raw[pattern] = acc.real
-        total += acc.real
-
-    if total <= 0.0:
-        raise GramNormError(f"outcome trace {total:.3g} is not strictly positive")
-    return {pattern: p / total for pattern, p in raw.items()}
-
-
-def correlation(
-    state: BranchSuperposition,
-    detector: DetectorModel | None = None,
-) -> float:
-    """Expectation of the product of outcome signs over all modes."""
-    probs = joint_sign_probabilities(state, detector)
-    value = 0.0
-    for pattern, p in probs.items():
-        parity = 1
-        for s in pattern:
-            parity *= int(s)
-        value += parity * p
-    return value

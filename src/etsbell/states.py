@@ -1,124 +1,22 @@
-"""Branch superpositions and the thermal mixtures built from them.
+"""The thermal state families and the per-variable structure the engine reads.
 
-A multimode entangled coherent state is stored as a short list of branches,
-each a complex coefficient and one amplitude per mode.  The thermal state
-families are described by a :class:`ThermalMixtureSpec`: a set of Gaussian
-integration variables together with a linear map from sampled variables to
-branch-template amplitude slots.  That map is what distinguishes schemes in
-which every mode carries an independent thermal variable from schemes where a
-single variable is split coherently across several modes.
+Every family is a thermal mixture of ± coherent branches: a fixed set of
+branch coefficients and mode-sign patterns, with the branch amplitudes drawn
+from Gaussian mixture variables.  Each variable feeds one or more modes with
+a fixed scale.  Conditional schemes give every mode its own variable;
+splitter-based schemes split one variable coherently across several modes,
+with its center scaled up so that every output mode carries displacement d,
+so schemes are compared at equal per-mode displacement.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-from .errors import BranchStructureError, GramNormError
-from .phase_space import AMP_MAX, ComplexAmplitude, coherent_overlap
+from dataclasses import dataclass
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-
-# Beam-splitter transmittivities of the two splitter-based generation schemes.
-# Recorded for reference only; states are constructed in post-selected form.
-TRANSMITTIVITY_T1 = math.sqrt(2.0 / 3.0)
-TRANSMITTIVITY_T2 = 1.0 / _SQRT2
-
-
-@dataclass(frozen=True)
-class BranchSuperposition:
-    """A pure multimode state written as Σ_i c_i |amps_i⟩.
-
-    Branch amplitude vectors all have length ``num_modes``.  The list is kept
-    unnormalized; physical probabilities divide by the Gram norm at evaluation
-    time.
-    """
-
-    num_modes: int
-    branches: tuple[tuple[complex, tuple[ComplexAmplitude, ...]], ...]
-
-    def __post_init__(self):
-        if not self.branches:
-            raise BranchStructureError("a branch superposition needs at least one branch")
-        for coeff, amps in self.branches:
-            if len(amps) != self.num_modes:
-                raise BranchStructureError(
-                    f"branch has {len(amps)} amplitudes, expected {self.num_modes}")
-            for a in amps:
-                a = complex(a)
-                if not (math.isfinite(a.real) and math.isfinite(a.imag)) or abs(a) > AMP_MAX:
-                    raise BranchStructureError(f"branch amplitude {a!r} out of range")
-
-    def gram_norm(self) -> float:
-        """Physical squared norm Σ_ij c_i·conj(c_j)·Π_m ⟨amps_j^m|amps_i^m⟩.
-
-        Raises :class:`GramNormError` unless the result is strictly positive.
-        """
-        total = 0.0 + 0.0j
-        for c_i, amps_i in self.branches:
-            for c_j, amps_j in self.branches:
-                prod = 1.0 + 0.0j
-                for a_i, a_j in zip(amps_i, amps_j):
-                    prod *= coherent_overlap(a_i, a_j)
-                total += c_i * complex(c_j).conjugate() * prod
-        norm = total.real
-        if norm <= 0.0:
-            raise GramNormError(f"Gram norm {norm:.3g} is not strictly positive")
-        return norm
-
-
-def ghz_branches(amps: Sequence[ComplexAmplitude]) -> BranchSuperposition:
-    """GHZ-type superposition |amps⟩ + |−amps⟩ for three or four modes."""
-    amps = tuple(complex(a) for a in amps)
-    if len(amps) not in (3, 4):
-        raise BranchStructureError(f"GHZ construction takes 3 or 4 amplitudes, got {len(amps)}")
-    return BranchSuperposition(
-        num_modes=len(amps),
-        branches=(
-            (1.0 + 0.0j, amps),
-            (1.0 + 0.0j, tuple(-a for a in amps)),
-        ),
-    )
-
-
-def w_branches(amp: ComplexAmplitude) -> BranchSuperposition:
-    """W-type superposition with one sign-flipped mode per branch.
-
-    All three modes share the magnitude of a single amplitude:
-    |−α,α,α⟩ + |α,−α,α⟩ + |α,α,−α⟩ with equal unit coefficients.
-    """
-    a = complex(amp)
-    return BranchSuperposition(
-        num_modes=3,
-        branches=(
-            (1.0 + 0.0j, (-a, a, a)),
-            (1.0 + 0.0j, (a, -a, a)),
-            (1.0 + 0.0j, (a, a, -a)),
-        ),
-    )
-
-
-def cluster_branches(amps: Sequence[ComplexAmplitude]) -> BranchSuperposition:
-    """Linear-cluster superposition of four modes.
-
-    ½(|α,β,γ,δ⟩ + |α,β,−γ,−δ⟩ + |−α,−β,γ,δ⟩ − |−α,−β,−γ,−δ⟩).
-    """
-    amps = tuple(complex(a) for a in amps)
-    if len(amps) != 4:
-        raise BranchStructureError(f"cluster construction takes 4 amplitudes, got {len(amps)}")
-    a, b, g, d = amps
-    return BranchSuperposition(
-        num_modes=4,
-        branches=(
-            (0.5 + 0.0j, (a, b, g, d)),
-            (0.5 + 0.0j, (a, b, -g, -d)),
-            (0.5 + 0.0j, (-a, -b, g, d)),
-            (-0.5 + 0.0j, (-a, -b, -g, -d)),
-        ),
-    )
 
 
 class FamilyKind(enum.Enum):
@@ -133,30 +31,36 @@ class FamilyKind(enum.Enum):
     CLUSTER4_CROSS_KERR = "cluster4-xkerr"
 
 
-_NUM_MODES = {
-    FamilyKind.GHZ3_BEAM_SPLITTER: 3,
-    FamilyKind.GHZ3_CONDITIONAL: 3,
-    FamilyKind.GHZ3_KERR: 3,
-    FamilyKind.W3: 3,
-    FamilyKind.GHZ4_CONDITIONAL: 4,
-    FamilyKind.CLUSTER4_CONDITIONAL: 4,
-    FamilyKind.CLUSTER4_CROSS_KERR: 4,
-}
+_GHZ3_SIGNS = ((1, 1, 1), (-1, -1, -1))
+_CLUSTER_COEFFS = (0.5, 0.5, 0.5, -0.5)
+_CLUSTER_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (-1, -1, 1, 1), (-1, -1, -1, -1))
 
-# Branch coefficients and mode-sign patterns per scheme, applied to the
-# per-slot amplitudes produced by the amplitude map.
-_BRANCH_PATTERNS: dict[FamilyKind, tuple[tuple[complex, tuple[int, ...]], ...]] = {
-    FamilyKind.GHZ3_CONDITIONAL: ((1.0, (1, 1, 1)), (1.0, (-1, -1, -1))),
-    FamilyKind.GHZ3_BEAM_SPLITTER: ((1.0, (1, 1, 1)), (1.0, (-1, -1, -1))),
-    FamilyKind.GHZ3_KERR: ((1.0, (1, 1, 1)), (1.0j, (-1, -1, -1))),
-    FamilyKind.W3: ((1.0, (-1, 1, 1)), (1.0, (1, -1, 1)), (1.0, (1, 1, -1))),
-    FamilyKind.GHZ4_CONDITIONAL: ((1.0, (1, 1, 1, 1)), (1.0, (-1, -1, -1, -1))),
-    FamilyKind.CLUSTER4_CONDITIONAL: (
-        (0.5, (1, 1, 1, 1)), (0.5, (1, 1, -1, -1)),
-        (0.5, (-1, -1, 1, 1)), (-0.5, (-1, -1, -1, -1))),
+
+def _per_mode(modes: int):
+    """One variable per mode, centered at d with unit scale."""
+    return tuple((1.0, {m: 1.0}) for m in range(modes))
+
+
+# kind -> (branch coefficients, branch sign patterns, variables).  A variable
+# is (center per unit displacement, {mode: amplitude scale}); its weight is
+# an isotropic complex Gaussian around center·d with variance (V−1)/4 per
+# real axis, a delta weight at V = 1.
+_FAMILIES = {
+    FamilyKind.GHZ3_CONDITIONAL: ((1.0, 1.0), _GHZ3_SIGNS, _per_mode(3)),
+    FamilyKind.GHZ3_BEAM_SPLITTER: (
+        (1.0, 1.0), _GHZ3_SIGNS, ((_SQRT3, dict.fromkeys(range(3), 1.0 / _SQRT3)),)),
+    FamilyKind.GHZ3_KERR: (
+        (1.0, 1.0j), _GHZ3_SIGNS, ((_SQRT3, dict.fromkeys(range(3), 1.0 / _SQRT3)),)),
+    FamilyKind.W3: (
+        (1.0, 1.0, 1.0), ((-1, 1, 1), (1, -1, 1), (1, 1, -1)),
+        ((1.0, dict.fromkeys(range(3), 1.0)),)),
+    FamilyKind.GHZ4_CONDITIONAL: (
+        (1.0, 1.0), ((1, 1, 1, 1), (-1, -1, -1, -1)), _per_mode(4)),
+    FamilyKind.CLUSTER4_CONDITIONAL: (_CLUSTER_COEFFS, _CLUSTER_SIGNS, _per_mode(4)),
     FamilyKind.CLUSTER4_CROSS_KERR: (
-        (0.5, (1, 1, 1, 1)), (0.5, (1, 1, -1, -1)),
-        (0.5, (-1, -1, 1, 1)), (-0.5, (-1, -1, -1, -1))),
+        _CLUSTER_COEFFS, _CLUSTER_SIGNS,
+        ((_SQRT2, {0: 1.0 / _SQRT2, 1: 1.0 / _SQRT2}),
+         (_SQRT2, {2: 1.0 / _SQRT2, 3: 1.0 / _SQRT2}))),
 }
 
 
@@ -176,104 +80,7 @@ class StateFamily:
 
     @property
     def num_modes(self) -> int:
-        return _NUM_MODES[self.kind]
-
-
-@dataclass(frozen=True)
-class ThermalMixtureSpec:
-    """Gaussian weights over integration variables plus the slot map.
-
-    Each variable carries an isotropic complex Gaussian weight with center
-    ``d`` on the real axis and variance (V−1)/4 per real axis; V = 1 is a
-    delta weight.  ``amplitude_map`` has one row per template slot; the slot
-    amplitude is the map row applied to the sampled variable vector.  Shared
-    rows (several slots fed by one variable) encode splitter-based schemes,
-    whose variable centers are scaled up so that every output mode carries
-    displacement d; schemes are compared at equal per-mode displacement.
-    """
-
-    variables: tuple[tuple[float, float], ...]  # (V, center) per variable
-    amplitude_map: tuple[tuple[float, ...], ...]  # rows: slots, cols: variables
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.variables:
-            raise ValueError("a mixture needs at least one integration variable")
-        for V, _center in self.variables:
-            if V < 1.0:
-                raise ValueError(f"variable variance parameter V must be >= 1, got {V}")
-        nvars = len(self.variables)
-        for row in self.amplitude_map:
-            if len(row) != nvars:
-                raise ValueError("amplitude_map rows must have one column per variable")
-
-    def slot_amplitudes(self, sampled: Sequence[complex]) -> tuple[complex, ...]:
-        """Apply the linear map to a vector of sampled variable amplitudes."""
-        if len(sampled) != len(self.variables):
-            raise ValueError(f"expected {len(self.variables)} sampled amplitudes")
-        return tuple(
-            sum(scale * complex(s) for scale, s in zip(row, sampled))
-            for row in self.amplitude_map
-        )
-
-
-TemplateBuilder = Callable[[Sequence[complex]], BranchSuperposition]
-
-
-def make_family(family: StateFamily) -> tuple[ThermalMixtureSpec, TemplateBuilder]:
-    """Build the mixture descriptor and branch template for a scheme.
-
-    The returned template maps sampled variable amplitudes to the unnormalized
-    branch superposition at that sample point.
-    """
-    kind, V, d = family.kind, family.V, family.d
-    if kind in (FamilyKind.GHZ3_CONDITIONAL,):
-        spec = ThermalMixtureSpec(
-            variables=((V, d),) * 3,
-            amplitude_map=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-        )
-    elif kind in (FamilyKind.GHZ4_CONDITIONAL, FamilyKind.CLUSTER4_CONDITIONAL):
-        spec = ThermalMixtureSpec(
-            variables=((V, d),) * 4,
-            amplitude_map=tuple(
-                tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4)),
-        )
-    elif kind in (FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_KERR):
-        spec = ThermalMixtureSpec(
-            variables=((V, _SQRT3 * d),),
-            amplitude_map=((1.0 / _SQRT3,), (1.0 / _SQRT3,), (1.0 / _SQRT3,)),
-            metadata={"transmittivities": (TRANSMITTIVITY_T1, TRANSMITTIVITY_T2)},
-        )
-    elif kind is FamilyKind.W3:
-        spec = ThermalMixtureSpec(
-            variables=((V, d),),
-            amplitude_map=((1.0,), (1.0,), (1.0,)),
-        )
-    elif kind is FamilyKind.CLUSTER4_CROSS_KERR:
-        spec = ThermalMixtureSpec(
-            variables=((V, _SQRT2 * d), (V, _SQRT2 * d)),
-            amplitude_map=(
-                (1.0 / _SQRT2, 0.0), (1.0 / _SQRT2, 0.0),
-                (0.0, 1.0 / _SQRT2), (0.0, 1.0 / _SQRT2)),
-            metadata={"transmittivities": (TRANSMITTIVITY_T2,)},
-        )
-    else:
-        raise ValueError(f"unknown family kind: {kind!r}")
-
-    patterns = _BRANCH_PATTERNS[kind]
-    num_modes = _NUM_MODES[kind]
-
-    def template(sampled: Sequence[complex]) -> BranchSuperposition:
-        slots = spec.slot_amplitudes(sampled)
-        return BranchSuperposition(
-            num_modes=num_modes,
-            branches=tuple(
-                (complex(coeff), tuple(sign * slots[m] for m, sign in enumerate(signs)))
-                for coeff, signs in patterns
-            ),
-        )
-
-    return spec, template
+        return len(_FAMILIES[self.kind][1][0])
 
 
 def family_structure(family: StateFamily):
@@ -281,21 +88,8 @@ def family_structure(family: StateFamily):
 
     Returns ``(coeffs, sign_patterns, variables)`` where ``variables`` is a
     tuple of ``(V, center, scales)`` and ``scales`` maps mode index to the
-    amplitude-map entry feeding it.  Only maps in which each slot is fed by a
-    single variable are supported, which covers every family here.
+    scale of the variable's amplitude on that mode.
     """
-    spec, _template = make_family(family)
-    patterns = _BRANCH_PATTERNS[family.kind]
-    coeffs = tuple(complex(c) for c, _signs in patterns)
-    signs = tuple(s for _c, s in patterns)
-    variables = []
-    for v_idx, (V, center) in enumerate(spec.variables):
-        scales = {}
-        for slot, row in enumerate(spec.amplitude_map):
-            if row[v_idx] != 0.0:
-                nonzero = [j for j, entry in enumerate(row) if entry != 0.0]
-                if nonzero != [v_idx]:
-                    raise ValueError("slots mixing several variables are not supported")
-                scales[slot] = row[v_idx]
-        variables.append((V, center, scales))
-    return coeffs, signs, tuple(variables)
+    coeffs, signs, variables = _FAMILIES[family.kind]
+    return (tuple(complex(c) for c in coeffs), signs,
+            tuple((family.V, unit * family.d, dict(scales)) for unit, scales in variables))

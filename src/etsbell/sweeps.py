@@ -1,20 +1,19 @@
 """Grid sweeps of Bell functionals over (V, d, η) and crossing searches.
 
-Grid points evaluate concurrently against the immutable plan; results are
-assembled serially in grid order so a sweep is a pure function of its plan.
-A point that fails to converge is recorded and skipped, never fatal.
+Grid points are evaluated in grid order against the immutable plan, so a
+sweep is a pure function of its plan.  A point that fails to converge is
+recorded and skipped, never fatal.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import NoCrossingError, NonconvergenceError
 from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec, canonical_angles,
-                           evaluate_with_error, optimize_angles, worker_limit)
+                           evaluate_with_error, optimize_angles)
 from .integration import QuadratureConfig
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
@@ -140,13 +139,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                         violated=value > plan.spec.lr_bound + err, failed=False,
                         angles_used=angles, provenance=provenance)
 
-    workers = worker_limit(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(solve, points))
-    else:
-        rows = tuple(solve(p) for p in points)
-    return SweepResult(plan=plan, rows=rows)
+    return SweepResult(plan=plan, rows=tuple(solve(p) for p in points))
 
 
 def crossing_displacement(

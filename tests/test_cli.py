@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import etsbell
 from etsbell import cli, sweeps
 from etsbell.inequalities import OPTIMIZER_REL_TOL, OptimizationResult, canonical_angles
 from etsbell.sweeps import SweepResult, SweepRow
@@ -213,3 +218,16 @@ def test_validate_flip_sign_fails(capsys):
         "validate", "--checks", "lr-bounds", "--flip-sign", "0"])
     assert code == 1
     assert out.startswith("FAIL lr-bounds")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the package's import time, so only the
+    # optimizer and the SASA check import it, on use; a fresh interpreter
+    # shows what `etsbell` costs at startup
+    src = str(Path(etsbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = "import sys, etsbell.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

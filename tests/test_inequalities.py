@@ -26,7 +26,6 @@ from etsbell.inequalities import (
     optimize_angles,
     term_settings,
     verify_lr_bound,
-    worker_limit,
 )
 from etsbell.integration import Method, QuadratureConfig
 from etsbell.states import FamilyKind, StateFamily
@@ -201,15 +200,6 @@ def test_deterministic_strategies_respect_lr_bound(bits):
 
     value = abs(functional_value(SVETLICHNY3, corr))
     assert value <= SVETLICHNY3.lr_bound + 1e-12
-
-
-def test_worker_limit_env_override(monkeypatch):
-    monkeypatch.delenv("ETS_THREADS", raising=False)
-    assert worker_limit(4) >= 1
-    monkeypatch.setenv("ETS_THREADS", "3")
-    assert worker_limit(8) == 3
-    monkeypatch.setenv("ETS_THREADS", "16")
-    assert worker_limit(2) == 2
 
 
 def test_optimizer_recovers_mermin_maximum():

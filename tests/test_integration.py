@@ -1,4 +1,4 @@
-"""Correlation engine and thermal averaging against analytic references."""
+"""Correlation engine against analytic, spin, pure-state and dense references."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dense_reference
+import pure_state_oracle
 import qubit_oracle
 from etsbell import integration
 from etsbell.errors import NonconvergenceError
@@ -16,7 +17,6 @@ from etsbell.integration import (
     converged_correlation,
     estimate_correlation,
     estimate_correlations,
-    thermal_average,
 )
 from etsbell.measurement import (
     IGNORE,
@@ -24,11 +24,9 @@ from etsbell.measurement import (
     DetectorModel,
     EffectiveRotation,
     PartySetting,
-    apply_rotation,
-    correlation,
 )
-from etsbell.oracles import ghz_correlation_closed, gram_decay
-from etsbell.states import FamilyKind, StateFamily, make_family
+from etsbell.oracles import ghz_correlation_closed
+from etsbell.states import FamilyKind, StateFamily
 
 EQUATORIAL = [
     PartySetting(EffectiveRotation(math.pi / 2, g)) for g in (0.3, 1.1, 2.4)
@@ -120,12 +118,48 @@ def test_engine_agrees_with_measurement_layer_when_separated():
     # both normalization conventions coincide once the branches separate
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 2.5)
     rotations = [s.rotation for s in EQUATORIAL]
-    spec, template = make_family(fam)
-    state = template(tuple(c for _V, c in spec.variables))
+    state = pure_state_oracle.ghz_branches((2.5, 2.5, 2.5))
     det = DetectorModel(0.8)
-    direct = correlation(apply_rotation(state, rotations), det)
+    direct = pure_state_oracle.correlation(
+        pure_state_oracle.apply_rotation(state, rotations), det)
     engine = converged_correlation(fam, EQUATORIAL, det)
     assert engine == pytest.approx(direct, abs=1e-9)
+
+
+def _pure_state(kind: FamilyKind, d: float) -> pure_state_oracle.BranchSuperposition:
+    """The family at V = 1, built from the dense reference's own family table."""
+    coeffs, signs, variables = dense_reference.FAMILIES[kind.value]
+    amps = {m: center * d * scale for center, scales in variables
+            for m, scale in scales.items()}
+    return pure_state_oracle.BranchSuperposition(
+        num_modes=len(amps),
+        branches=tuple((complex(c), tuple(s * amps[m] for m, s in enumerate(row)))
+                       for c, row in zip(coeffs, signs)))
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_engine_matches_pure_state_oracle(kind):
+    # At V = 1 every mixture variable sits at its center, so the engine's
+    # value is one pure state's.  The oracle rotates that state branch by
+    # branch and sums Faddeeva half-line kernels; its normalization agrees
+    # with the engine's only once the branches separate, hence d = 4 (at
+    # d <= 3 the W state still differs by up to 4e-7).  The oracle measures
+    # every mode, so no party is left out here.
+    rng = np.random.default_rng(43)
+    family = StateFamily(kind, 1.0, 4.0)
+    state = _pure_state(kind, 4.0)
+    modes = family.num_modes
+    for eta in (1.0, 0.7, (0.9, 0.3, 0.6, 1.0)[:modes]):
+        detector = DetectorModel(eta)
+        for _ in range(4):
+            rotations = [EffectiveRotation(rng.uniform(0, 2 * math.pi),
+                                           rng.uniform(0, 2 * math.pi))
+                         for _ in range(modes)]
+            want = pure_state_oracle.correlation(
+                pure_state_oracle.apply_rotation(state, rotations), detector)
+            got = converged_correlation(
+                family, [PartySetting(r) for r in rotations], detector)
+            assert got == pytest.approx(want, abs=1e-12), (eta, rotations)
 
 
 def test_estimate_is_deterministic():
@@ -328,51 +362,3 @@ def test_nonconvergence_carries_partial_result():
     assert info.value.value is not None
     assert info.value.err_estimate is not None
     assert info.value.err_estimate > 0.0
-
-
-def test_thermal_average_frozen_variables():
-    value = thermal_average(lambda z: abs(z[0]) ** 2 + z[1].real,
-                            ((1.0, 2.0), (1.0, -0.5)))
-    assert value == pytest.approx(3.5)
-
-
-def test_thermal_average_single_variable_gaussian():
-    want = gram_decay(5.0, 1.0)
-    value = thermal_average(lambda z: np.exp(-2.0 * np.abs(z[0]) ** 2),
-                            ((5.0, 1.0),))
-    assert value == pytest.approx(want, abs=1e-12)
-
-
-def test_thermal_average_scalar_fallback():
-    want = gram_decay(5.0, 1.0)
-    value = thermal_average(
-        lambda z: float(np.exp(-2.0 * abs(complex(z[0])) ** 2)), ((5.0, 1.0),))
-    assert value == pytest.approx(want, abs=1e-12)
-
-
-def test_thermal_average_two_variables():
-    want = gram_decay(5.0, 1.0) * gram_decay(3.0, 0.5)
-    value = thermal_average(
-        lambda z: np.exp(-2.0 * (np.abs(z[0]) ** 2 + np.abs(z[1]) ** 2)),
-        ((5.0, 1.0), (3.0, 0.5)))
-    assert value == pytest.approx(want, abs=1e-12)
-
-
-def test_thermal_average_routes_many_variables_to_sampling():
-    want = gram_decay(5.0, 1.0) ** 3
-    f = lambda z: np.exp(-2.0 * sum(np.abs(v) ** 2 for v in z))
-    variables = ((5.0, 1.0),) * 3
-    value = thermal_average(f, variables, QuadratureConfig(rel_tol=5e-3))
-    assert value == pytest.approx(want, rel=2e-2)
-    with pytest.raises(NonconvergenceError):
-        thermal_average(f, variables, QuadratureConfig())
-
-
-def test_thermal_average_forced_tensor_rule_stays_bounded():
-    # six tensor axes would be enormous if materialized; the chunked grid
-    # keeps this case cheap and Gauss-Hermite is exact on polynomials
-    value = thermal_average(
-        lambda z: z[0].real * z[1].real * z[2].real,
-        ((5.0, 1.0), (5.0, 0.5), (5.0, 2.0)),
-        QuadratureConfig(method=Method.GAUSS_HERMITE, nodes_per_axis=8))
-    assert value == pytest.approx(1.0, abs=1e-12)

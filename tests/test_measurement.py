@@ -1,4 +1,4 @@
-"""Rotations, detector models, and sign-pattern statistics."""
+"""Rotations, detector models, and the pure-state oracle's sign statistics."""
 
 import math
 
@@ -11,27 +11,36 @@ from etsbell.errors import RotationError
 from etsbell.measurement import (
     IGNORE,
     PAULI_ROTATIONS,
-    BranchSuperposition,
     DetectorModel,
-    DichotomicKernel,
     EffectiveRotation,
     PartySetting,
-    apply_inefficiency,
-    apply_rotation,
-    correlation,
-    joint_sign_probabilities,
     zx_rotation,
 )
-from etsbell.phase_space import coherent_overlap
-from etsbell.states import FamilyKind, StateFamily, cluster_branches, ghz_branches, make_family, w_branches
+from etsbell.phase_space import _halfline_kernel, coherent_overlap
+from etsbell.states import FamilyKind
+from pure_state_oracle import (
+    BranchSuperposition,
+    apply_rotation,
+    cluster_branches,
+    correlation,
+    ghz_branches,
+    joint_sign_probabilities,
+    w_branches,
+)
 
 angles = hst.floats(0.0, 2.0 * math.pi, allow_nan=False)
 small_amps = hst.floats(-2.5, 2.5)
 
+_BUILDERS = {
+    FamilyKind.GHZ3_CONDITIONAL: lambda d: ghz_branches((d,) * 3),
+    FamilyKind.W3: w_branches,
+    FamilyKind.CLUSTER4_CONDITIONAL: lambda d: cluster_branches((d,) * 4),
+}
 
-def build(template_family, V, d):
-    spec, template = make_family(StateFamily(template_family, V, d))
-    return template(tuple(center for _V, center in spec.variables))
+
+def build(kind, d):
+    """The family's state at V = 1, where every mixture variable sits at d."""
+    return _BUILDERS[kind](d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,23 +88,13 @@ def test_detector_model_validation():
 @given(small_amps, small_amps, small_amps, small_amps,
        hst.floats(0.05, 1.0))
 def test_kernel_completeness_with_inefficiency(ar, ai, br, bi, eta):
-    kernel = DichotomicKernel(eta)
     alpha, beta = complex(ar, ai), complex(br, bi)
-    total = kernel(alpha, beta, 1) + kernel(alpha, beta, -1)
+    total = _halfline_kernel(alpha, beta, 1, eta) + _halfline_kernel(alpha, beta, -1, eta)
     assert abs(total - coherent_overlap(alpha, beta)) <= 1e-12
 
 
-def test_apply_inefficiency_composition():
-    base = DichotomicKernel(0.8)
-    assert apply_inefficiency(base, 1.0) is base
-    composed = apply_inefficiency(base, 0.5)
-    assert composed.eta == pytest.approx(0.4)
-    direct = DichotomicKernel(0.4)
-    assert composed(1.0, 0.5, 1) == pytest.approx(direct(1.0, 0.5, 1))
-
-
 def test_apply_rotation_is_involution():
-    state = build(FamilyKind.GHZ3_CONDITIONAL, 1.0, 1.3)
+    state = build(FamilyKind.GHZ3_CONDITIONAL, 1.3)
     rotations = [EffectiveRotation(0.7, 1.1)] * 3
     twice = apply_rotation(apply_rotation(state, rotations), rotations)
     p0 = joint_sign_probabilities(state)
@@ -105,13 +104,13 @@ def test_apply_rotation_is_involution():
 
 
 def test_apply_rotation_preserves_branch_count_for_readout():
-    state = build(FamilyKind.GHZ3_CONDITIONAL, 1.0, 2.0)
+    state = build(FamilyKind.GHZ3_CONDITIONAL, 2.0)
     rotated = apply_rotation(state, [PAULI_ROTATIONS["z"]] * 3)
     assert len(rotated.branches) == len(state.branches)
 
 
 def test_apply_rotation_accepts_none_for_ignored_modes():
-    state = build(FamilyKind.GHZ3_CONDITIONAL, 1.0, 2.0)
+    state = build(FamilyKind.GHZ3_CONDITIONAL, 2.0)
     rotated = apply_rotation(state, [None, EffectiveRotation(0.4, 0.2), None])
     assert rotated.num_modes == 3
 
@@ -124,17 +123,17 @@ def test_apply_rotation_rejects_asymmetric_amplitudes():
 
 
 def test_probabilities_sum_to_one():
-    for family, V, d in ((FamilyKind.GHZ3_CONDITIONAL, 1.0, 0.8),
-                         (FamilyKind.W3, 1.0, 1.7),
-                         (FamilyKind.CLUSTER4_CONDITIONAL, 1.0, 1.1)):
-        state = build(family, V, d)
+    for family, d in ((FamilyKind.GHZ3_CONDITIONAL, 0.8),
+                      (FamilyKind.W3, 1.7),
+                      (FamilyKind.CLUSTER4_CONDITIONAL, 1.1)):
+        state = build(family, d)
         probs = joint_sign_probabilities(state, DetectorModel(0.6))
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(p >= -1e-12 for p in probs.values())
 
 
 def test_ghz_readout_splits_between_aligned_patterns():
-    state = build(FamilyKind.GHZ3_CONDITIONAL, 1.0, 3.0)
+    state = build(FamilyKind.GHZ3_CONDITIONAL, 3.0)
     rotated = apply_rotation(state, [PAULI_ROTATIONS["z"]] * 3)
     probs = joint_sign_probabilities(rotated)
     assert probs[(1, 1, 1)] == pytest.approx(0.5, abs=1e-7)
@@ -142,10 +141,10 @@ def test_ghz_readout_splits_between_aligned_patterns():
 
 
 def test_w_and_cluster_readout_parities():
-    w = apply_rotation(build(FamilyKind.W3, 1.0, 4.0),
+    w = apply_rotation(build(FamilyKind.W3, 4.0),
                        [PAULI_ROTATIONS["z"]] * 3)
     assert correlation(w) == pytest.approx(-1.0, abs=1e-9)
-    cl = apply_rotation(build(FamilyKind.CLUSTER4_CONDITIONAL, 1.0, 4.0),
+    cl = apply_rotation(build(FamilyKind.CLUSTER4_CONDITIONAL, 4.0),
                         [PAULI_ROTATIONS["z"]] * 4)
     assert correlation(cl) == pytest.approx(1.0, abs=1e-9)
 
@@ -174,7 +173,7 @@ def test_sign_flip_covariance():
 
 
 def test_correlation_is_bounded():
-    state = build(FamilyKind.W3, 1.0, 0.9)
+    state = build(FamilyKind.W3, 0.9)
     rotated = apply_rotation(state, [EffectiveRotation(1.1, 0.4),
                                      EffectiveRotation(2.0, 5.1),
                                      EffectiveRotation(0.3, 2.2)])

@@ -1,20 +1,17 @@
-"""Branch bookkeeping, Gram norms, and mixture templates for each family."""
+"""The family table, and the pure-state oracle's branches and Gram norms."""
 
 import math
 
 import pytest
 
-from etsbell.errors import BranchStructureError, GramNormError
-from etsbell.states import (
-    TRANSMITTIVITY_T1,
-    TRANSMITTIVITY_T2,
+import dense_reference
+from etsbell.states import FamilyKind, StateFamily, family_structure
+from pure_state_oracle import (
+    BranchStructureError,
     BranchSuperposition,
-    FamilyKind,
-    StateFamily,
+    GramNormError,
     cluster_branches,
-    family_structure,
     ghz_branches,
-    make_family,
     w_branches,
 )
 
@@ -100,45 +97,55 @@ def test_family_mode_counts():
 
 
 def test_beam_splitter_template_rescaling():
-    # the mixture variable is centred on sqrt(3)*d and every slot scales
+    # the mixture variable is centred on sqrt(3)*d and every mode scales
     # it back down by 1/sqrt(3), so the nominal branch amplitude is d
     fam = StateFamily(FamilyKind.GHZ3_BEAM_SPLITTER, V=5.0, d=2.0)
-    spec, template = make_family(fam)
-    (V, center), = spec.variables
+    _coeffs, _signs, variables = family_structure(fam)
+    (V, center, scales), = variables
     assert V == 5.0
     assert center == pytest.approx(math.sqrt(3.0) * 2.0)
-    assert spec.slot_amplitudes((center,)) == pytest.approx((2.0, 2.0, 2.0))
-    state = template((center,))
-    assert state.branches[0][1] == pytest.approx((2.0, 2.0, 2.0))
-    assert spec.metadata["transmittivities"] == pytest.approx(
-        (TRANSMITTIVITY_T1, TRANSMITTIVITY_T2))
+    assert [center * scales[m] for m in range(3)] == pytest.approx([2.0, 2.0, 2.0])
 
 
 def test_cross_kerr_template_two_variables():
     fam = StateFamily(FamilyKind.CLUSTER4_CROSS_KERR, V=3.0, d=1.5)
-    spec, _template = make_family(fam)
-    assert len(spec.variables) == 2
-    for V, center in spec.variables:
+    _coeffs, _signs, variables = family_structure(fam)
+    assert len(variables) == 2
+    for V, center, _scales in variables:
         assert V == 3.0
         assert center == pytest.approx(math.sqrt(2.0) * 1.5)
-    amps = spec.slot_amplitudes(tuple(c for _V, c in spec.variables))
-    assert amps == pytest.approx((1.5, 1.5, 1.5, 1.5))
+    amps = {m: center * scale for _V, center, scales in variables
+            for m, scale in scales.items()}
+    assert [amps[m] for m in range(4)] == pytest.approx([1.5, 1.5, 1.5, 1.5])
 
 
 def test_conditional_template_identity_mapping():
     fam = StateFamily(FamilyKind.GHZ4_CONDITIONAL, V=7.0, d=0.9)
-    spec, _template = make_family(fam)
-    assert spec.variables == ((7.0, 0.9),) * 4
-    amps = spec.slot_amplitudes((0.9, 0.9, 0.9, 0.9))
-    assert amps == pytest.approx((0.9,) * 4)
+    _coeffs, _signs, variables = family_structure(fam)
+    assert variables == tuple((7.0, 0.9, {m: 1.0}) for m in range(4))
 
 
 def test_kerr_branch_coefficients():
     fam = StateFamily(FamilyKind.GHZ3_KERR, V=1.0, d=1.0)
-    _spec, template = make_family(fam)
-    state = template((1.0, 1.0, 1.0)[:len(make_family(fam)[0].variables)])
-    coeffs = tuple(c for c, _amps in state.branches)
+    coeffs, _signs, _variables = family_structure(fam)
     assert coeffs == (1.0, 1.0j)
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind))
+def test_family_table_matches_dense_reference(kind):
+    # the dense reference writes every family out again, independently
+    want_coeffs, want_signs, want_variables = dense_reference.FAMILIES[kind.value]
+    for V, d in ((1.0, 0.0), (5.0, 1.3), (1000.0, 40.0)):
+        family = StateFamily(kind, V, d)
+        coeffs, signs, variables = family_structure(family)
+        assert coeffs == tuple(complex(c) for c in want_coeffs)
+        assert signs == want_signs
+        assert family.num_modes == len(want_signs[0])
+        assert len(variables) == len(want_variables)
+        for (got_V, center, scales), (unit, want_scales) in zip(variables, want_variables):
+            assert got_V == V
+            assert center == unit * d
+            assert scales == want_scales
 
 
 def test_family_structure_exposes_engine_layout():

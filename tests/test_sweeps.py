@@ -89,14 +89,6 @@ def test_sweep_isolates_nonconverged_rows():
     assert row.reason.startswith("sampling stalled")
 
 
-def test_sweep_thread_limit_does_not_change_results(monkeypatch):
-    baseline = run_sweep(small_plan())
-    monkeypatch.setenv("ETS_THREADS", "1")
-    serial = run_sweep(small_plan())
-    assert [(r.value, r.err) for r in baseline.rows] == \
-        [(r.value, r.err) for r in serial.rows]
-
-
 def test_crossing_matches_closed_form_root():
     got = crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3,
                                 V=5.0, eta=0.3)
