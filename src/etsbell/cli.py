@@ -26,7 +26,7 @@ from .measurement import EffectiveRotation
 from .oracles import sasa_closed, svetlichny_ghz4_closed, svetlichny_ghz_closed
 from .states import FamilyKind
 from .sweeps import SweepPlan, run_sweep
-from .validation import CHECKS, run_checks
+from .validation import CHECKS, FLIPPABLE_TERMS, run_checks
 
 _COLUMNS = ("family", "inequality", "V", "d", "eta", "value", "err",
             "lr_bound", "quantum_max", "violated")
@@ -147,7 +147,6 @@ def _config_metadata(cfg: QuadratureConfig) -> dict:
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = INEQUALITIES[args.inequality]
     kind = FamilyKind(args.family)
-    cfg = QuadratureConfig(nodes_per_axis=args.nodes)
     if args.angles == "explicit":
         if not args.angle_list:
             parser.error("--angles explicit requires --angle-list")
@@ -159,6 +158,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         angles = args.angles
 
     try:
+        cfg = QuadratureConfig(nodes_per_axis=args.nodes)
         plan = SweepPlan(
             family=kind, spec=spec,
             V_grid=_parse_grid(args.V, "--V"),
@@ -269,6 +269,9 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             parser.error(f"unknown checks: {', '.join(unknown)}")
+    if args.flip_sign is not None and not 0 <= args.flip_sign < FLIPPABLE_TERMS:
+        parser.error(f"--flip-sign TERM must lie in [0, {FLIPPABLE_TERMS - 1}], "
+                     f"got {args.flip_sign}")
     try:
         results = run_checks(names, flip_term=args.flip_sign)
     except EtsError as exc:

@@ -12,8 +12,10 @@ An estimate runs in two steps.  The moments depend on the state, the
 detector, the refinement level and which modes a term leaves unmeasured,
 but not on the measurement angles; one pass forms them, kernels included,
 for every term of a functional, and a small memo keeps the last few so that
-an optimizer's evaluations of one state share them.  Each term's angle
-blocks are then contracted with the shared moments.
+an optimizer's evaluations of one state share them.  All terms' angle blocks
+are then contracted with the shared moments in one pass over a stacked term
+axis, by elementwise arithmetic in an order fixed by the family, so a term's
+value is bit-identical whichever terms share its call and wherever it sits.
 
 The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
@@ -193,33 +195,29 @@ def _variable_sigma(V: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _moment_subscripts(k: int) -> tuple[str, str]:
-    """einsum specs for a variable feeding k modes.
-
-    The first sums per-mode axis factors (u: numerator or Gram, one term
-    letter per mode, x: node) against the axis weights into 2^k moments per
-    u; the second contracts the moments with the per-mode coefficient blocks
-    for every branch pair (j, i).
-    """
+def _moment_subscripts(k: int) -> str:
+    """einsum spec for a variable feeding k modes: it sums per-mode axis
+    factors (u: numerator or Gram, one term letter per mode, x: node)
+    against the axis weights into 2^k moments per u."""
     terms = "abcdefgh"[:k]
-    axis_sum = ",".join(f"u{t}x" for t in terms) + ",x->u" + terms
-    pair_sum = f"u{terms}," + ",".join(f"u{t}ji" for t in terms) + "->uji"
-    return axis_sum, pair_sum
+    return ",".join(f"u{t}x" for t in terms) + ",x->u" + terms
 
 
 class _Moments(NamedTuple):
     """The angle-independent half of a pass over one state.
 
-    ``coeffs`` are the branch coefficients.  ``variables`` holds, per
-    mixture variable, its modes and each mode's branch rows (0 where the
-    branch has +α, 1 where it has −α).  ``numerators`` maps a pattern of
-    unmeasured modes (True per mode a term leaves out) to one array per
-    variable: its 2^k numerator moments stacked on the Gram moments.
+    ``weights`` holds the branch-pair coefficients conj(c_j)·c_i.
+    ``variables`` holds, per mixture variable, its modes and each mode's
+    branch rows (0 where the branch has +α, 1 where it has −α).
+    ``numerators`` holds one array per variable, shaped (2,)*k + (patterns,
+    2): for each pattern of unmeasured modes (True per mode a term leaves
+    out), in the order the pass was given them, the 2^k numerator moments
+    next to the Gram moments.
     """
 
-    coeffs: np.ndarray
+    weights: np.ndarray
     variables: tuple
-    numerators: dict
+    numerators: tuple
 
 
 def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
@@ -238,7 +236,7 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     measurement angles.
     """
     measured = {m for p in patterns for m, off in enumerate(p) if not off}
-    numerators = {p: [] for p in patterns}
+    numerators = []
     structure = []
     for (_V, _center, scales), (x, y, w) in zip(variables, grids):
         wx = w[:x.size]
@@ -258,89 +256,89 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                     (np.ones_like(sy),
                      (2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
                      * dawsn(_SQRT2 * eta * sy)))
-        axis_sum, _pair_sum = _moment_subscripts(len(modes))
+        axis_sum = _moment_subscripts(len(modes))
         # Only the variable's own modes matter, so patterns that agree on
         # them share one sum.
-        by_local = {}
-        for p in patterns:
-            local = tuple(p[m] for m in modes)
-            if local not in by_local:
-                x_factors = [np.array((factors[m, off][0], factors[m, True][0]))
-                             for m, off in zip(modes, local)]
-                y_factors = [np.array((factors[m, off][1], factors[m, True][1]))
-                             for m, off in zip(modes, local)]
-                moments = (np.einsum(axis_sum, *x_factors, wx)
-                           * np.einsum(axis_sum, *y_factors, wy))
-                moments.flags.writeable = False
-                by_local[local] = moments
-            numerators[p].append(by_local[local])
+        local = [tuple(p[m] for m in modes) for p in patterns]
+        by_local = dict.fromkeys(local)
+        for offs in by_local:
+            x_factors = [np.array((factors[m, off][0], factors[m, True][0]))
+                         for m, off in zip(modes, offs)]
+            y_factors = [np.array((factors[m, off][1], factors[m, True][1]))
+                         for m, off in zip(modes, offs)]
+            by_local[offs] = (np.einsum(axis_sum, *x_factors, wx)
+                              * np.einsum(axis_sum, *y_factors, wy))
+        stacked = np.ascontiguousarray(
+            np.moveaxis(np.array([by_local[offs] for offs in local]), (0, 1), (-2, -1)))
+        stacked.flags.writeable = False
+        numerators.append(stacked)
         rows = tuple(np.array([(1 - sign[m]) // 2 for sign in signs]) for m in modes)
         structure.append((modes, rows))
     coeffs = np.array(coeffs)
-    coeffs.flags.writeable = False
-    return _Moments(coeffs, tuple(structure), numerators)
+    weights = np.multiply.outer(coeffs.conj(), coeffs)
+    weights.flags.writeable = False
+    return _Moments(weights, tuple(structure), tuple(numerators))
 
 
-def _contract(moments: _Moments, blocks, term_patterns) -> np.ndarray:
+def _contract(moments: _Moments, blocks, pattern_rows) -> np.ndarray:
     """Unnormalized correlation and state trace of every term, shaped (terms, 2).
 
-    ``blocks`` holds, per mode, the (terms, 2, 2, 2, 2) blocks of
-    :func:`_term_blocks`.  Each variable's planar integral is the sum over
-    its 2^k moments of the moment times one block per mode, taken for every
-    branch pair at once; the branch coefficients then weigh the product over
-    variables.  Each term is contracted on its own, its numerator together
-    with the Gram denominator: einsum chooses its loop order from the
-    operand shapes, so on a stacked term axis a term's last bits would
-    depend on how many terms share the stack.
+    ``blocks`` come from :func:`_term_blocks`, and ``pattern_rows`` picks
+    each term's row of ``moments.numerators``.  Per variable, the moments
+    are contracted with the blocks one mode at a time, for every term and
+    branch pair at once, as a two-term multiply-and-add over the mode's two
+    separable parts; the variables' results multiply, and the branch-pair
+    weights sum the product into one number per term and u.  Only
+    elementwise arithmetic in an order fixed by the family touches the term
+    axis, so a term's bits do not depend on the rest of its stack.
     """
-    coeffs = moments.coeffs
-    per_variable = []
-    for modes, rows in moments.variables:
-        pairs = [blocks[m][:, :, :, r[:, None], r] for m, r in zip(modes, rows)]
-        per_variable.append((_moment_subscripts(len(modes))[1], pairs))
-    out = np.empty((len(term_patterns), 2))
-    for t, pattern in enumerate(term_patterns):
-        factors = 1.0
-        for (pair_sum, pairs), numerator in zip(per_variable, moments.numerators[pattern]):
-            factors = factors * np.einsum(pair_sum, numerator, *(p[t] for p in pairs))
-        out[t] = np.einsum("uji,j,i->u", factors, coeffs.conj(), coeffs).real
-    return out
+    product = 1.0
+    for (modes, rows), numerators in zip(moments.variables, moments.numerators):
+        acc = numerators[..., pattern_rows, :, None, None]
+        for m, r in zip(modes, rows):
+            pair = blocks[:, :, m][..., r[:, None], r]
+            acc = acc[0] * pair[0] + acc[1] * pair[1]
+        product = product * acc
+    # Explicit additions in row-major pair order: a reduction picks its
+    # order from the memory layout.
+    weighted = (product * moments.weights).reshape(len(pattern_rows), 2, -1)
+    total = weighted[..., 0]
+    for k in range(1, weighted.shape[-1]):
+        total = total + weighted[..., k]
+    return total.real
 
 
 def _term_blocks(family: StateFamily, term_settings, detector: DetectorModel):
     """Per-mode angle blocks of every term, and each term's unmeasured pattern.
 
-    For mode m, ``blocks[m]`` has shape (terms, 2, 2, 2, 2): per term the
-    numerator pair (A, B) with A = M·_REFLECT·M and B = M·_TURN·M, or the
-    Gram pair where the term leaves the mode unmeasured, stacked on the Gram
-    pair of the denominator.
+    ``blocks[s, t, m, u]`` is a 2x2 block over the (+,−) branch pair: for
+    u = 0 the s-th of the numerator pair (A, B), A = M·_REFLECT·M and
+    B = M·_TURN·M, of term t's rotation M on mode m, or the s-th Gram block
+    where the term leaves the mode unmeasured; for u = 1 the s-th Gram block
+    of the denominator.  The pairs are computed once per distinct rotation
+    into a table and gathered from it.
     """
+    modes = family.num_modes
     for settings in term_settings:
-        if len(settings) != family.num_modes:
-            raise ValueError(
-                f"family has {family.num_modes} modes but got {len(settings)} settings")
-    if isinstance(detector.eta, tuple) and len(detector.eta) != family.num_modes:
+        if len(settings) != modes:
+            raise ValueError(f"family has {modes} modes but got {len(settings)} settings")
+    if isinstance(detector.eta, tuple) and len(detector.eta) != modes:
         raise ValueError(
-            f"family has {family.num_modes} modes but the detector gives "
+            f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
-    # Terms share each party's few settings, so each matrix is built once.
-    matrices = {s.rotation: None for settings in term_settings for s in settings
-                if not s.ignored}
-    for rotation in matrices:
-        matrices[rotation] = rotation.matrix
-    blocks = []
-    for m in range(family.num_modes):
-        column = [settings[m] for settings in term_settings]
-        a = np.array([_GRAM_BLOCKS[0] if s.ignored else matrices[s.rotation]
-                      for s in column], dtype=complex)
-        block = np.empty((len(column), 2, 2, 2, 2), dtype=complex)
-        block[:, 0, 0] = a @ _REFLECT @ a
-        block[:, 0, 1] = a @ _TURN @ a
-        block[[s.ignored for s in column], 0] = _GRAM_BLOCKS
-        block[:, 1] = _GRAM_BLOCKS
-        blocks.append(block)
-    patterns = [tuple(s.ignored for s in settings) for settings in term_settings]
-    return blocks, patterns
+    # Terms share each party's few settings, so each distinct rotation gets
+    # one row of the table; unmeasured modes index its last row, -1.
+    rows = {}
+    index = np.array([[-1 if s.ignored else rows.setdefault(s.rotation, len(rows))
+                       for s in settings] for settings in term_settings])
+    a = np.array([rotation.matrix for rotation in rows], dtype=complex).reshape(-1, 2, 2)
+    table = np.empty((2, len(rows) + 1, 2, 2, 2), dtype=complex)
+    table[0, :-1, 0] = a @ _REFLECT @ a
+    table[1, :-1, 0] = a @ _TURN @ a
+    table[:, -1, 0] = _GRAM_BLOCKS
+    table[:, :, 1] = _GRAM_BLOCKS[:, None]
+    patterns = [tuple(row) for row in (index < 0).tolist()]
+    return table[:, index], patterns
 
 
 def _deterministic_grids(variables, detector: DetectorModel, level: int,
@@ -383,7 +381,7 @@ def _sampled_grids(variables, rng: np.random.Generator, count: int):
     return grids
 
 
-def _refinement_steps(family, detector, nodes_per_axis, blocks, term_patterns, patterns):
+def _refinement_steps(family, detector, nodes_per_axis, blocks, pattern_rows, patterns):
     """Values of every term per refinement level, with the level-to-level change."""
     # Every variable of a family carries its V.  Wide weights are on the
     # composite rule from level 0 and have no levels past 2; narrow ones may
@@ -393,7 +391,7 @@ def _refinement_steps(family, detector, nodes_per_axis, blocks, term_patterns, p
     previous = None
     for level in range(top_level + 1):
         moments = _deterministic_moments(family, detector, level, nodes_per_axis, patterns)
-        num, den = _contract(moments, blocks, term_patterns).T
+        num, den = _contract(moments, blocks, pattern_rows).T
         values = num / den
         if previous is None:
             yield values, np.full(values.shape, math.inf)
@@ -402,7 +400,7 @@ def _refinement_steps(family, detector, nodes_per_axis, blocks, term_patterns, p
         previous = values
 
 
-def _sampled_steps(family, detector, config, blocks, term_patterns, patterns):
+def _sampled_steps(family, detector, config, blocks, pattern_rows, patterns):
     """Values of every term per sampling attempt, with the batch spread.
 
     One seeded stream serves the whole stack, so every term sees the samples
@@ -419,7 +417,7 @@ def _sampled_steps(family, detector, config, blocks, term_patterns, patterns):
         for _b in range(_MC_BATCHES):
             grids = _sampled_grids(variables, rng, per_batch)
             moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
-            num, den = _contract(moments, blocks, term_patterns).T
+            num, den = _contract(moments, blocks, pattern_rows).T
             batch_values.append(num / den)
             num_total = num_total + num
             den_total = den_total + den
@@ -450,16 +448,17 @@ def estimate_correlations(
     config = config or QuadratureConfig()
     blocks, term_patterns = _term_blocks(family, term_settings, detector)
     patterns = tuple(sorted(set(term_patterns)))
+    pattern_rows = np.array([patterns.index(p) for p in term_patterns])
 
     # Every mixture variable contributes an independent planar integral here,
     # so deterministic rules stay affordable at any party count; only an
     # explicit request routes the estimate through sampling.
     if config.method is Method.MONTE_CARLO:
-        steps = _sampled_steps(family, detector, config, blocks, term_patterns, patterns)
+        steps = _sampled_steps(family, detector, config, blocks, pattern_rows, patterns)
         stalled = "sampling stalled at {!r} with batch error {:.3g}"
     else:
         steps = _refinement_steps(family, detector, config.nodes_per_axis, blocks,
-                                  term_patterns, patterns)
+                                  pattern_rows, patterns)
         stalled = "correlation refinement stalled at {!r} with error {:.3g}"
 
     results = [None] * len(term_patterns)

@@ -193,6 +193,12 @@ def check_inefficiency_substitution() -> CheckResult:
                 f"compensated displacement off by {comp_worst:.3%} (tolerance 1%)"))
 
 
+# The functionals whose stored local bounds ``lr-bounds`` enumerates, and the
+# term indices its sign flip may name: those present in every table.
+_LR_TABLES = ("mermin3", "svetlichny3", "svetlichny4", "sasa", "wwzb4")
+FLIPPABLE_TERMS = min(len(INEQUALITIES[name].terms) for name in _LR_TABLES)
+
+
 def check_lr_bounds(flip_term: int | None = None) -> CheckResult:
     """Exhaustive confirmation of every stored local bound.
 
@@ -200,12 +206,12 @@ def check_lr_bounds(flip_term: int | None = None) -> CheckResult:
     expected to fail then, which is how its sensitivity is demonstrated.
     """
     failures = []
-    for name in ("mermin3", "svetlichny3", "svetlichny4", "sasa", "wwzb4"):
+    for name in _LR_TABLES:
         if not verify_lr_bound(INEQUALITIES[name], flip_term=flip_term):
             failures.append(name)
     bounds = ", ".join(
         f"{name}={INEQUALITIES[name].lr_bound:g}"
-        for name in ("mermin3", "svetlichny3", "svetlichny4", "sasa", "wwzb4"))
+        for name in _LR_TABLES)
     if flip_term is not None:
         detail = f"sign of term {flip_term} flipped; mismatching tables: {failures or 'none'}"
     else:

@@ -130,6 +130,15 @@ def test_scan_rejects_malformed_grid(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("nodes", ["0", "201"])
+def test_scan_rejects_nodes_out_of_range(capsys, nodes):
+    code, out, err = run(capsys, SCAN + ["--nodes", nodes])
+    assert code == 1
+    assert out == ""
+    assert f"nodes_per_axis must lie in [1, 200], got {nodes}" in err
+    assert "Traceback" not in err
+
+
 def test_scan_rejects_incomplete_angle_list(capsys):
     code, _out, err = run(capsys, [
         "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
@@ -218,6 +227,18 @@ def test_validate_flip_sign_fails(capsys):
         "validate", "--checks", "lr-bounds", "--flip-sign", "0"])
     assert code == 1
     assert out.startswith("FAIL lr-bounds")
+
+
+@pytest.mark.parametrize("term", ["-1", "99"])
+def test_validate_rejects_flip_sign_out_of_range(capsys, term):
+    # -1 would flip each table's last term through negative indexing, 99
+    # would index past every table
+    code, out, err = run(capsys, [
+        "validate", "--checks", "lr-bounds", "--flip-sign", term])
+    assert code == 1
+    assert out == ""
+    assert f"--flip-sign TERM must lie in [0, 3], got {term}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

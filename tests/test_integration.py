@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import dense_reference
 import pure_state_oracle
@@ -296,6 +298,13 @@ def test_stacked_call_equals_one_term_calls(config):
         stack = _stack(spec, _random_angles(rng, spec))
         memo.cache_clear()
         stacked = estimate_correlations(family, stack, detector, config)
+        # nor on where it sits: the stack reversed, and one term repeated at
+        # the front, in its own place and at the back; both reuse the moments
+        # the memo keeps from the first call
+        repeated = [stack[1]] + stack + [stack[1]]
+        for reordered, want in ((stack[::-1], stacked[::-1]),
+                                (repeated, [stacked[1]] + stacked + [stacked[1]])):
+            assert estimate_correlations(family, reordered, detector, config) == want, name
         for settings, want in zip(stack, stacked):
             memo.cache_clear()
             assert estimate_correlation(family, settings, detector, config) == want, name
@@ -362,3 +371,45 @@ def test_nonconvergence_carries_partial_result():
     assert info.value.value is not None
     assert info.value.err_estimate is not None
     assert info.value.err_estimate > 0.0
+
+
+# Families whose state and detection treat every party alike: permuting the
+# parties together with their efficiencies must leave a correlation unchanged.
+# The cluster states are not symmetric.
+SYMMETRIC_KINDS = (FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_CONDITIONAL,
+                   FamilyKind.GHZ3_KERR, FamilyKind.W3, FamilyKind.GHZ4_CONDITIONAL)
+
+
+@hst.composite
+def _random_point(draw, kinds):
+    """A family at V ∈ {1, 5, 100} with random d, per-mode η and angles."""
+    kind = draw(hst.sampled_from(kinds))
+    V = draw(hst.sampled_from((1.0, 5.0, 100.0)))
+    d = draw(hst.floats(0.0, 3.0)) * math.sqrt(V)
+    modes = StateFamily(kind, V, d).num_modes
+    angle = hst.floats(0.0, 2.0 * math.pi)
+    rotations = draw(hst.lists(hst.tuples(angle, angle), min_size=modes, max_size=modes))
+    etas = draw(hst.lists(hst.floats(0.05, 1.0), min_size=modes, max_size=modes))
+    return StateFamily(kind, V, d), [EffectiveRotation(*r) for r in rotations], etas
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_point(list(FamilyKind)))
+def test_correlation_is_bounded(point):
+    family, rotations, etas = point
+    value, _err = estimate_correlation(family, [PartySetting(r) for r in rotations],
+                                       DetectorModel(tuple(etas)))
+    assert abs(value) <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_point(SYMMETRIC_KINDS), hst.data())
+def test_symmetric_families_are_party_permutation_invariant(point, data):
+    family, rotations, etas = point
+    order = data.draw(hst.permutations(range(family.num_modes)))
+    value, _err = estimate_correlation(family, [PartySetting(r) for r in rotations],
+                                       DetectorModel(tuple(etas)))
+    permuted, _err = estimate_correlation(
+        family, [PartySetting(rotations[m]) for m in order],
+        DetectorModel(tuple(etas[m] for m in order)))
+    assert permuted == pytest.approx(value, abs=1e-12), order
