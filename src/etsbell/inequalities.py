@@ -12,14 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import UnsupportedAngleSetError
 # The single-term estimators stay importable from here beside the batched one.
-from .integration import (QuadratureConfig, converged_correlation,  # noqa: F401
-                          estimate_correlation, estimate_correlations)
+from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
+                          converged_correlation, estimate_correlation,
+                          estimate_correlations, estimate_terms, term_layout)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
                           PartySetting, zx_rotation)
 from .states import FamilyKind, StateFamily
@@ -57,6 +59,15 @@ class InequalitySpec:
             for p, idx in enumerate(indices):
                 if idx is not UNMEASURED and not (0 <= idx < self.settings_per_party[p]):
                     raise ValueError(f"party {p} has no setting {idx}")
+
+    @cached_property
+    def _layout(self) -> TermLayout:
+        """Each term's rotation per party, as positions in the angle set read
+        party by party; it does not depend on the angles, so it is built once."""
+        offsets = [0, *itertools.accumulate(self.settings_per_party)]
+        return term_layout([[-1 if idx is UNMEASURED else offsets[p] + idx
+                             for p, idx in enumerate(indices)]
+                            for _sign, indices in self.terms])
 
 
 def _uniform_terms(parties: int, sign_by_flips: Sequence[int]) -> tuple:
@@ -164,8 +175,15 @@ def _term_estimates(spec: InequalitySpec, family: StateFamily, angles: AngleSet,
                     detector: DetectorModel | None,
                     config: QuadratureConfig | None) -> list[tuple[float, float]]:
     """(value, err) of every term, all from one batched engine call."""
-    settings = [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
-    return estimate_correlations(family, settings, detector, config)
+    if len(angles) != spec.parties:
+        raise ValueError(f"expected angle tuples for {spec.parties} parties")
+    if any(len(party) != count for party, count in zip(angles, spec.settings_per_party)):
+        # The spec's layout fits only its own setting counts; this path also
+        # names a setting the angle set lacks.
+        settings = [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
+        return estimate_correlations(family, settings, detector, config)
+    rotations = [rotation for party in angles for rotation in party]
+    return estimate_terms(family, rotations, spec._layout, detector, config)
 
 
 def evaluate(
@@ -334,6 +352,8 @@ def optimize_angles(
     ties resolve to the lowest start index.  An evaluation that does not
     converge raises its :class:`NonconvergenceError` out of the optimizer.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     # Imported on use: scipy.optimize is most of the package's import time.
     from scipy.optimize import minimize
     if config is None:
@@ -439,6 +459,9 @@ def verify_lr_bound(spec: InequalitySpec, flip_term: int | None = None) -> bool:
     """
     terms = list(spec.terms)
     if flip_term is not None:
+        if not 0 <= flip_term < len(terms):
+            raise ValueError(
+                f"flip_term must lie in [0, {len(terms)}) for {spec.name}, got {flip_term}")
         sign, indices = terms[flip_term]
         terms[flip_term] = (-sign, indices)
     if spec.name.startswith("svetlichny"):

@@ -11,11 +11,15 @@ nodes per axis.
 An estimate runs in two steps.  The moments depend on the state, the
 detector, the refinement level and which modes a term leaves unmeasured,
 but not on the measurement angles; one pass forms them, kernels included,
-for every term of a functional, and a small memo keeps the last few so that
-an optimizer's evaluations of one state share them.  All terms' angle blocks
-are then contracted with the shared moments in one pass over a stacked term
-axis, by elementwise arithmetic in an order fixed by the family, so a term's
-value is bit-identical whichever terms share its call and wherever it sits.
+for every term of a functional, together with the Gram denominator of each
+unmeasured pattern, and a small memo keeps the last few so that an
+optimizer's evaluations of one state share them.  The angle blocks come
+from (θ, γ) arrays in one vectorised table, which the terms gather through
+a static (terms × modes) index.  All terms are then contracted with the
+shared moments in one pass over a stacked term axis, levels 0 and 1 of the
+refinement ladder together on a level axis, by elementwise arithmetic in an
+order fixed by the family, so a term's value is bit-identical whichever
+terms share its call, wherever it sits and whichever level shares its pass.
 
 The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
@@ -25,6 +29,7 @@ level, or, on request, from seeded Monte Carlo samples of the same weights.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import dawsn, erf
 
 from .errors import NonconvergenceError
-from .measurement import DetectorModel, PartySetting
+from .measurement import DetectorModel, EffectiveRotation, PartySetting
 from .states import StateFamily, family_structure
 
 _SQRT2 = math.sqrt(2.0)
@@ -61,12 +66,12 @@ _AXIS_RULE_CACHE = 256
 _MOMENT_CACHE = 4
 
 # Per-mode 2x2 blocks over the (+,−) branch pair.  A rotated block is
-# erf·A + e^{−2s²x²}·h(y)·B with A = M·_REFLECT·M and B = M·_TURN·M; a Gram
-# block (also an unmeasured mode's) is δ + (1−δ)·e^{−2s²x²}·e^{−2s²y²}, the
-# pair below.
-_REFLECT = np.diag([1.0, -1.0])
-_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
-_GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)))
+# erf·A + e^{−2s²x²}·h(y)·B with (A, B) = M·_NUMERATOR_PAIR·M, that is
+# A = M·diag(1,−1)·M and B = M·[[0,−1],[1,0]]·M; a Gram block (also an
+# unmeasured mode's) is δ + (1−δ)·e^{−2s²x²}·e^{−2s²y²}, the pair below.
+_NUMERATOR_PAIR = np.array((np.diag([1.0, -1.0]), [[0.0, -1.0], [1.0, 0.0]]),
+                           dtype=complex)[:, None]
+_GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
 
 
 class Method(enum.Enum):
@@ -207,22 +212,26 @@ class _Moments(NamedTuple):
     """The angle-independent half of a pass over one state.
 
     ``weights`` holds the branch-pair coefficients conj(c_j)·c_i.
-    ``variables`` holds, per mixture variable, its modes and each mode's
-    branch rows (0 where the branch has +α, 1 where it has −α).
-    ``numerators`` holds one array per variable, shaped (2,)*k + (patterns,
-    2): for each pattern of unmeasured modes (True per mode a term leaves
-    out), in the order the pass was given them, the 2^k numerator moments
-    next to the Gram moments.
+    ``rows[m]`` holds mode m's row of each branch (0 where the branch has
+    +α, 1 where it has −α), and ``variables`` each mixture variable's modes.
+    ``numerators`` holds one array per variable, shaped (2,)*k + (patterns,):
+    for each pattern of unmeasured modes (True per mode a term leaves out),
+    in the order the pass was given them, the 2^k numerator moments.
+    ``denominators`` holds the state trace of each pattern, shaped
+    (patterns,).  A memoized set stacks several levels' passes, and then
+    both carry a level axis before the pattern axis.
     """
 
     weights: np.ndarray
+    rows: np.ndarray
     variables: tuple
     numerators: tuple
+    denominators: np.ndarray
 
 
 def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
-    """Per-variable moments of every pattern in ``patterns``.
+    """Per-variable moments, and the denominator, of every pattern in ``patterns``.
 
     ``grids`` supplies (x, y, w) per variable: 1-D node arrays for the two
     axes and ``w``, the x weights followed by the y weights.  Deterministic
@@ -231,17 +240,19 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     variable needs only the 2^k products of per-mode axis factors (k modes),
     summed over x and over y separately.  A mode that a term leaves
     unmeasured takes the Gram factors in place of the detector's, so the
-    numerator moments are formed once per pattern, each together with the
-    Gram moments of the denominator.  Nothing here depends on the
-    measurement angles.
+    numerator moments are formed once per pattern, each stacked on the Gram
+    moments, which are then contracted into that pattern's denominator.
+    Nothing here depends on the measurement angles.
     """
     measured = {m for p in patterns for m, off in enumerate(p) if not off}
+    variable_modes = []
     numerators = []
-    structure = []
+    grams = []
     for (_V, _center, scales), (x, y, w) in zip(variables, grids):
         wx = w[:x.size]
         wy = w[x.size:]
         modes = tuple(sorted(scales))
+        variable_modes.append(modes)
         factors = {}
         for m in modes:
             sx = scales[m] * x
@@ -258,7 +269,9 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                      * dawsn(_SQRT2 * eta * sy)))
         axis_sum = _moment_subscripts(len(modes))
         # Only the variable's own modes matter, so patterns that agree on
-        # them share one sum.
+        # them share one sum.  Each pattern's Gram moments come from the sum
+        # that carries its numerator, and may differ from another pattern's
+        # in the last bit, so each pattern keeps its own denominator.
         local = [tuple(p[m] for m in modes) for p in patterns]
         by_local = dict.fromkeys(local)
         for offs in by_local:
@@ -268,77 +281,128 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                          for m, off in zip(modes, offs)]
             by_local[offs] = (np.einsum(axis_sum, *x_factors, wx)
                               * np.einsum(axis_sum, *y_factors, wy))
-        stacked = np.ascontiguousarray(
-            np.moveaxis(np.array([by_local[offs] for offs in local]), (0, 1), (-2, -1)))
-        stacked.flags.writeable = False
-        numerators.append(stacked)
-        rows = tuple(np.array([(1 - sign[m]) // 2 for sign in signs]) for m in modes)
-        structure.append((modes, rows))
+        stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), 0, -1)
+        numerator = np.ascontiguousarray(stacked[0])
+        numerator.flags.writeable = False
+        numerators.append(numerator)
+        grams.append(stacked[1])
     coeffs = np.array(coeffs)
     weights = np.multiply.outer(coeffs.conj(), coeffs)
     weights.flags.writeable = False
-    return _Moments(weights, tuple(structure), tuple(numerators))
+    rows = (1 - np.array(signs).T) // 2
+    rows.flags.writeable = False
+    variable_modes = tuple(variable_modes)
+    # Every mode of a denominator takes the Gram pair, row 0 of this table.
+    gram_pairs = _branch_pairs(_GRAM_BLOCKS[:, None], np.zeros((1, len(rows)), dtype=int), rows)
+    denominators = _contract(weights, variable_modes, grams, gram_pairs)
+    denominators.flags.writeable = False
+    return _Moments(weights, rows, variable_modes, tuple(numerators), denominators)
 
 
-def _contract(moments: _Moments, blocks, pattern_rows) -> np.ndarray:
-    """Unnormalized correlation and state trace of every term, shaped (terms, 2).
+def _branch_pairs(table, index, rows) -> np.ndarray:
+    """Per-mode block pairs over the branch pairs, shaped (2, T, modes, B, B).
 
-    ``blocks`` come from :func:`_term_blocks`, and ``pattern_rows`` picks
-    each term's row of ``moments.numerators``.  Per variable, the moments
-    are contracted with the blocks one mode at a time, for every term and
-    branch pair at once, as a two-term multiply-and-add over the mode's two
-    separable parts; the variables' results multiply, and the branch-pair
-    weights sum the product into one number per term and u.  Only
-    elementwise arithmetic in an order fixed by the family touches the term
-    axis, so a term's bits do not depend on the rest of its stack.
+    ``table[s, row]`` is the s-th 2x2 block of a separable pair over the
+    (+,−) branch pair, ``index[t, m]`` picks the row mode m takes for each
+    t, and ``rows[m]`` gives mode m's row of each of the B branches.
+    """
+    return table[:, index[:, :, None, None], rows[:, :, None], rows[:, None, :]]
+
+
+def _contract(weights, variables, moments, pairs) -> np.ndarray:
+    """Real part of Σ_pairs weight·Π_variables (moments contracted with blocks).
+
+    ``moments`` holds one array per variable, shaped (2,)*k + S for the
+    variable's k modes, and ``pairs`` comes from :func:`_branch_pairs`, its
+    T axis broadcasting against the last axis of S.  Per variable, the
+    moments are contracted with the blocks one mode at a time, for every
+    entry of S and branch pair at once, as a two-term multiply-and-add over
+    the mode's two separable parts; the variables' results multiply, and the
+    branch-pair weights sum the product into one number per entry of S.
+    Only elementwise arithmetic in an order fixed by the family touches S,
+    so an entry's bits do not depend on the rest of its stack.
     """
     product = 1.0
-    for (modes, rows), numerators in zip(moments.variables, moments.numerators):
-        acc = numerators[..., pattern_rows, :, None, None]
-        for m, r in zip(modes, rows):
-            pair = blocks[:, :, m][..., r[:, None], r]
-            acc = acc[0] * pair[0] + acc[1] * pair[1]
+    for modes, acc in zip(variables, moments):
+        acc = acc[..., None, None]
+        for m in modes:
+            acc = acc[0] * pairs[0, :, m] + acc[1] * pairs[1, :, m]
         product = product * acc
     # Explicit additions in row-major pair order: a reduction picks its
     # order from the memory layout.
-    weighted = (product * moments.weights).reshape(len(pattern_rows), 2, -1)
+    weighted = (product * weights).reshape(product.shape[:-2] + (-1,))
     total = weighted[..., 0]
     for k in range(1, weighted.shape[-1]):
         total = total + weighted[..., k]
     return total.real
 
 
-def _term_blocks(family: StateFamily, term_settings, detector: DetectorModel):
-    """Per-mode angle blocks of every term, and each term's unmeasured pattern.
+def _terms(moments: _Moments, table, layout):
+    """Unnormalized correlation and state trace of every term of ``layout``,
+    each shaped like the moments' level axes + (terms,).
 
-    ``blocks[s, t, m, u]`` is a 2x2 block over the (+,−) branch pair: for
-    u = 0 the s-th of the numerator pair (A, B), A = M·_REFLECT·M and
-    B = M·_TURN·M, of term t's rotation M on mode m, or the s-th Gram block
-    where the term leaves the mode unmeasured; for u = 1 the s-th Gram block
-    of the denominator.  The pairs are computed once per distinct rotation
-    into a table and gathered from it.
+    ``table`` comes from :func:`_rotation_table`; the terms gather their
+    blocks from it through ``layout.index``, and their moments and
+    per-pattern denominators through ``layout.pattern_rows``.
     """
-    modes = family.num_modes
-    for settings in term_settings:
-        if len(settings) != modes:
-            raise ValueError(f"family has {modes} modes but got {len(settings)} settings")
-    if isinstance(detector.eta, tuple) and len(detector.eta) != modes:
-        raise ValueError(
-            f"family has {modes} modes but the detector gives "
-            f"{len(detector.eta)} per-mode efficiencies")
-    # Terms share each party's few settings, so each distinct rotation gets
-    # one row of the table; unmeasured modes index its last row, -1.
-    rows = {}
-    index = np.array([[-1 if s.ignored else rows.setdefault(s.rotation, len(rows))
-                       for s in settings] for settings in term_settings])
-    a = np.array([rotation.matrix for rotation in rows], dtype=complex).reshape(-1, 2, 2)
-    table = np.empty((2, len(rows) + 1, 2, 2, 2), dtype=complex)
-    table[0, :-1, 0] = a @ _REFLECT @ a
-    table[1, :-1, 0] = a @ _TURN @ a
-    table[:, -1, 0] = _GRAM_BLOCKS
-    table[:, :, 1] = _GRAM_BLOCKS[:, None]
-    patterns = [tuple(row) for row in (index < 0).tolist()]
-    return table[:, index], patterns
+    pairs = _branch_pairs(table, layout.index, moments.rows)
+    numerators = [n[..., layout.pattern_rows] for n in moments.numerators]
+    num = _contract(moments.weights, moments.variables, numerators, pairs)
+    return num, moments.denominators[..., layout.pattern_rows]
+
+
+def _rotation_table(rotations: Sequence[EffectiveRotation]) -> np.ndarray:
+    """Numerator block pair of every rotation, then the Gram pair.
+
+    ``table[s, k]`` is a 2x2 block over the (+,−) branch pair: the s-th of
+    (A, B) = M·_NUMERATOR_PAIR·M for the matrix M of ``rotations[k]``; the
+    last row, which an unmeasured mode's index −1 picks, holds the Gram
+    pair.  M is built from (θ, γ) arrays with vectorised cos, sin and exp
+    and the arithmetic of :attr:`EffectiveRotation.matrix`, elementwise, so
+    its bits are the scalar path's wherever numpy's trig agrees with libm's
+    (the tests check this on the host they run on).
+    """
+    theta = np.array([r.theta for r in rotations], dtype=float)
+    phase = np.array([r.phase for r in rotations], dtype=float)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    ph = np.exp(1j * phase)
+    a = np.empty((len(rotations), 2, 2), dtype=complex)
+    a[:, 0, 0] = s
+    a[:, 0, 1] = ph * c
+    a[:, 1, 0] = ph.conj() * c
+    a[:, 1, 1] = -s
+    table = np.empty((2, len(rotations) + 1, 2, 2), dtype=complex)
+    table[:, :-1] = a @ _NUMERATOR_PAIR @ a
+    table[:, -1] = _GRAM_BLOCKS
+    return table
+
+
+class TermLayout(NamedTuple):
+    """Which rotation each term measures each mode with.
+
+    ``index[t, m]`` is the position of term t's rotation on mode m in the
+    list of rotations passed with the layout, or −1 where the term leaves
+    the mode unmeasured.  ``patterns`` lists the distinct unmeasured
+    patterns (True per mode a term leaves out), sorted, and
+    ``pattern_rows`` gives each term's row in it.  A functional's layout
+    does not depend on its angles, so it is built once per functional.
+    """
+
+    index: np.ndarray
+    patterns: tuple
+    pattern_rows: np.ndarray
+
+
+def term_layout(index: Sequence[Sequence[int]]) -> TermLayout:
+    """Layout of the (terms × modes) rotation ``index``, −1 for unmeasured."""
+    index = np.array(index, dtype=int)
+    term_patterns = [tuple(row) for row in (index < 0).tolist()]
+    patterns = tuple(sorted(set(term_patterns)))
+    pattern_rows = np.array([patterns.index(p) for p in term_patterns], dtype=int)
+    index.flags.writeable = False
+    pattern_rows.flags.writeable = False
+    return TermLayout(index, patterns, pattern_rows)
 
 
 def _deterministic_grids(variables, detector: DetectorModel, level: int,
@@ -359,12 +423,28 @@ def _deterministic_moments(family: StateFamily, detector: DetectorModel, level: 
                            nodes_per_axis: int, patterns: tuple) -> _Moments:
     """Memoized moments of one state at one refinement level.
 
-    They do not depend on the measurement angles, so every evaluation an
-    optimizer makes on its state shares them.
+    Every estimate contracts levels 0 and 1 together, so level 1's entry
+    carries level 0's moments and its own, stacked on a level axis; a later
+    level's entry carries its own on a level axis of one, and level 0's is
+    the bare pass.  They do not depend on the measurement angles, so every
+    evaluation an optimizer makes on its state shares them.
     """
     coeffs, signs, variables = family_structure(family)
     grids = _deterministic_grids(variables, detector, level, nodes_per_axis)
-    return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
+    moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
+    if level == 0:
+        return moments
+    passes = [moments]
+    if level == 1:
+        passes.insert(0, _deterministic_moments(family, detector, 0, nodes_per_axis, patterns))
+    numerators = []
+    for modes, per_level in zip(moments.variables, zip(*(p.numerators for p in passes))):
+        stacked = np.stack(per_level, axis=len(modes))
+        stacked.flags.writeable = False
+        numerators.append(stacked)
+    denominators = np.stack([p.denominators for p in passes])
+    denominators.flags.writeable = False
+    return moments._replace(numerators=tuple(numerators), denominators=denominators)
 
 
 def _sampled_grids(variables, rng: np.random.Generator, count: int):
@@ -381,7 +461,7 @@ def _sampled_grids(variables, rng: np.random.Generator, count: int):
     return grids
 
 
-def _refinement_steps(family, detector, nodes_per_axis, blocks, pattern_rows, patterns):
+def _refinement_steps(family, detector, nodes_per_axis, table, layout):
     """Values of every term per refinement level, with the level-to-level change."""
     # Every variable of a family carries its V.  Wide weights are on the
     # composite rule from level 0 and have no levels past 2; narrow ones may
@@ -390,17 +470,24 @@ def _refinement_steps(family, detector, nodes_per_axis, blocks, pattern_rows, pa
     top_level = 4 if 0.0 < sigma <= _GH_SIGMA_MAX else 2
     previous = None
     for level in range(top_level + 1):
-        moments = _deterministic_moments(family, detector, level, nodes_per_axis, patterns)
-        num, den = _contract(moments, blocks, pattern_rows).T
-        values = num / den
-        if previous is None:
-            yield values, np.full(values.shape, math.inf)
-        else:
-            yield values, np.abs(values - previous)
-        previous = values
+        # Level 0 has no error to meet the tolerance with, so every estimate
+        # needs level 1 too, whose moments carry level 0's: the two share one
+        # contraction.  Level 0's entry is still taken, so that it stays as
+        # recently used as level 1's and a rebuilt level 1 finds it.
+        moments = _deterministic_moments(family, detector, level, nodes_per_axis,
+                                         layout.patterns)
+        if level == 0:
+            continue
+        num, den = _terms(moments, table, layout)
+        for values in num / den:
+            if previous is None:
+                yield values, np.full(values.shape, math.inf)
+            else:
+                yield values, np.abs(values - previous)
+            previous = values
 
 
-def _sampled_steps(family, detector, config, blocks, pattern_rows, patterns):
+def _sampled_steps(family, detector, config, table, layout):
     """Values of every term per sampling attempt, with the batch spread.
 
     One seeded stream serves the whole stack, so every term sees the samples
@@ -416,8 +503,8 @@ def _sampled_steps(family, detector, config, blocks, pattern_rows, patterns):
         den_total = 0.0
         for _b in range(_MC_BATCHES):
             grids = _sampled_grids(variables, rng, per_batch)
-            moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
-            num, den = _contract(moments, blocks, pattern_rows).T
+            moments = _engine_pass(coeffs, signs, variables, layout.patterns, detector, grids)
+            num, den = _terms(moments, table, layout)
             batch_values.append(num / den)
             num_total = num_total + num
             den_total = den_total + den
@@ -427,15 +514,16 @@ def _sampled_steps(family, detector, config, blocks, pattern_rows, patterns):
         samples *= 2
 
 
-def estimate_correlations(
+def estimate_terms(
     family: StateFamily,
-    term_settings: Sequence[Sequence[PartySetting]],
+    rotations: Sequence[EffectiveRotation],
+    layout: TermLayout,
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
 ) -> list[tuple[float, float]]:
-    """Correlation of outcome signs for each term, with an error estimate.
+    """Correlation of outcome signs for each term of ``layout``, with an error estimate.
 
-    ``term_settings`` holds one per-mode setting sequence per term; all terms
+    Term t measures mode m with ``rotations[layout.index[t, m]]``; all terms
     share one pass per refinement step.  Each term stops at its own first
     step that meets ``rel_tol`` (relative, floored at one, since
     correlations are order one).  Deterministic quadrature refines the
@@ -446,22 +534,26 @@ def estimate_correlations(
     """
     detector = detector or DetectorModel()
     config = config or QuadratureConfig()
-    blocks, term_patterns = _term_blocks(family, term_settings, detector)
-    patterns = tuple(sorted(set(term_patterns)))
-    pattern_rows = np.array([patterns.index(p) for p in term_patterns])
+    modes = family.num_modes
+    if layout.index.shape[1] != modes:
+        raise ValueError(f"family has {modes} modes but got {layout.index.shape[1]} settings")
+    if isinstance(detector.eta, tuple) and len(detector.eta) != modes:
+        raise ValueError(
+            f"family has {modes} modes but the detector gives "
+            f"{len(detector.eta)} per-mode efficiencies")
+    table = _rotation_table(rotations)
 
     # Every mixture variable contributes an independent planar integral here,
     # so deterministic rules stay affordable at any party count; only an
     # explicit request routes the estimate through sampling.
     if config.method is Method.MONTE_CARLO:
-        steps = _sampled_steps(family, detector, config, blocks, pattern_rows, patterns)
+        steps = _sampled_steps(family, detector, config, table, layout)
         stalled = "sampling stalled at {!r} with batch error {:.3g}"
     else:
-        steps = _refinement_steps(family, detector, config.nodes_per_axis, blocks,
-                                  pattern_rows, patterns)
+        steps = _refinement_steps(family, detector, config.nodes_per_axis, table, layout)
         stalled = "correlation refinement stalled at {!r} with error {:.3g}"
 
-    results = [None] * len(term_patterns)
+    results = [None] * len(layout.pattern_rows)
     for values, errs in steps:
         for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
             if results[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
@@ -471,6 +563,28 @@ def estimate_correlations(
     t = results.index(None)
     value, err = float(values[t]), float(errs[t])
     raise NonconvergenceError(stalled.format(value, err), value=value, err_estimate=err)
+
+
+def estimate_correlations(
+    family: StateFamily,
+    term_settings: Sequence[Sequence[PartySetting]],
+    detector: DetectorModel | None = None,
+    config: QuadratureConfig | None = None,
+) -> list[tuple[float, float]]:
+    """Correlation of outcome signs for each term, with an error estimate.
+
+    ``term_settings`` holds one per-mode setting sequence per term; the
+    terms are estimated together as in :func:`estimate_terms`.
+    """
+    modes = family.num_modes
+    for settings in term_settings:
+        if len(settings) != modes:
+            raise ValueError(f"family has {modes} modes but got {len(settings)} settings")
+    position = itertools.count()
+    index = [[-1 if s.ignored else next(position) for s in settings]
+             for settings in term_settings]
+    rotations = [s.rotation for settings in term_settings for s in settings if not s.ignored]
+    return estimate_terms(family, rotations, term_layout(index), detector, config)
 
 
 def estimate_correlation(

@@ -52,6 +52,9 @@ class SweepPlan:
         object.__setattr__(self, "eta_grid", _validated_grid("eta", self.eta_grid, 0.0, 1.0))
         if any(eta <= 0.0 for eta in self.eta_grid):
             raise ValueError("eta values must be positive")
+        if self.optimizer_restarts < 1:
+            raise ValueError(
+                f"optimizer_restarts must be at least 1, got {self.optimizer_restarts}")
         if isinstance(self.angles, str) and self.angles not in ("canonical", "optimize"):
             raise ValueError(
                 f"angles must be an angle set, 'canonical' or 'optimize', got {self.angles!r}")

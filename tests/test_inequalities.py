@@ -139,6 +139,25 @@ def test_evaluate_with_error_is_consistent():
                                   abs=1e-12)
 
 
+def test_evaluate_rejects_mismatched_angles_and_families():
+    fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
+    angles = canonical_angles(SVETLICHNY3, FamilyKind.GHZ3_CONDITIONAL).angles
+    extra = angles[:2] + (angles[2] + angles[2][:1],)
+    # a surplus setting is never read
+    assert evaluate(SVETLICHNY3, fam, extra) == evaluate(SVETLICHNY3, fam, angles)
+    cases = [
+        ((SVETLICHNY3, fam, angles[:2]), "expected angle tuples for 3 parties"),
+        ((SVETLICHNY3, fam, angles[:2] + (angles[2][:1],)), "party 2 angle set lacks setting 1"),
+        ((SVETLICHNY3, StateFamily(FamilyKind.CLUSTER4_CONDITIONAL, 5.0, 1.5), angles),
+         "family has 4 modes but got 3 settings"),
+        ((SASA, fam, canonical_angles(SASA, FamilyKind.CLUSTER4_CONDITIONAL).angles),
+         "family has 3 modes but got 4 settings"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate(*args)
+
+
 def test_canonical_angles_unknown_pairing():
     with pytest.raises(UnsupportedAngleSetError):
         canonical_angles("wwzb4", FamilyKind.W3)
@@ -178,6 +197,11 @@ def test_verify_lr_bound_and_mutations():
         assert verify_lr_bound(spec)
         for k in range(len(spec.terms)):
             assert not verify_lr_bound(spec, flip_term=k), (spec.name, k)
+        # no Python negative indexing, no IndexError: out of range is refused
+        for k in (-1, len(spec.terms)):
+            message = rf"flip_term must lie in \[0, {len(spec.terms)}\)"
+            with pytest.raises(ValueError, match=message):
+                verify_lr_bound(spec, flip_term=k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,6 +232,13 @@ def test_optimizer_recovers_mermin_maximum():
     assert result.value >= 2.0 * SQRT2 - 1e-3
     assert result.start_index == 0
     assert result.angles
+
+
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_optimizer_rejects_restarts_below_one(restarts):
+    fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 6.0)
+    with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+        optimize_angles(MERMIN3, fam, restarts=restarts)
 
 
 def test_optimizer_raises_on_nonconvergence():

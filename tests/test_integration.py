@@ -19,6 +19,7 @@ from etsbell.integration import (
     converged_correlation,
     estimate_correlation,
     estimate_correlations,
+    estimate_terms,
 )
 from etsbell.measurement import (
     IGNORE,
@@ -28,7 +29,7 @@ from etsbell.measurement import (
     PartySetting,
 )
 from etsbell.oracles import ghz_correlation_closed
-from etsbell.states import FamilyKind, StateFamily
+from etsbell.states import FamilyKind, StateFamily, family_structure
 
 EQUATORIAL = [
     PartySetting(EffectiveRotation(math.pi / 2, g)) for g in (0.3, 1.1, 2.4)
@@ -289,15 +290,26 @@ def test_stacked_call_equals_one_term_calls(config):
     # bit for bit: a term's arithmetic must not depend on the rest of its stack
     rng = np.random.default_rng(37)
     memo = integration._deterministic_moments
-    for kind, name in ((FamilyKind.GHZ3_KERR, "svetlichny3"), (FamilyKind.W3, "mermin3"),
-                       (FamilyKind.CLUSTER4_CROSS_KERR, "sasa"),
-                       (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4")):
+    # SASA has two unmeasured patterns, so both share each of its calls; on
+    # cluster4-cond at V = 10 the two patterns' Gram moments differ in the
+    # last bit, so a term given the other pattern's denominator would show
+    for kind, name, V in ((FamilyKind.GHZ3_KERR, "svetlichny3", 5.0),
+                          (FamilyKind.W3, "mermin3", 5.0),
+                          (FamilyKind.CLUSTER4_CROSS_KERR, "sasa", 5.0),
+                          (FamilyKind.CLUSTER4_CONDITIONAL, "sasa", 5.0),
+                          (FamilyKind.CLUSTER4_CONDITIONAL, "sasa", 10.0),
+                          (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4", 5.0)):
         spec = INEQUALITIES[name]
-        family = StateFamily(kind, 5.0, 1.3)
+        family = StateFamily(kind, V, 1.3)
         detector = DetectorModel(0.7)
-        stack = _stack(spec, _random_angles(rng, spec))
+        angles = _random_angles(rng, spec)
+        stack = _stack(spec, angles)
         memo.cache_clear()
         stacked = estimate_correlations(family, stack, detector, config)
+        # nor on the index it is gathered through: the functional's own
+        # layout shares each party setting's rotation among its terms
+        rotations = [r for party in angles for r in party]
+        assert estimate_terms(family, rotations, spec._layout, detector, config) == stacked
         # nor on where it sits: the stack reversed, and one term repeated at
         # the front, in its own place and at the back; both reuse the moments
         # the memo keeps from the first call
@@ -308,6 +320,78 @@ def test_stacked_call_equals_one_term_calls(config):
         for settings, want in zip(stack, stacked):
             memo.cache_clear()
             assert estimate_correlation(family, settings, detector, config) == want, name
+
+
+def _lone_level_ladder(family, detector, spec, angles, rel_tol):
+    """Each term's (value, err) and level, from one engine pass and one
+    contraction per level, and the last level's values and errors."""
+    layout = spec._layout
+    table = integration._rotation_table([r for party in angles for r in party])
+    coeffs, signs, variables = family_structure(family)
+    found = [None] * len(spec.terms)
+    previous = None
+    for level in range(5):
+        grids = integration._deterministic_grids(variables, detector, level,
+                                                 QuadratureConfig().nodes_per_axis)
+        moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
+                                           detector, grids)
+        num, den = integration._terms(moments, table, layout)
+        values = num / den
+        errs = np.full(values.shape, math.inf) if previous is None else np.abs(values - previous)
+        for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+            if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
+                found[t] = ((value, err), level)
+        previous = values
+    return found, values, errs
+
+
+def test_stacked_levels_equal_lone_level_contractions():
+    # Levels 0 and 1 share one contraction; at narrow weights (V = 5) and a
+    # tight tolerance the ladder climbs past them, and every term's result,
+    # and the stall message, must be what one level at a time gives.
+    rng = np.random.default_rng(41)
+    spec = INEQUALITIES["svetlichny3"]
+    family = StateFamily(FamilyKind.GHZ3_KERR, 5.0, 1.3)
+    detector = DetectorModel(0.7)
+    angles = _random_angles(rng, spec)
+    integration._deterministic_moments.cache_clear()
+    for rel_tol, converges in ((1e-13, True), (1e-17, False)):
+        found, values, errs = _lone_level_ladder(family, detector, spec, angles, rel_tol)
+        config = QuadratureConfig(rel_tol=rel_tol)
+        assert (None not in found) == converges
+        if converges:
+            assert max(level for _result, level in found) >= 2
+            got = estimate_correlations(family, _stack(spec, angles), detector, config)
+            assert got == [result for result, _level in found]
+            continue
+        t = found.index(None)
+        with pytest.raises(NonconvergenceError) as info:
+            estimate_correlations(family, _stack(spec, angles), detector, config)
+        value, err = float(values[t]), float(errs[t])
+        message = f"correlation refinement stalled at {value!r} with error {err:.3g}"
+        assert str(info.value) == message
+        assert (info.value.value, info.value.err_estimate) == (value, err)
+
+
+def test_rotation_table_matches_scalar_matrices():
+    # The table builds every rotation matrix from (θ, γ) arrays with numpy's
+    # vectorised cos, sin and exp; each block must carry the bits the scalar
+    # math/cmath path of EffectiveRotation.matrix gives, signed zeros too.
+    rng = np.random.default_rng(47)
+    special = (0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi)
+    rotations = [EffectiveRotation(t, g) for t in special for g in special]
+    rotations += list(PAULI_ROTATIONS.values())
+    rotations += [EffectiveRotation(t, g)
+                  for t, g in rng.uniform(-4 * math.pi, 6 * math.pi, (200, 2))]
+    matrices = np.array([r.matrix for r in rotations])
+    reflect = np.diag([1.0, -1.0])
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    want = np.array((matrices @ reflect @ matrices, matrices @ turn @ matrices))
+    table = integration._rotation_table(rotations)
+    assert table.shape == (2, len(rotations) + 1, 2, 2)
+    assert table[:, :-1].tobytes() == want.tobytes()
+    gram = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
+    assert table[:, -1].tobytes() == gram.tobytes()
 
 
 def test_moment_memo_never_serves_a_stale_entry():

@@ -35,6 +35,10 @@ def test_plan_validation():
         small_plan(eta_grid=(1.5,))
     with pytest.raises(ValueError):
         small_plan(angles="foo")
+    for restarts in (0, -2):
+        message = f"optimizer_restarts must be at least 1, got {restarts}"
+        with pytest.raises(ValueError, match=message):
+            small_plan(optimizer_restarts=restarts)
 
 
 def test_sweep_rows_follow_grid_order():

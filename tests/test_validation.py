@@ -40,3 +40,8 @@ def test_single_check_returns_result():
 def test_flip_term_defeats_bound_check():
     results = run_checks(["lr-bounds"], flip_term=0)
     assert not results[0].passed
+
+
+def test_flip_term_out_of_range_fails_clearly():
+    with pytest.raises(ValueError, match="flip_term must lie in"):
+        run_checks(["lr-bounds"], flip_term=-1)
