@@ -21,6 +21,14 @@ refinement ladder together on a level axis, by elementwise arithmetic in an
 order fixed by the family, so a term's value is bit-identical whichever
 terms share its call, wherever it sits and whichever level shares its pass.
 
+A term's numerator is linear in each mode's block pair, and the Gram
+denominator does not depend on the angles, so the exact derivative of a
+correlation by one angle is the same contraction with that mode's pair
+replaced by its derivative, divided by the same denominator.  A gradient
+layout appends one such row per (term, measured mode, angle) to the term
+axis, and the table appends the derivative pairs it gathers; every row is
+read at the refinement level its term converges at.
+
 The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
 level, or, on request, from seeded Monte Carlo samples of the same weights.
@@ -351,58 +359,117 @@ def _terms(moments: _Moments, table, layout):
     return num, moments.denominators[..., layout.pattern_rows]
 
 
-def _rotation_table(rotations: Sequence[EffectiveRotation]) -> np.ndarray:
+def _matrices(a00, a01, a10, a11) -> np.ndarray:
+    out = np.empty(np.shape(a01) + (2, 2), dtype=complex)
+    out[..., 0, 0] = a00
+    out[..., 0, 1] = a01
+    out[..., 1, 0] = a10
+    out[..., 1, 1] = a11
+    return out
+
+
+def _pair_derivative(a, da) -> np.ndarray:
+    """Derivative of (A, B) = M·_NUMERATOR_PAIR·M, given M and its derivative."""
+    return da @ _NUMERATOR_PAIR @ a + a @ _NUMERATOR_PAIR @ da
+
+
+def _rotation_table(theta: np.ndarray, phase: np.ndarray,
+                    derivatives: bool = False) -> np.ndarray:
     """Numerator block pair of every rotation, then the Gram pair.
 
     ``table[s, k]`` is a 2x2 block over the (+,−) branch pair: the s-th of
-    (A, B) = M·_NUMERATOR_PAIR·M for the matrix M of ``rotations[k]``; the
-    last row, which an unmeasured mode's index −1 picks, holds the Gram
-    pair.  M is built from (θ, γ) arrays with vectorised cos, sin and exp
-    and the arithmetic of :attr:`EffectiveRotation.matrix`, elementwise, so
-    its bits are the scalar path's wherever numpy's trig agrees with libm's
-    (the tests check this on the host they run on).
+    (A, B) = M·_NUMERATOR_PAIR·M for the matrix M of rotation k, given by
+    ``theta[k]`` and ``phase[k]``; the last row, which an unmeasured mode's
+    index −1 picks, holds the Gram pair.  M is built with vectorised cos,
+    sin and exp and the arithmetic of :attr:`EffectiveRotation.matrix`,
+    elementwise, so its bits are the scalar path's wherever numpy's trig
+    agrees with libm's (the tests check this on the host they run on).
+    With ``derivatives``, the R rotations' pairs are followed by their
+    derivatives by θ, then by γ, in rows R + k and 2R + k.
     """
-    theta = np.array([r.theta for r in rotations], dtype=float)
-    phase = np.array([r.phase for r in rotations], dtype=float)
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     ph = np.exp(1j * phase)
-    a = np.empty((len(rotations), 2, 2), dtype=complex)
-    a[:, 0, 0] = s
-    a[:, 0, 1] = ph * c
-    a[:, 1, 0] = ph.conj() * c
-    a[:, 1, 1] = -s
-    table = np.empty((2, len(rotations) + 1, 2, 2), dtype=complex)
-    table[:, :-1] = a @ _NUMERATOR_PAIR @ a
+    a = _matrices(s, ph * c, ph.conj() * c, -s)
+    count = theta.size
+    table = np.empty((2, (3 if derivatives else 1) * count + 1, 2, 2), dtype=complex)
+    table[:, :count] = a @ _NUMERATOR_PAIR @ a
+    if derivatives:
+        d_theta = _matrices(c / 2.0, -ph * s / 2.0, -ph.conj() * s / 2.0, -c / 2.0)
+        d_phase = _matrices(0.0, 1j * ph * c, -1j * ph.conj() * c, 0.0)
+        table[:, count:2 * count] = _pair_derivative(a, d_theta)
+        table[:, 2 * count:3 * count] = _pair_derivative(a, d_phase)
     table[:, -1] = _GRAM_BLOCKS
     return table
 
 
 class TermLayout(NamedTuple):
-    """Which rotation each term measures each mode with.
+    """Which rotation each row of a term stack measures each mode with.
 
-    ``index[t, m]`` is the position of term t's rotation on mode m in the
-    list of rotations passed with the layout, or −1 where the term leaves
-    the mode unmeasured.  ``patterns`` lists the distinct unmeasured
-    patterns (True per mode a term leaves out), sorted, and
-    ``pattern_rows`` gives each term's row in it.  A functional's layout
-    does not depend on its angles, so it is built once per functional.
+    ``index[r, m]`` is the row of the rotation table that row r takes on
+    mode m, or −1 where it leaves the mode unmeasured.  ``patterns`` lists
+    the distinct unmeasured patterns (True per mode a row leaves out),
+    sorted, and ``pattern_rows`` gives each row's entry in it.  One row per
+    term comes first; a gradient layout appends derivative rows, the j-th
+    of which differentiates term ``owners[j]`` by entry ``slots[j]`` of the
+    angle vector (2k for θ and 2k + 1 for γ of rotation k).  A functional's
+    layouts do not depend on its angles, so each is built once per
+    functional.
     """
 
     index: np.ndarray
     patterns: tuple
     pattern_rows: np.ndarray
+    owners: np.ndarray
+    slots: np.ndarray
+
+
+def rotation_angles(rotations: Sequence[EffectiveRotation]) -> tuple[np.ndarray, np.ndarray]:
+    """The θ and γ arrays of ``rotations``, as :func:`estimate_terms` takes them."""
+    return (np.array([r.theta for r in rotations], dtype=float),
+            np.array([r.phase for r in rotations], dtype=float))
+
+
+def _frozen(values) -> np.ndarray:
+    array = np.array(values, dtype=int)
+    array.flags.writeable = False
+    return array
 
 
 def term_layout(index: Sequence[Sequence[int]]) -> TermLayout:
     """Layout of the (terms × modes) rotation ``index``, −1 for unmeasured."""
     index = np.array(index, dtype=int)
+    if index.size == 0:
+        raise ValueError("the term list is empty: a stack needs at least one term")
     term_patterns = [tuple(row) for row in (index < 0).tolist()]
     patterns = tuple(sorted(set(term_patterns)))
-    pattern_rows = np.array([patterns.index(p) for p in term_patterns], dtype=int)
-    index.flags.writeable = False
-    pattern_rows.flags.writeable = False
-    return TermLayout(index, patterns, pattern_rows)
+    pattern_rows = [patterns.index(p) for p in term_patterns]
+    return TermLayout(_frozen(index), patterns, _frozen(pattern_rows),
+                      owners=_frozen([]), slots=_frozen([]))
+
+
+def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
+    """``layout``'s terms, then one derivative row per (term, measured mode, angle).
+
+    A derivative row is its term's index row with the measured mode pointing
+    at the derivative of its rotation, by θ or by γ, in a table of
+    ``rotations`` rotations built with derivatives.
+    """
+    index = [layout.index]
+    pattern_rows = [layout.pattern_rows]
+    owners = []
+    slots = []
+    for t, m in zip(*np.nonzero(layout.index >= 0)):
+        k = layout.index[t, m]
+        for angle in (0, 1):
+            row = layout.index[t].copy()
+            row[m] = (1 + angle) * rotations + k
+            index.append(row[None])
+            pattern_rows.append(layout.pattern_rows[t:t + 1])
+            owners.append(t)
+            slots.append(2 * k + angle)
+    return TermLayout(_frozen(np.concatenate(index)), layout.patterns,
+                      _frozen(np.concatenate(pattern_rows)), _frozen(owners), _frozen(slots))
 
 
 def _deterministic_grids(variables, detector: DetectorModel, level: int,
@@ -516,21 +583,25 @@ def _sampled_steps(family, detector, config, table, layout):
 
 def estimate_terms(
     family: StateFamily,
-    rotations: Sequence[EffectiveRotation],
+    theta: np.ndarray,
+    phase: np.ndarray,
     layout: TermLayout,
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
-) -> list[tuple[float, float]]:
-    """Correlation of outcome signs for each term of ``layout``, with an error estimate.
+) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """Correlation of outcome signs for each term of ``layout``, with an error
+    estimate, and the values of the layout's derivative rows.
 
-    Term t measures mode m with ``rotations[layout.index[t, m]]``; all terms
-    share one pass per refinement step.  Each term stops at its own first
-    step that meets ``rel_tol`` (relative, floored at one, since
-    correlations are order one).  Deterministic quadrature refines the
-    per-axis resolution and reports the change from the previous level; the
-    Monte Carlo backend reports the batch spread and doubles the sample
-    budget up to twice.  Raises :class:`NonconvergenceError` for the first
-    term whose ladder is exhausted.
+    Row r measures mode m with rotation ``layout.index[r, m]`` of the
+    ``theta`` and ``phase`` arrays (phases already reduced to [0, 2π));
+    all rows share one pass per refinement step.  Each term stops at its
+    own first step that meets ``rel_tol`` (relative, floored at one, since
+    correlations are order one), and its derivative rows are read at that
+    step.  Deterministic quadrature refines the per-axis resolution and
+    reports the change from the previous level; the Monte Carlo backend
+    reports the batch spread and doubles the sample budget up to twice.
+    Raises :class:`NonconvergenceError` for the first term whose ladder is
+    exhausted.
     """
     detector = detector or DetectorModel()
     config = config or QuadratureConfig()
@@ -541,7 +612,7 @@ def estimate_terms(
         raise ValueError(
             f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
-    table = _rotation_table(rotations)
+    table = _rotation_table(theta, phase, derivatives=layout.owners.size > 0)
 
     # Every mixture variable contributes an independent planar integral here,
     # so deterministic rules stay affordable at any party count; only an
@@ -553,16 +624,28 @@ def estimate_terms(
         steps = _refinement_steps(family, detector, config.nodes_per_axis, table, layout)
         stalled = "correlation refinement stalled at {!r} with error {:.3g}"
 
-    results = [None] * len(layout.pattern_rows)
+    terms = len(layout.index) - len(layout.owners)
+    results = [None] * terms
+    term_steps = [None] * terms
+    history = []
     for values, errs in steps:
-        for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+        for t, (value, err) in enumerate(zip(values[:terms].tolist(), errs[:terms].tolist())):
             if results[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
                 results[t] = (value, err)
+                term_steps[t] = len(history)
+        history.append(values[terms:])
         if None not in results:
-            return results
-    t = results.index(None)
-    value, err = float(values[t]), float(errs[t])
-    raise NonconvergenceError(stalled.format(value, err), value=value, err_estimate=err)
+            break
+    else:
+        t = results.index(None)
+        value, err = float(values[t]), float(errs[t])
+        raise NonconvergenceError(stalled.format(value, err), value=value, err_estimate=err)
+    if not layout.owners.size:
+        # Nothing to gather: skipping it keeps the value path's cost.
+        return results, values[terms:]
+    derivatives = np.array(history)[np.array(term_steps)[layout.owners],
+                                    np.arange(len(layout.owners))]
+    return results, derivatives
 
 
 def estimate_correlations(
@@ -573,8 +656,9 @@ def estimate_correlations(
 ) -> list[tuple[float, float]]:
     """Correlation of outcome signs for each term, with an error estimate.
 
-    ``term_settings`` holds one per-mode setting sequence per term; the
-    terms are estimated together as in :func:`estimate_terms`.
+    ``term_settings`` holds one per-mode setting sequence per term, at
+    least one; the terms are estimated together as in
+    :func:`estimate_terms`.
     """
     modes = family.num_modes
     for settings in term_settings:
@@ -584,7 +668,9 @@ def estimate_correlations(
     index = [[-1 if s.ignored else next(position) for s in settings]
              for settings in term_settings]
     rotations = [s.rotation for settings in term_settings for s in settings if not s.ignored]
-    return estimate_terms(family, rotations, term_layout(index), detector, config)
+    results, _derivatives = estimate_terms(family, *rotation_angles(rotations),
+                                           term_layout(index), detector, config)
+    return results
 
 
 def estimate_correlation(

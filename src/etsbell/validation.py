@@ -229,7 +229,8 @@ def check_kerr_violation() -> CheckResult:
         name="kerr-violation-exists",
         passed=found.value > 4.0,
         detail=f"optimizer reached {found.value:.6f} (needs > 4, "
-               f"start {found.start_index})")
+               f"start {found.start_index}, {found.evaluations} evaluations "
+               f"over {found.restarts} restarts)")
 
 
 # z, w(z) reference pairs computed once at 50 decimal digits with mpmath

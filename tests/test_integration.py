@@ -309,7 +309,10 @@ def test_stacked_call_equals_one_term_calls(config):
         # nor on the index it is gathered through: the functional's own
         # layout shares each party setting's rotation among its terms
         rotations = [r for party in angles for r in party]
-        assert estimate_terms(family, rotations, spec._layout, detector, config) == stacked
+        results, derivatives = estimate_terms(family, *integration.rotation_angles(rotations),
+                                              spec._layout, detector, config)
+        assert results == stacked
+        assert derivatives.size == 0
         # nor on where it sits: the stack reversed, and one term repeated at
         # the front, in its own place and at the back; both reuse the moments
         # the memo keeps from the first call
@@ -326,7 +329,8 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
     """Each term's (value, err) and level, from one engine pass and one
     contraction per level, and the last level's values and errors."""
     layout = spec._layout
-    table = integration._rotation_table([r for party in angles for r in party])
+    rotations = [r for party in angles for r in party]
+    table = integration._rotation_table(*integration.rotation_angles(rotations))
     coeffs, signs, variables = family_structure(family)
     found = [None] * len(spec.terms)
     previous = None
@@ -387,7 +391,7 @@ def test_rotation_table_matches_scalar_matrices():
     reflect = np.diag([1.0, -1.0])
     turn = np.array([[0.0, -1.0], [1.0, 0.0]])
     want = np.array((matrices @ reflect @ matrices, matrices @ turn @ matrices))
-    table = integration._rotation_table(rotations)
+    table = integration._rotation_table(*integration.rotation_angles(rotations))
     assert table.shape == (2, len(rotations) + 1, 2, 2)
     assert table[:, :-1].tobytes() == want.tobytes()
     gram = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
@@ -497,3 +501,9 @@ def test_symmetric_families_are_party_permutation_invariant(point, data):
         family, [PartySetting(rotations[m]) for m in order],
         DetectorModel(tuple(etas[m] for m in order)))
     assert permuted == pytest.approx(value, abs=1e-12), order
+
+
+def test_empty_stack_is_refused():
+    family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
+    with pytest.raises(ValueError, match="the term list is empty"):
+        estimate_correlations(family, [])
