@@ -32,6 +32,21 @@ read at the refinement level its term converges at.
 The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
 level, or, on request, from seeded Monte Carlo samples of the same weights.
+
+The node functions need only real erf and Dawson's integral, which come from
+the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
+no estimate imports scipy.  Those kernels cost a fixed number of array
+operations per call, so a pass calls them as rarely as it can.  Axis factors
+are formed once per distinct (axis, scale, η) in a pass, and moments once
+per distinct variable: the modes of a splitter or Kerr state share one
+scale, the variables of a conditional state are equal, and a per-mode η
+that differs splits them.  Sharing is keyed on values, so it moves no bit.
+Dawson's integral enters a y moment once per measured mode whose second
+part the moment takes.  It is odd and the y weight is symmetric about 0, so
+a moment with an odd number of such factors integrates to zero; the pass
+sets it to zero instead of summing roundoff (or, from Monte Carlo samples,
+noise), and a variable with at most one measured mode needs no Dawson
+values at all.
 """
 
 from __future__ import annotations
@@ -46,8 +61,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import dawsn, erf
 
+from ._special import dawsn, erf
 from .errors import NonconvergenceError
 from .measurement import DetectorModel, EffectiveRotation, PartySetting
 from .states import StateFamily, family_structure
@@ -237,6 +252,89 @@ class _Moments(NamedTuple):
     denominators: np.ndarray
 
 
+@lru_cache(maxsize=None)
+def _odd_dawson(offs: tuple) -> np.ndarray:
+    """Entries of a y moment, shaped (2,)*k over the k modes of ``offs``,
+    that carry an odd number of Dawson factors: the second separable part
+    of an odd number of measured modes."""
+    parts = np.indices((2,) * len(offs))
+    odd = sum(parts[m] for m, off in enumerate(offs) if not off) % 2 == 1
+    odd.flags.writeable = False
+    return odd
+
+
+def _x_factors(x, scale: float, eta):
+    """A mode's x factors, numerator then Gram, each (part 0, part 1) per
+    node; ``eta`` is None for an unmeasured mode, which takes the Gram pair."""
+    sx = scale * x
+    gauss = np.exp(-2.0 * sx * sx)
+    gram = (np.ones_like(sx), gauss)
+    return np.array((gram if eta is None else (erf(_SQRT2 * eta * sx), gauss), gram))
+
+
+def _y_factors(y, scale: float, eta, dawson: bool):
+    """A mode's y factors, as :func:`_x_factors`.  A measured mode's Dawson
+    part is formed only with ``dawson``; otherwise it is zero, as every y
+    moment it would enter is (see the module docstring)."""
+    sy = scale * y
+    ones = np.ones_like(sy)
+    gram = (ones, np.exp(-2.0 * sy * sy))
+    if eta is None:
+        return np.array((gram, gram))
+    if dawson:
+        part = ((2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
+                * dawsn(_SQRT2 * eta * sy))
+    else:
+        part = np.zeros_like(sy, dtype=complex)
+    return np.array(((ones, part), gram))
+
+
+def _variable_moments(x, y, w, per_mode, local, factors: dict):
+    """One variable's numerator and Gram moments for each of its distinct
+    local patterns, stacked on a last axis in the order of ``local``.
+
+    ``per_mode`` holds each mode's (scale, η), η None where no pattern
+    measures the mode.  ``factors`` memoizes axis factors by value across
+    the pass, so modes and variables with equal axes, scales and η share
+    them.
+    """
+    wx = w[:x.size]
+    wy = w[x.size:]
+    x_key = x.tobytes()
+    y_key = y.tobytes()
+    axis_sum = _moment_subscripts(len(per_mode))
+    # Patterns that agree on the variable's own modes share one sum.  Each
+    # pattern's Gram moments come from the sum that carries its numerator,
+    # and may differ from another pattern's in the last bit, so each
+    # pattern keeps its own denominator.
+    by_local = dict.fromkeys(local)
+    for offs in by_local:
+        # Dawson's integral is odd and the y weight symmetric, so a y moment
+        # with an odd number of Dawson factors is zero; with at most one
+        # measured mode every Dawson factor enters such a moment.
+        dawson = sum(not off for off in offs) > 1
+        x_factors = []
+        y_factors = []
+        for (scale, eta), off in zip(per_mode, offs):
+            eta = None if off else eta
+            key = (x_key, scale, eta)
+            if key not in factors:
+                factors[key] = _x_factors(x, scale, eta)
+            x_factors.append(factors[key])
+            key = (y_key, scale, eta, dawson)
+            if key not in factors:
+                factors[key] = _y_factors(y, scale, eta, dawson)
+            y_factors.append(factors[key])
+        y_moments = np.einsum(axis_sum, *y_factors, wy)
+        if dawson:
+            y_moments[0][_odd_dawson(offs)] = 0.0
+        by_local[offs] = np.einsum(axis_sum, *x_factors, wx) * y_moments
+    stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), 0, -1)
+    numerator = np.ascontiguousarray(stacked[0])
+    numerator.flags.writeable = False
+    return numerator, stacked[1]
+
+
 def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
     """Per-variable moments, and the denominator, of every pattern in ``patterns``.
@@ -250,50 +348,27 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     unmeasured takes the Gram factors in place of the detector's, so the
     numerator moments are formed once per pattern, each stacked on the Gram
     moments, which are then contracted into that pattern's denominator.
-    Nothing here depends on the measurement angles.
+    Variables equal in value (grid, scales, η and patterns) share one set of
+    moments.  Nothing here depends on the measurement angles.
     """
     measured = {m for p in patterns for m, off in enumerate(p) if not off}
+    factors = {}
+    shared = {}
     variable_modes = []
     numerators = []
     grams = []
     for (_V, _center, scales), (x, y, w) in zip(variables, grids):
-        wx = w[:x.size]
-        wy = w[x.size:]
         modes = tuple(sorted(scales))
         variable_modes.append(modes)
-        factors = {}
-        for m in modes:
-            sx = scales[m] * x
-            sy = scales[m] * y
-            gauss_x = np.exp(-2.0 * sx * sx)
-            factors[m, True] = ((np.ones_like(sx), gauss_x),
-                                (np.ones_like(sy), np.exp(-2.0 * sy * sy)))
-            if m in measured:
-                eta = detector.eta_for(m)
-                factors[m, False] = (
-                    (erf(_SQRT2 * eta * sx), gauss_x),
-                    (np.ones_like(sy),
-                     (2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
-                     * dawsn(_SQRT2 * eta * sy)))
-        axis_sum = _moment_subscripts(len(modes))
-        # Only the variable's own modes matter, so patterns that agree on
-        # them share one sum.  Each pattern's Gram moments come from the sum
-        # that carries its numerator, and may differ from another pattern's
-        # in the last bit, so each pattern keeps its own denominator.
-        local = [tuple(p[m] for m in modes) for p in patterns]
-        by_local = dict.fromkeys(local)
-        for offs in by_local:
-            x_factors = [np.array((factors[m, off][0], factors[m, True][0]))
-                         for m, off in zip(modes, offs)]
-            y_factors = [np.array((factors[m, off][1], factors[m, True][1]))
-                         for m, off in zip(modes, offs)]
-            by_local[offs] = (np.einsum(axis_sum, *x_factors, wx)
-                              * np.einsum(axis_sum, *y_factors, wy))
-        stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), 0, -1)
-        numerator = np.ascontiguousarray(stacked[0])
-        numerator.flags.writeable = False
+        per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
+                         for m in modes)
+        local = tuple(tuple(p[m] for m in modes) for p in patterns)
+        key = (x.tobytes(), y.tobytes(), w.tobytes(), per_mode, local)
+        if key not in shared:
+            shared[key] = _variable_moments(x, y, w, per_mode, local, factors)
+        numerator, gram = shared[key]
         numerators.append(numerator)
-        grams.append(stacked[1])
+        grams.append(gram)
     coeffs = np.array(coeffs)
     weights = np.multiply.outer(coeffs.conj(), coeffs)
     weights.flags.writeable = False

@@ -17,8 +17,6 @@ import cmath
 import enum
 import math
 
-from scipy.special import wofz
-
 from .errors import AmplitudeRangeError, FaddeevaOverflowError
 
 # A coherent-state label: a plain complex number in phase-space units.
@@ -77,6 +75,13 @@ def quadrature_amplitude(x: float, alpha: ComplexAmplitude) -> complex:
     return _PI_QUARTER * cmath.exp(exponent)
 
 
+def _wofz(z: complex) -> complex:
+    # Imported on use: scipy.special takes longer to import than the rest
+    # of the package, and only the Faddeeva path needs it, not the engine.
+    from scipy.special import wofz
+    return complex(wofz(z))
+
+
 def faddeeva(z: complex) -> complex:
     """Scaled complementary error function w(z) = exp(−z²)·erfc(−iz).
 
@@ -91,7 +96,7 @@ def faddeeva(z: complex) -> complex:
     if abs(z) > FADDEEVA_MAX_ARG:
         raise FaddeevaOverflowError(
             f"|z| = {abs(z):.3g} exceeds the supported range {FADDEEVA_MAX_ARG:g}")
-    result = complex(wofz(z))
+    result = _wofz(z)
     if not (math.isfinite(result.real) and math.isfinite(result.imag)):
         raise FaddeevaOverflowError(f"faddeeva overflow at z = {z!r}")
     return result
@@ -112,8 +117,8 @@ def _halfline_kernel(alpha: complex, beta: complex, sign: int, eta: float) -> co
               - 0.5 * (beta.real**2 + beta.imag**2))
     sm = sign * m
     if sm.real < 0.0:
-        return 0.5 * cmath.exp(log_ov - m * m) * complex(wofz(-1j * sm))
-    return cmath.exp(log_ov) - 0.5 * cmath.exp(log_ov - m * m) * complex(wofz(1j * sm))
+        return 0.5 * cmath.exp(log_ov - m * m) * _wofz(-1j * sm)
+    return cmath.exp(log_ov) - 0.5 * cmath.exp(log_ov - m * m) * _wofz(1j * sm)
 
 
 def halfline_interference_integral(alpha: ComplexAmplitude,

@@ -6,7 +6,9 @@ multiplied branch pair by branch pair, the way the engine did before it
 separated the two axes.  The family table, the rotation matrices and the
 node functions are all written out here again, so nothing is shared with the
 package's integration or state code; agreement on the same nodes checks the
-separable algebra of the engine pass.
+separable algebra of the engine pass.  The node functions use scipy's erf and
+Dawson's integral, not the engine's numpy kernels, so the comparison checks
+those kernels too.
 """
 
 from __future__ import annotations

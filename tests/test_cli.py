@@ -241,14 +241,21 @@ def test_validate_rejects_flip_sign_out_of_range(capsys, term):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the package's import time, so only the
-    # optimizer and the SASA check import it, on use; a fresh interpreter
-    # shows what `etsbell` costs at startup
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy is most of the package's import time, so neither the import nor
+    # a canonical-angle scan loads any of it: the engine's kernels are
+    # numpy, and only the optimizer, validate and the Faddeeva path import
+    # scipy, on use; a fresh interpreter shows what every command pays
     src = str(Path(etsbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = "import sys, etsbell.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    probe = (
+        "import sys, etsbell.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "etsbell.cli.main(['scan', '--family', 'ghz3-cond', '--inequality', 'svetlichny3',\n"
+        "                  '--V', '5', '--d', '2', '--out', sys.argv[1]])\n"
+        "print(loaded())\n")
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "rows.csv")],
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "[]"]

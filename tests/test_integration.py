@@ -282,6 +282,25 @@ def test_stacked_terms_match_dense_reference(kind, tensor_grids):
                         (spec.name, V, eta, term)
 
 
+@pytest.mark.parametrize("kind", [FamilyKind.GHZ4_CONDITIONAL, FamilyKind.CLUSTER4_CROSS_KERR])
+def test_partly_shared_detector_matches_dense_reference(kind, tensor_grids):
+    # the pass shares axis factors and moments between modes and variables
+    # that are equal in value; with η = (0.5, 0.5, 0.7, 0.7) the first two
+    # modes may share and the last two may not share with them
+    rng = np.random.default_rng(41)
+    etas = (0.5, 0.5, 0.7, 0.7)
+    for spec in (INEQUALITIES["svetlichny4"], INEQUALITIES["wwzb4"], INEQUALITIES["sasa"]):
+        stack = _stack(spec, _random_angles(rng, spec))
+        for V in (1.0, 5.0, 100.0):
+            got = estimate_correlations(StateFamily(kind, V, 1.2), stack, DetectorModel(etas))
+            for settings, (value, _err) in zip(stack, got):
+                term = [None if s.ignored else (s.rotation.theta, s.rotation.phase)
+                        for s in settings]
+                num, den = dense_reference.correlation(
+                    kind.value, V, 1.2, term, etas, tensor_grids)
+                assert value == pytest.approx(num / den, abs=1e-12), (spec.name, V, term)
+
+
 @pytest.mark.parametrize("config", [
     QuadratureConfig(),
     QuadratureConfig(method=Method.MONTE_CARLO, rel_tol=1e-2, mc_samples=2000),
