@@ -6,9 +6,10 @@ from .errors import (AmplitudeRangeError, EtsError, FaddeevaOverflowError,
 from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4,
                            WWZB4, AngleSet, CanonicalAngles, InequalitySpec,
                            OptimizationResult, canonical_angles, deterministic_bound,
-                           evaluate, evaluate_with_error, evaluate_with_gradient,
-                           functional_value, get_inequality, hybrid_partition_bound,
-                           optimize_angles, term_settings, verify_lr_bound)
+                           evaluate, evaluate_curve_with_error, evaluate_with_error,
+                           evaluate_with_gradient, functional_value, get_inequality,
+                           hybrid_partition_bound, optimize_angles, term_settings,
+                           verify_lr_bound)
 from .integration import (Method, QuadratureConfig, converged_correlation,
                           estimate_correlation, estimate_correlations)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,

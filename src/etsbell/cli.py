@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -285,7 +286,10 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it is a large share of a short scan's time."""
     parser = _Parser(prog="etsbell",
                      description="Bell tests on entangled thermal states "
                                  "with dichotomized homodyne readout.")

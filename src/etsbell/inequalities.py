@@ -17,12 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RotationError, UnsupportedAngleSetError
+from .errors import NonconvergenceError, RotationError, UnsupportedAngleSetError
 # The single-term estimators stay importable from here beside the batched one.
 from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
                           converged_correlation, estimate_correlation,
-                          estimate_correlations, estimate_terms, gradient_layout,
-                          rotation_angles, term_layout)
+                          estimate_correlations, estimate_curve, estimate_terms,
+                          gradient_layout, point_result, rotation_angles, settings_layout,
+                          term_layout)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
                           PartySetting, zx_rotation)
 from .states import FamilyKind, StateFamily
@@ -191,21 +192,23 @@ def term_settings(spec: InequalitySpec, angles: AngleSet,
     return tuple(settings)
 
 
-def _term_estimates(spec: InequalitySpec, family: StateFamily, angles: AngleSet,
+def _term_estimates(spec: InequalitySpec, curve: Sequence[StateFamily], angles: AngleSet,
                     detector: DetectorModel | None,
-                    config: QuadratureConfig | None) -> list[tuple[float, float]]:
-    """(value, err) of every term, all from one batched engine call."""
+                    config: QuadratureConfig | None) -> list:
+    """(value, err) of every term at each point of ``curve``, or the point's
+    :class:`NonconvergenceError`, all from one batched engine call."""
     if len(angles) != spec.parties:
         raise ValueError(f"expected angle tuples for {spec.parties} parties")
     if any(len(party) != count for party, count in zip(angles, spec.settings_per_party)):
         # The spec's layout fits only its own setting counts; this path also
         # names a setting the angle set lacks.
-        settings = [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
-        return estimate_correlations(family, settings, detector, config)
-    rotations = [rotation for party in angles for rotation in party]
-    results, _derivatives = estimate_terms(family, *rotation_angles(rotations), spec._layout,
-                                           detector, config)
-    return results
+        stack = settings_layout([term_settings(spec, angles, indices)
+                                 for _sign, indices in spec.terms])
+    else:
+        rotations = [rotation for party in angles for rotation in party]
+        stack = (*rotation_angles(rotations), spec._layout)
+    return [outcome if isinstance(outcome, NonconvergenceError) else outcome[0]
+            for outcome in estimate_curve(curve, *stack, detector, config)]
 
 
 def evaluate(
@@ -216,9 +219,36 @@ def evaluate(
     config: QuadratureConfig | None = None,
 ) -> float:
     """|functional| of the thermal-state family at the given settings."""
-    estimates = _term_estimates(spec, family, angles, detector, config)
+    estimates = point_result(*_term_estimates(spec, (family,), angles, detector, config))
     values = {indices: value for (_sign, indices), (value, _err) in zip(spec.terms, estimates)}
     return abs(functional_value(spec, values.__getitem__))
+
+
+def evaluate_curve_with_error(
+    spec: InequalitySpec,
+    curve: Sequence[StateFamily],
+    angles: AngleSet,
+    detector: DetectorModel | None = None,
+    config: QuadratureConfig | None = None,
+) -> list:
+    """:func:`evaluate_with_error` at every point of a curve (see
+    :func:`estimate_curve`), from one engine pass per refinement level.
+
+    A point that does not converge gives its :class:`NonconvergenceError`
+    in place of its pair; every other point keeps the bits it has alone.
+    """
+    outcomes = []
+    for estimates in _term_estimates(spec, curve, angles, detector, config):
+        if isinstance(estimates, NonconvergenceError):
+            outcomes.append(estimates)
+            continue
+        total = 0.0
+        err = 0.0
+        for (sign, _indices), (value, term_err) in zip(spec.terms, estimates):
+            total += sign * value
+            err += term_err
+        outcomes.append((abs(total), err))
+    return outcomes
 
 
 def evaluate_with_error(
@@ -229,13 +259,7 @@ def evaluate_with_error(
     config: QuadratureConfig | None = None,
 ) -> tuple[float, float]:
     """|functional| plus the summed per-term error estimates (conservative)."""
-    total = 0.0
-    err = 0.0
-    for (sign, _indices), (value, term_err) in zip(
-            spec.terms, _term_estimates(spec, family, angles, detector, config)):
-        total += sign * value
-        err += term_err
-    return abs(total), err
+    return point_result(*evaluate_curve_with_error(spec, (family,), angles, detector, config))
 
 
 def evaluate_with_gradient(

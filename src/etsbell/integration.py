@@ -33,6 +33,22 @@ The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
 level, or, on request, from seeded Monte Carlo samples of the same weights.
 
+A curve is a set of points of one family kind and one V that differ only
+in d and share the detector, the angles and the config: the d axis of a
+figure, or a crossing search's probe profile.  Along it only the centre c·d
+of each mixture variable moves; the branch structure, the y rule, the y
+moments and the x weights do not.  On a shift rule, whose nodes follow the
+centre by a shift alone (the delta rule at V = 1, or Gauss-Hermite below
+the composite tail), one pass per level forms the y factors and moments
+once and the x factors of every point as one (points × nodes) array, and
+the contraction runs over a stacked (points × terms) axis.  Each point
+stops at its own first converged level and only the rest climb.  The
+composite rule's panels move with the centre, and sampling draws one seeded
+stream per estimate, so there each point is a curve of its own; a single
+estimate is a curve of one point.  The points axis meets only elementwise
+arithmetic and einsum sums that run over each point's own nodes, so a point
+carries the bits it has alone (the tests check this).
+
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
 no estimate imports scipy.  Those kernels cost a fixed number of array
@@ -190,6 +206,22 @@ def _composite_axis(mu: float, sigma: float, order: int, smax: float, eta_min: f
     return x, weight * density
 
 
+def _shift_rule(sigma: float, level: int) -> bool:
+    """Whether the rule of an axis of spread ``sigma`` at ``level`` follows
+    its centre by a shift alone: the delta rule, or Gauss-Hermite below the
+    composite tail.  Only such rules are shared along a curve."""
+    return sigma == 0.0 or (sigma <= _GH_SIGMA_MAX and level <= 2)
+
+
+def _shifted_axis(centres: np.ndarray, sigma: float, level: int, nodes_per_axis: int):
+    """Nodes of a shift rule at each of ``centres``, shaped (centres, n), and
+    the weights they share."""
+    if sigma == 0.0:
+        return centres[:, None], np.array([1.0])
+    n = min(nodes_per_axis * (1 << level), _MAX_AXIS_NODES)
+    return _gauss_axis(centres[:, None], sigma, n)
+
+
 @lru_cache(maxsize=_AXIS_RULE_CACHE)
 def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float,
                level: int, nodes_per_axis: int):
@@ -202,17 +234,13 @@ def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float,
     functional, every refinement pass and every identical variable of a
     state asks for the same ones.
     """
-    if sigma == 0.0:
-        nodes, weights = np.array([mu]), np.array([1.0])
-    elif sigma > _GH_SIGMA_MAX:
-        order = _COMPOSITE_BASE_ORDER * (1 << min(level, 2))
-        nodes, weights = _composite_axis(mu, sigma, order, smax, eta_min)
-    elif level <= 2:
-        n = min(nodes_per_axis * (1 << level), _MAX_AXIS_NODES)
-        nodes, weights = _gauss_axis(mu, sigma, n)
+    if _shift_rule(sigma, level):
+        nodes, weights = _shifted_axis(np.array([mu]), sigma, level, nodes_per_axis)
+        nodes = nodes[0]
     else:
-        order = _COMPOSITE_BASE_ORDER * (1 << (level - 3))
-        nodes, weights = _composite_axis(mu, sigma, order, smax, eta_min)
+        doublings = min(level, 2) if sigma > _GH_SIGMA_MAX else level - 3
+        nodes, weights = _composite_axis(mu, sigma, _COMPOSITE_BASE_ORDER << doublings,
+                                         smax, eta_min)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -223,12 +251,14 @@ def _variable_sigma(V: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _moment_subscripts(k: int) -> str:
+def _moment_subscripts(k: int, points: bool) -> str:
     """einsum spec for a variable feeding k modes: it sums per-mode axis
-    factors (u: numerator or Gram, one term letter per mode, x: node)
-    against the axis weights into 2^k moments per u."""
+    factors (u: numerator or Gram, one term letter per mode, p: point of a
+    curve where ``points``, x: node) against the axis weights into 2^k
+    moments per u and point."""
     terms = "abcdefgh"[:k]
-    return ",".join(f"u{t}x" for t in terms) + ",x->u" + terms
+    p = "p" if points else ""
+    return ",".join(f"u{t}{p}x" for t in terms) + f",x->u{terms}{p}"
 
 
 class _Moments(NamedTuple):
@@ -237,12 +267,13 @@ class _Moments(NamedTuple):
     ``weights`` holds the branch-pair coefficients conj(c_j)·c_i.
     ``rows[m]`` holds mode m's row of each branch (0 where the branch has
     +α, 1 where it has −α), and ``variables`` each mixture variable's modes.
-    ``numerators`` holds one array per variable, shaped (2,)*k + (patterns,):
-    for each pattern of unmeasured modes (True per mode a term leaves out),
-    in the order the pass was given them, the 2^k numerator moments.
-    ``denominators`` holds the state trace of each pattern, shaped
-    (patterns,).  A memoized set stacks several levels' passes, and then
-    both carry a level axis before the pattern axis.
+    ``numerators`` holds one array per variable, shaped
+    (2,)*k + (points, patterns): for each point of the curve and each
+    pattern of unmeasured modes (True per mode a term leaves out), in the
+    order the pass was given them, the 2^k numerator moments.
+    ``denominators`` holds the state trace of each, shaped (points,
+    patterns).  A memoized set stacks several levels' passes, and then both
+    carry a level axis before the point axis.
     """
 
     weights: np.ndarray
@@ -265,7 +296,8 @@ def _odd_dawson(offs: tuple) -> np.ndarray:
 
 def _x_factors(x, scale: float, eta):
     """A mode's x factors, numerator then Gram, each (part 0, part 1) per
-    node; ``eta`` is None for an unmeasured mode, which takes the Gram pair."""
+    point and node; ``eta`` is None for an unmeasured mode, which takes the
+    Gram pair."""
     sx = scale * x
     gauss = np.exp(-2.0 * sx * sx)
     gram = (np.ones_like(sx), gauss)
@@ -290,19 +322,22 @@ def _y_factors(y, scale: float, eta, dawson: bool):
 
 
 def _variable_moments(x, y, w, per_mode, local, factors: dict):
-    """One variable's numerator and Gram moments for each of its distinct
-    local patterns, stacked on a last axis in the order of ``local``.
+    """One variable's numerator and Gram moments for each point of ``x``
+    and each of its distinct local patterns, stacked on the last two axes,
+    the patterns in the order of ``local``.
 
     ``per_mode`` holds each mode's (scale, η), η None where no pattern
     measures the mode.  ``factors`` memoizes axis factors by value across
     the pass, so modes and variables with equal axes, scales and η share
-    them.
+    them.  The y factors and moments are formed once for every point; the
+    x factors of all points are one array, and their moments one sum.
     """
-    wx = w[:x.size]
-    wy = w[x.size:]
+    wx = w[:x.shape[-1]]
+    wy = w[x.shape[-1]:]
     x_key = x.tobytes()
     y_key = y.tobytes()
-    axis_sum = _moment_subscripts(len(per_mode))
+    y_sum = _moment_subscripts(len(per_mode), False)
+    x_sum = _moment_subscripts(len(per_mode), True)
     # Patterns that agree on the variable's own modes share one sum.  Each
     # pattern's Gram moments come from the sum that carries its numerator,
     # and may differ from another pattern's in the last bit, so each
@@ -325,10 +360,10 @@ def _variable_moments(x, y, w, per_mode, local, factors: dict):
             if key not in factors:
                 factors[key] = _y_factors(y, scale, eta, dawson)
             y_factors.append(factors[key])
-        y_moments = np.einsum(axis_sum, *y_factors, wy)
+        y_moments = np.einsum(y_sum, *y_factors, wy)
         if dawson:
             y_moments[0][_odd_dawson(offs)] = 0.0
-        by_local[offs] = np.einsum(axis_sum, *x_factors, wx) * y_moments
+        by_local[offs] = np.einsum(x_sum, *x_factors, wx) * y_moments[..., None]
     stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), 0, -1)
     numerator = np.ascontiguousarray(stacked[0])
     numerator.flags.writeable = False
@@ -339,12 +374,13 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
     """Per-variable moments, and the denominator, of every pattern in ``patterns``.
 
-    ``grids`` supplies (x, y, w) per variable: 1-D node arrays for the two
-    axes and ``w``, the x weights followed by the y weights.  Deterministic
-    rules and Monte Carlo samples alike enter as the product measure of the
-    two axes.  Every per-mode block is a sum of two separable terms, so each
-    variable needs only the 2^k products of per-mode axis factors (k modes),
-    summed over x and over y separately.  A mode that a term leaves
+    ``grids`` supplies (x, y, w) per variable: the x nodes of every point of
+    the curve, shaped (points, n), the y nodes, which the points share, and
+    ``w``, the x weights followed by the y weights.  Deterministic rules and
+    Monte Carlo samples alike enter as the product measure of the two axes.
+    Every per-mode block is a sum of two separable terms, so each variable
+    needs only the 2^k products of per-mode axis factors (k modes), summed
+    over x and over y separately.  A mode that a term leaves
     unmeasured takes the Gram factors in place of the detector's, so the
     numerator moments are formed once per pattern, each stacked on the Gram
     moments, which are then contracted into that pattern's denominator.
@@ -357,7 +393,7 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     variable_modes = []
     numerators = []
     grams = []
-    for (_V, _center, scales), (x, y, w) in zip(variables, grids):
+    for (_V, _centres, scales), (x, y, w) in zip(variables, grids):
         modes = tuple(sorted(scales))
         variable_modes.append(modes)
         per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
@@ -547,23 +583,42 @@ def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
                       _frozen(np.concatenate(pattern_rows)), _frozen(owners), _frozen(slots))
 
 
+def _curve_structure(curve):
+    """:func:`family_structure` of a curve: its first point's, with each
+    variable's centre replaced by the tuple of every point's centre."""
+    structures = [family_structure(family) for family in curve]
+    coeffs, signs, variables = structures[0]
+    centres = zip(*([centre for _V, centre, _scales in s[2]] for s in structures))
+    return coeffs, signs, tuple((V, c, scales)
+                                for (V, _centre, scales), c in zip(variables, centres))
+
+
 def _deterministic_grids(variables, detector: DetectorModel, level: int,
                          nodes_per_axis: int):
+    """(x, y, w) per variable of a curve, as :func:`_engine_pass` takes them.
+
+    A lone point takes its memoized rule; the points of a longer curve share
+    a shift rule, whose x nodes are formed for all of them at once.
+    """
     grids = []
-    for V, center, scales in variables:
+    for V, centres, scales in variables:
         sigma = _variable_sigma(V)
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        x, wx = _axis_rule(center, sigma, smax, eta_min, level, nodes_per_axis)
+        if len(centres) == 1:
+            x, wx = _axis_rule(centres[0], sigma, smax, eta_min, level, nodes_per_axis)
+            x = x[None]
+        else:
+            x, wx = _shifted_axis(np.array(centres), sigma, level, nodes_per_axis)
         y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, nodes_per_axis)
         grids.append((x, y, np.concatenate((wx, wy))))
     return grids
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
-def _deterministic_moments(family: StateFamily, detector: DetectorModel, level: int,
+def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
                            nodes_per_axis: int, patterns: tuple) -> _Moments:
-    """Memoized moments of one state at one refinement level.
+    """Memoized moments of a curve's points at one refinement level.
 
     Every estimate contracts levels 0 and 1 together, so level 1's entry
     carries level 0's moments and its own, stacked on a level axis; a later
@@ -571,14 +626,14 @@ def _deterministic_moments(family: StateFamily, detector: DetectorModel, level: 
     the bare pass.  They do not depend on the measurement angles, so every
     evaluation an optimizer makes on its state shares them.
     """
-    coeffs, signs, variables = family_structure(family)
+    coeffs, signs, variables = _curve_structure(curve)
     grids = _deterministic_grids(variables, detector, level, nodes_per_axis)
     moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
     if level == 0:
         return moments
     passes = [moments]
     if level == 1:
-        passes.insert(0, _deterministic_moments(family, detector, 0, nodes_per_axis, patterns))
+        passes.insert(0, _deterministic_moments(curve, detector, 0, nodes_per_axis, patterns))
     numerators = []
     for modes, per_level in zip(moments.variables, zip(*(p.numerators for p in passes))):
         stacked = np.stack(per_level, axis=len(modes))
@@ -591,7 +646,7 @@ def _deterministic_moments(family: StateFamily, detector: DetectorModel, level: 
 
 def _sampled_grids(variables, rng: np.random.Generator, count: int):
     grids = []
-    for V, center, _scales in variables:
+    for V, (center,), _scales in variables:
         sigma = _variable_sigma(V)
         if sigma == 0.0:
             x = np.full(count, center)
@@ -599,43 +654,60 @@ def _sampled_grids(variables, rng: np.random.Generator, count: int):
         else:
             x = rng.normal(center, sigma, size=count)
             y = rng.normal(0.0, sigma, size=count)
-        grids.append((x, y, np.full(2 * count, 1.0 / count)))
+        grids.append((x[None], y, np.full(2 * count, 1.0 / count)))
     return grids
 
 
-def _refinement_steps(family, detector, nodes_per_axis, table, layout):
-    """Values of every term per refinement level, with the level-to-level change."""
+def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
+    """Values of every row of the pending points per refinement level, with
+    the level-to-level change, each shaped (pending points, rows).
+
+    ``pending`` lists the points of ``curve`` still climbing, in order; the
+    caller drops the points that converge, and each level is formed for the
+    rest only.  A shift rule serves them all in one pass; the composite
+    rule's panels move with the centre, so there each point is alone.
+    """
     # Every variable of a family carries its V.  Wide weights are on the
     # composite rule from level 0 and have no levels past 2; narrow ones may
     # still need the composite tail.
-    sigma = _variable_sigma(family.V)
+    sigma = _variable_sigma(curve[0].V)
     top_level = 4 if 0.0 < sigma <= _GH_SIGMA_MAX else 2
-    previous = None
-    for level in range(top_level + 1):
-        # Level 0 has no error to meet the tolerance with, so every estimate
-        # needs level 1 too, whose moments carry level 0's: the two share one
-        # contraction.  Level 0's entry is still taken, so that it stays as
-        # recently used as level 1's and a rebuilt level 1 finds it.
-        moments = _deterministic_moments(family, detector, level, nodes_per_axis,
-                                         layout.patterns)
-        if level == 0:
-            continue
-        num, den = _terms(moments, table, layout)
-        for values in num / den:
-            if previous is None:
-                yield values, np.full(values.shape, math.inf)
-            else:
-                yield values, np.abs(values - previous)
-            previous = values
+    climbed = []
+    for level in range(1, top_level + 1):
+        if len(pending) < len(climbed):
+            previous = previous[[climbed.index(p) for p in pending]]
+        climbed = list(pending)
+        points = tuple(curve[p] for p in climbed)
+        groups = [points] if _shift_rule(sigma, level) else [(family,) for family in points]
+        parts = []
+        for group in groups:
+            if level == 1:
+                # Level 0 has no error to meet the tolerance with, so level
+                # 1's moments carry it and the two share one contraction.
+                # Level 0's entry is still taken, so that it stays as
+                # recently used as level 1's and a rebuilt level 1 finds it.
+                _deterministic_moments(group, detector, 0, nodes_per_axis, layout.patterns)
+            moments = _deterministic_moments(group, detector, level, nodes_per_axis,
+                                             layout.patterns)
+            num, den = _terms(moments, table, layout)
+            parts.append(num / den)
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        if level == 1:
+            previous, values = values
+        else:
+            (values,) = values
+        yield values, np.abs(values - previous)
+        previous = values
 
 
 def _sampled_steps(family, detector, config, table, layout):
-    """Values of every term per sampling attempt, with the batch spread.
+    """Values of every term per sampling attempt, with the batch spread,
+    each shaped (1, rows): sampling serves one point at a time.
 
     One seeded stream serves the whole stack, so every term sees the samples
     it would see alone; the budget doubles from one attempt to the next.
     """
-    coeffs, signs, variables = family_structure(family)
+    coeffs, signs, variables = _curve_structure((family,))
     rng = np.random.default_rng(config.mc_seed)
     samples = config.mc_samples
     for _attempt in range(3):
@@ -647,13 +719,109 @@ def _sampled_steps(family, detector, config, table, layout):
             grids = _sampled_grids(variables, rng, per_batch)
             moments = _engine_pass(coeffs, signs, variables, layout.patterns, detector, grids)
             num, den = _terms(moments, table, layout)
-            batch_values.append(num / den)
+            batch_values.append(num[0] / den[0])
             num_total = num_total + num
             den_total = den_total + den
         batches = np.array(batch_values).T
         errs = np.array([np.std(np.ascontiguousarray(row), ddof=1) for row in batches])
-        yield num_total / den_total, errs / math.sqrt(_MC_BATCHES)
+        yield num_total / den_total, errs[None] / math.sqrt(_MC_BATCHES)
         samples *= 2
+
+
+def _converge(steps, pending, layout, rel_tol: float, stalled: str) -> list:
+    """Each point's term results and derivative values, or its
+    :class:`NonconvergenceError`, from the ladder ``steps``.
+
+    ``steps`` yields the values and errors of the points in ``pending``,
+    which holds every point's index at the start.  Each term stops at its
+    own first step that meets ``rel_tol``, and its derivative rows are read
+    at that step; a point leaves ``pending`` once all its terms have
+    stopped.  A point still pending when the ladder is
+    exhausted fails on its first open term, with that term's last value.
+    """
+    terms = len(layout.index) - len(layout.owners)
+    results = [[None] * terms for _p in pending]
+    term_steps = [[None] * terms for _p in pending]
+    history = [[] for _p in pending]
+    last = [None] * len(pending)
+    for values, errs in steps:
+        for p, point_values, point_errs in zip(pending, values, errs):
+            found = results[p]
+            for t, (value, err) in enumerate(zip(point_values[:terms].tolist(),
+                                                 point_errs[:terms].tolist())):
+                if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
+                    found[t] = (value, err)
+                    term_steps[p][t] = len(history[p])
+            history[p].append(point_values[terms:])
+            last[p] = (point_values, point_errs)
+        pending[:] = [p for p in pending if None in results[p]]
+        if not pending:
+            break
+    outcomes = []
+    for p, found in enumerate(results):
+        if None in found:
+            t = found.index(None)
+            value, err = float(last[p][0][t]), float(last[p][1][t])
+            outcomes.append(NonconvergenceError(stalled.format(value, err),
+                                                value=value, err_estimate=err))
+        elif not layout.owners.size:
+            # Nothing to gather: skipping it keeps the value path's cost.
+            outcomes.append((found, history[p][-1]))
+        else:
+            derivatives = np.array(history[p])[np.array(term_steps[p])[layout.owners],
+                                               np.arange(len(layout.owners))]
+            outcomes.append((found, derivatives))
+    return outcomes
+
+
+def estimate_curve(
+    curve: Sequence[StateFamily],
+    theta: np.ndarray,
+    phase: np.ndarray,
+    layout: TermLayout,
+    detector: DetectorModel | None = None,
+    config: QuadratureConfig | None = None,
+) -> list:
+    """:func:`estimate_terms` at every point of a curve (see the module
+    docstring): per point in order, the pair it returns, or the
+    :class:`NonconvergenceError` it raises."""
+    curve = tuple(curve)
+    if not curve:
+        raise ValueError("a curve needs at least one point")
+    first = curve[0]
+    if any(family.kind is not first.kind or family.V != first.V for family in curve):
+        raise ValueError("the points of a curve must share a family kind and V")
+    detector = detector or DetectorModel()
+    config = config or QuadratureConfig()
+    modes = first.num_modes
+    if layout.index.shape[1] != modes:
+        raise ValueError(f"family has {modes} modes but got {layout.index.shape[1]} settings")
+    if isinstance(detector.eta, tuple) and len(detector.eta) != modes:
+        raise ValueError(
+            f"family has {modes} modes but the detector gives "
+            f"{len(detector.eta)} per-mode efficiencies")
+    table = _rotation_table(theta, phase, derivatives=layout.owners.size > 0)
+
+    # Every mixture variable contributes an independent planar integral here,
+    # so deterministic rules stay affordable at any party count; only an
+    # explicit request routes the estimate through sampling.
+    if config.method is Method.MONTE_CARLO:
+        stalled = "sampling stalled at {!r} with batch error {:.3g}"
+        return [outcome for family in curve
+                for outcome in _converge(_sampled_steps(family, detector, config, table, layout),
+                                         [0], layout, config.rel_tol, stalled)]
+    pending = list(range(len(curve)))
+    steps = _refinement_steps(curve, detector, config.nodes_per_axis, table, layout, pending)
+    return _converge(steps, pending, layout, config.rel_tol,
+                     "correlation refinement stalled at {!r} with error {:.3g}")
+
+
+def point_result(outcome):
+    """One point's outcome of :func:`estimate_curve` or a function built on
+    it: the point's result, or its :class:`NonconvergenceError` raised."""
+    if isinstance(outcome, NonconvergenceError):
+        raise outcome
+    return outcome
 
 
 def estimate_terms(
@@ -676,51 +844,19 @@ def estimate_terms(
     reports the change from the previous level; the Monte Carlo backend
     reports the batch spread and doubles the sample budget up to twice.
     Raises :class:`NonconvergenceError` for the first term whose ladder is
-    exhausted.
+    exhausted.  This is the curve of one point of :func:`estimate_curve`.
     """
-    detector = detector or DetectorModel()
-    config = config or QuadratureConfig()
-    modes = family.num_modes
-    if layout.index.shape[1] != modes:
-        raise ValueError(f"family has {modes} modes but got {layout.index.shape[1]} settings")
-    if isinstance(detector.eta, tuple) and len(detector.eta) != modes:
-        raise ValueError(
-            f"family has {modes} modes but the detector gives "
-            f"{len(detector.eta)} per-mode efficiencies")
-    table = _rotation_table(theta, phase, derivatives=layout.owners.size > 0)
+    return point_result(*estimate_curve((family,), theta, phase, layout, detector, config))
 
-    # Every mixture variable contributes an independent planar integral here,
-    # so deterministic rules stay affordable at any party count; only an
-    # explicit request routes the estimate through sampling.
-    if config.method is Method.MONTE_CARLO:
-        steps = _sampled_steps(family, detector, config, table, layout)
-        stalled = "sampling stalled at {!r} with batch error {:.3g}"
-    else:
-        steps = _refinement_steps(family, detector, config.nodes_per_axis, table, layout)
-        stalled = "correlation refinement stalled at {!r} with error {:.3g}"
 
-    terms = len(layout.index) - len(layout.owners)
-    results = [None] * terms
-    term_steps = [None] * terms
-    history = []
-    for values, errs in steps:
-        for t, (value, err) in enumerate(zip(values[:terms].tolist(), errs[:terms].tolist())):
-            if results[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
-                results[t] = (value, err)
-                term_steps[t] = len(history)
-        history.append(values[terms:])
-        if None not in results:
-            break
-    else:
-        t = results.index(None)
-        value, err = float(values[t]), float(errs[t])
-        raise NonconvergenceError(stalled.format(value, err), value=value, err_estimate=err)
-    if not layout.owners.size:
-        # Nothing to gather: skipping it keeps the value path's cost.
-        return results, values[terms:]
-    derivatives = np.array(history)[np.array(term_steps)[layout.owners],
-                                    np.arange(len(layout.owners))]
-    return results, derivatives
+def settings_layout(term_settings: Sequence[Sequence[PartySetting]]):
+    """θ and γ arrays and the layout of a stack of per-mode settings, one
+    rotation per measured setting."""
+    position = itertools.count()
+    index = [[-1 if s.ignored else next(position) for s in settings]
+             for settings in term_settings]
+    rotations = [s.rotation for settings in term_settings for s in settings if not s.ignored]
+    return (*rotation_angles(rotations), term_layout(index))
 
 
 def estimate_correlations(
@@ -739,12 +875,8 @@ def estimate_correlations(
     for settings in term_settings:
         if len(settings) != modes:
             raise ValueError(f"family has {modes} modes but got {len(settings)} settings")
-    position = itertools.count()
-    index = [[-1 if s.ignored else next(position) for s in settings]
-             for settings in term_settings]
-    rotations = [s.rotation for settings in term_settings for s in settings if not s.ignored]
-    results, _derivatives = estimate_terms(family, *rotation_angles(rotations),
-                                           term_layout(index), detector, config)
+    results, _derivatives = estimate_terms(family, *settings_layout(term_settings),
+                                           detector, config)
     return results
 
 

@@ -1,8 +1,9 @@
 """Grid sweeps of Bell functionals over (V, d, η) and crossing searches.
 
-Grid points are evaluated in grid order against the immutable plan, so a
-sweep is a pure function of its plan.  A point that fails to converge is
-recorded and skipped, never fatal.
+Each (V, η) cell of a grid is evaluated as one curve in d against the
+immutable plan (see :func:`etsbell.integration.estimate_curve`), so a sweep
+is a pure function of its plan and every row carries the bits its point has
+alone.  A point that fails to converge is recorded and skipped, never fatal.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Sequence
 
 from .errors import NoCrossingError, NonconvergenceError
 from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec, canonical_angles,
-                           evaluate_with_error, optimize_angles)
-from .integration import QuadratureConfig
+                           evaluate_curve_with_error, evaluate_with_error, optimize_angles)
+from .integration import QuadratureConfig, point_result
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
 
@@ -117,6 +118,10 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan's functional at every grid point.
 
+    Each (V, η) cell is one curve: its points share the angles, the
+    detector and the config and differ only in d, so the engine makes one
+    pass per refinement level for all of them while they sit on a shift
+    rule (every point alone on the composite rule or under sampling).
     Rows come back ordered lexicographically by (V, d, eta).  Nonconvergent
     points carry NaN values, the failed flag and the error message as their
     reason; every other row is exact to its error estimate and marks
@@ -124,25 +129,26 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     error.
     """
     angle_map = _resolve_angles(plan)
-    points = [(V, d, eta)
-              for V in plan.V_grid for d in plan.d_grid for eta in plan.eta_grid]
-
-    def solve(point: tuple[float, float, float]) -> SweepRow:
-        V, d, eta = point
-        angles, provenance = angle_map[(V, eta)]
-        family = StateFamily(plan.family, V=V, d=d)
-        detector = DetectorModel(eta)
-        try:
-            value, err = evaluate_with_error(plan.spec, family, angles, detector, plan.cfg)
-        except NonconvergenceError as exc:
-            return SweepRow(V=V, d=d, eta=eta, value=math.nan, err=math.nan,
-                            violated=False, failed=True,
-                            angles_used=angles, provenance=provenance, reason=str(exc))
-        return SweepRow(V=V, d=d, eta=eta, value=value, err=err,
-                        violated=value > plan.spec.lr_bound + err, failed=False,
-                        angles_used=angles, provenance=provenance)
-
-    return SweepResult(plan=plan, rows=tuple(solve(p) for p in points))
+    rows = {}
+    for V in plan.V_grid:
+        for eta in plan.eta_grid:
+            angles, provenance = angle_map[(V, eta)]
+            curve = [StateFamily(plan.family, V=V, d=d) for d in plan.d_grid]
+            outcomes = evaluate_curve_with_error(plan.spec, curve, angles, DetectorModel(eta),
+                                                 plan.cfg)
+            for d, outcome in zip(plan.d_grid, outcomes):
+                if isinstance(outcome, NonconvergenceError):
+                    row = SweepRow(V=V, d=d, eta=eta, value=math.nan, err=math.nan,
+                                   violated=False, failed=True, angles_used=angles,
+                                   provenance=provenance, reason=str(outcome))
+                else:
+                    value, err = outcome
+                    row = SweepRow(V=V, d=d, eta=eta, value=value, err=err,
+                                   violated=value > plan.spec.lr_bound + err, failed=False,
+                                   angles_used=angles, provenance=provenance)
+                rows[(V, d, eta)] = row
+    return SweepResult(plan=plan, rows=tuple(
+        rows[(V, d, eta)] for V in plan.V_grid for d in plan.d_grid for eta in plan.eta_grid))
 
 
 def crossing_displacement(
@@ -157,22 +163,23 @@ def crossing_displacement(
     """Smallest displacement at which the functional reaches its local bound.
 
     Bisection to absolute tolerance 10⁻³ on d ∈ [0, 20√V] after checking that
-    the sampled profile increases with d.  Raises :class:`NoCrossingError`
-    when the bound is never reached on that interval.
+    a profile of nine probes increases with d.  The probes are one curve
+    (see :func:`run_sweep`), and each bisection step a curve of one point,
+    so every value carries the bits it has alone.  Raises
+    :class:`NoCrossingError` when the bound is never reached on that
+    interval, and the first probe's :class:`NonconvergenceError` in d
+    order if one does not converge.
     """
     if isinstance(angles, str):
         if angles != "canonical":
             raise ValueError("crossing search supports explicit or canonical angles")
         angles = canonical_angles(spec, family).angles
     detector = DetectorModel(eta)
-
-    def measure(d: float) -> tuple[float, float]:
-        return evaluate_with_error(
-            spec, StateFamily(family, V=V, d=d), angles, detector, cfg)
-
     hi = d_max if d_max is not None else 20.0 * math.sqrt(V)
     probes = [hi * k / 8.0 for k in range(9)]
-    sampled = [measure(d) for d in probes]
+    profile = evaluate_curve_with_error(
+        spec, [StateFamily(family, V=V, d=d) for d in probes], angles, detector, cfg)
+    sampled = [point_result(outcome) for outcome in profile]
     for (va, ea), (vb, eb) in zip(sampled, sampled[1:]):
         if vb < va - 3.0 * (ea + eb) - 1e-9:
             raise NoCrossingError(
@@ -193,7 +200,8 @@ def crossing_displacement(
     lo, up = bracket
     while up - lo > 1e-3:
         mid = 0.5 * (lo + up)
-        value, _err = measure(mid)
+        value, _err = evaluate_with_error(
+            spec, StateFamily(family, V=V, d=mid), angles, detector, cfg)
         if value - spec.lr_bound > 0.0:
             up = mid
         else:

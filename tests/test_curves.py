@@ -1,0 +1,174 @@
+"""Curves in d: every point batched along a curve keeps the bits it has alone."""
+
+import math
+
+import numpy as np
+import pytest
+
+from etsbell import integration
+from etsbell.errors import NonconvergenceError
+from etsbell.inequalities import (INEQUALITIES, canonical_angles, evaluate_curve_with_error,
+                                  evaluate_with_error)
+from etsbell.integration import QuadratureConfig
+from etsbell.measurement import DetectorModel, EffectiveRotation
+from etsbell.states import FamilyKind, StateFamily
+from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep
+
+# One functional with stored angles per family.
+FUNCTIONALS = {
+    FamilyKind.GHZ3_BEAM_SPLITTER: "svetlichny3",
+    FamilyKind.GHZ3_CONDITIONAL: "svetlichny3",
+    FamilyKind.GHZ3_KERR: "svetlichny3",
+    FamilyKind.W3: "svetlichny3",
+    FamilyKind.GHZ4_CONDITIONAL: "svetlichny4",
+    FamilyKind.CLUSTER4_CONDITIONAL: "wwzb4",
+    FamilyKind.CLUSTER4_CROSS_KERR: "wwzb4",
+}
+V_GRID = (1.0, 5.0, 10.0, 100.0)
+ETA_GRID = (0.3, 1.0)
+
+
+def _d_grid(V):
+    # d = 0, where the value vanishes, and three points on the rise
+    return tuple(f * math.sqrt(V) for f in (0.0, 0.4, 1.1, 2.5))
+
+
+def _random_angles(rng, spec):
+    return tuple(
+        tuple(EffectiveRotation(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+              for _ in range(count))
+        for count in spec.settings_per_party)
+
+
+def _alone(plan, row):
+    """``row``'s point evaluated by itself: its (value, err), or the reason
+    it fails."""
+    try:
+        return evaluate_with_error(plan.spec, StateFamily(plan.family, row.V, row.d),
+                                   row.angles_used, DetectorModel(row.eta), plan.cfg)
+    except NonconvergenceError as exc:
+        return str(exc)
+
+
+def _assert_rows_match_points(**plan):
+    # each V has its own d grid, so each V is its own plan
+    for V in V_GRID:
+        result = run_sweep(SweepPlan(V_grid=(V,), d_grid=_d_grid(V), eta_grid=ETA_GRID,
+                                     **plan))
+        for row in result.rows:
+            got = row.reason if row.failed else (row.value, row.err)
+            assert got == _alone(result.plan, row), (row.V, row.d, row.eta)
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_sweep_rows_equal_lone_points(kind):
+    rng = np.random.default_rng(53)
+    spec = INEQUALITIES[FUNCTIONALS[kind]]
+    for angles in ("canonical", _random_angles(rng, spec)):
+        _assert_rows_match_points(family=kind, spec=spec, angles=angles)
+
+
+@pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
+def test_optimized_sweep_rows_equal_lone_points(kind):
+    # one restart per (V, η) cell: the optimizer picks the cell's angles, and
+    # the cell's curve is then evaluated with them like any explicit set
+    _assert_rows_match_points(family=kind, spec=INEQUALITIES[FUNCTIONALS[kind]],
+                              angles="optimize", optimizer_restarts=1)
+
+
+def test_points_that_stop_at_different_levels(monkeypatch):
+    # at rel_tol 1e-13 some points of a V = 5 curve stop at level 1 and the
+    # rest climb to level 2 as a shorter curve; at V = 8 some climb on to the
+    # composite tail at level 3, where each point is alone
+    calls = []
+    memo = integration._deterministic_moments
+
+    def spy(curve, detector, level, nodes_per_axis, patterns):
+        calls.append((level, len(curve)))
+        return memo(curve, detector, level, nodes_per_axis, patterns)
+
+    monkeypatch.setattr(integration, "_deterministic_moments", spy)
+    spec = INEQUALITIES["svetlichny3"]
+    d_grid = tuple(np.linspace(0.2, 4.0, 12))
+    for V, climbs_to in ((5.0, 2), (8.0, 3)):
+        memo.cache_clear()
+        calls.clear()
+        plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(V,), d_grid=d_grid,
+                         eta_grid=(0.7,), cfg=QuadratureConfig(rel_tol=1e-13))
+        result = run_sweep(plan)
+        assert (1, len(d_grid)) in calls
+        assert 0 < sum(size for level, size in calls if level == climbs_to) < len(d_grid)
+        assert all(size == 1 for level, size in calls if level >= 3)
+        for row in result.rows:
+            assert not row.failed
+            assert (row.value, row.err) == _alone(plan, row), (V, row.d)
+
+
+def test_a_nonconverging_point_leaves_its_curve_unchanged():
+    # rel_tol 1e-16 asks for agreement to the last bits between levels:
+    # some points of this curve reach it and others exhaust the ladder
+    spec = INEQUALITIES["svetlichny3"]
+    plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(2.0,),
+                     d_grid=(0.0, 0.3, 0.8, 1.5, 2.5, 4.0), eta_grid=(0.6,),
+                     cfg=QuadratureConfig(rel_tol=1e-16))
+    result = run_sweep(plan)
+    failed = [row for row in result.rows if row.failed]
+    assert failed and len(failed) < len(result.rows)
+    for row in result.rows:
+        if row.failed:
+            assert math.isnan(row.value) and math.isnan(row.err) and not row.violated
+            assert row.reason.startswith("correlation refinement stalled at ")
+            assert row.reason == _alone(plan, row), row.d
+        else:
+            assert (row.value, row.err) == _alone(plan, row), row.d
+
+
+def test_curve_points_must_share_kind_and_V():
+    spec = INEQUALITIES["svetlichny3"]
+    angles = canonical_angles(spec, FamilyKind.GHZ3_CONDITIONAL).angles
+    for curve in ([], [StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.0),
+                       StateFamily(FamilyKind.GHZ3_CONDITIONAL, 10.0, 1.0)],
+                  [StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.0),
+                   StateFamily(FamilyKind.GHZ3_BEAM_SPLITTER, 5.0, 1.0)]):
+        with pytest.raises(ValueError, match="curve"):
+            evaluate_curve_with_error(spec, curve, angles)
+
+
+def _reference_crossing(kind, spec, V, eta):
+    """The crossing search point by point: nine probes, the monotonicity
+    check, then bisection, every value from its own evaluate_with_error."""
+    angles = canonical_angles(spec, kind).angles
+    detector = DetectorModel(eta)
+
+    def measure(d):
+        return evaluate_with_error(spec, StateFamily(kind, V, d), angles, detector)
+
+    hi = 20.0 * math.sqrt(V)
+    probes = [hi * k / 8.0 for k in range(9)]
+    sampled = [measure(d) for d in probes]
+    for (va, ea), (vb, eb) in zip(sampled, sampled[1:]):
+        assert not vb < va - 3.0 * (ea + eb) - 1e-9
+    k = next(k for k, (value, _err) in enumerate(sampled) if value - spec.lr_bound > 0.0)
+    assert k > 0
+    lo, up = probes[k - 1], probes[k]
+    while up - lo > 1e-3:
+        mid = 0.5 * (lo + up)
+        value, _err = measure(mid)
+        if value - spec.lr_bound > 0.0:
+            up = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + up)
+
+
+@pytest.mark.parametrize("kind, name, eta", [
+    (FamilyKind.GHZ3_BEAM_SPLITTER, "svetlichny3", 0.3),
+    (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", 0.3),
+    (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4", 1.0),
+], ids=lambda v: getattr(v, "value", v))
+def test_crossing_equals_point_by_point_search(kind, name, eta):
+    spec = INEQUALITIES[name]
+    integration._deterministic_moments.cache_clear()
+    want = _reference_crossing(kind, spec, 5.0, eta)
+    integration._deterministic_moments.cache_clear()
+    assert crossing_displacement(kind, spec, 5.0, eta) == want

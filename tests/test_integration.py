@@ -209,9 +209,11 @@ def tensor_grids(monkeypatch):
     """
 
     def tensor_axes(variables, detector, level, nodes_per_axis):
+        # a variable carries its curve's centres; x holds one row per point
         grids = []
-        for V, center, _scales in variables:
-            x, wx = dense_reference.axis(center, V, DENSE_NODES)
+        for V, centres, _scales in variables:
+            x = np.array([dense_reference.axis(c, V, DENSE_NODES)[0] for c in centres])
+            _x, wx = dense_reference.axis(centres[0], V, DENSE_NODES)
             y, wy = dense_reference.axis(0.0, V, DENSE_NODES)
             grids.append((x, y, np.concatenate((wx, wy))))
         return grids
@@ -350,7 +352,9 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
     layout = spec._layout
     rotations = [r for party in angles for r in party]
     table = integration._rotation_table(*integration.rotation_angles(rotations))
+    # the curve of one point: each variable carries a tuple of one centre
     coeffs, signs, variables = family_structure(family)
+    variables = tuple((V, (centre,), scales) for V, centre, scales in variables)
     found = [None] * len(spec.terms)
     previous = None
     for level in range(5):
@@ -359,7 +363,7 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
         moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
                                            detector, grids)
         num, den = integration._terms(moments, table, layout)
-        values = num / den
+        (values,) = num / den
         errs = np.full(values.shape, math.inf) if previous is None else np.abs(values - previous)
         for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
             if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
