@@ -10,8 +10,8 @@ from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4
                            evaluate_with_gradient, functional_value, get_inequality,
                            hybrid_partition_bound, optimize_angles, term_settings,
                            verify_lr_bound)
-from .integration import (Method, QuadratureConfig, converged_correlation,
-                          estimate_correlation, estimate_correlations)
+from .integration import (QuadratureConfig, converged_correlation, estimate_correlation,
+                          estimate_correlations)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
                           PartySetting, zx_rotation)
 from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, W_SVETLICHNY_MAX,

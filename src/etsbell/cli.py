@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -135,16 +136,6 @@ def _row(kind: FamilyKind, spec: InequalitySpec, V: float, d: float, eta: float,
     }
 
 
-def _config_metadata(cfg: QuadratureConfig) -> dict:
-    return {
-        "nodes_per_axis": cfg.nodes_per_axis,
-        "mc_samples": cfg.mc_samples,
-        "mc_seed": cfg.mc_seed,
-        "method": cfg.method.value,
-        "rel_tol": cfg.rel_tol,
-    }
-
-
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     spec = INEQUALITIES[args.inequality]
     kind = FamilyKind(args.family)
@@ -179,7 +170,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "version": __version__,
         "family": kind.value,
         "inequality": spec.name,
-        "config": _config_metadata(cfg),
+        "config": dataclasses.asdict(cfg),
         "angles": {"mode": args.angles, "provenance": provenances},
     }
     _write_output(rows, metadata, args.out, args.format)

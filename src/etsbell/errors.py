@@ -18,7 +18,7 @@ class RotationError(EtsError, ValueError):
 
 
 class NonconvergenceError(EtsError, RuntimeError):
-    """A quadrature or sampling estimate failed to reach the requested tolerance."""
+    """A quadrature estimate failed to reach the requested tolerance."""
 
     def __init__(self, message: str, value: float | None = None,
                  err_estimate: float | None = None):

@@ -18,11 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonconvergenceError, RotationError, UnsupportedAngleSetError
-# The single-term estimators stay importable from here beside the batched one.
+# perfbench wraps the two single-term estimators by their names here.
 from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
-                          converged_correlation, estimate_correlation,
-                          estimate_correlations, estimate_curve, estimate_terms,
-                          gradient_layout, point_result, rotation_angles, settings_layout,
+                          converged_correlation, estimate_correlation, estimate_curve,
+                          estimate_terms, gradient_layout, point_result, rotation_angles,
                           term_layout)
 from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
                           PartySetting, zx_rotation)
@@ -199,16 +198,16 @@ def _term_estimates(spec: InequalitySpec, curve: Sequence[StateFamily], angles: 
     :class:`NonconvergenceError`, all from one batched engine call."""
     if len(angles) != spec.parties:
         raise ValueError(f"expected angle tuples for {spec.parties} parties")
-    if any(len(party) != count for party, count in zip(angles, spec.settings_per_party)):
-        # The spec's layout fits only its own setting counts; this path also
-        # names a setting the angle set lacks.
-        stack = settings_layout([term_settings(spec, angles, indices)
-                                 for _sign, indices in spec.terms])
-    else:
-        rotations = [rotation for party in angles for rotation in party]
-        stack = (*rotation_angles(rotations), spec._layout)
+    for p, (party, count) in enumerate(zip(angles, spec.settings_per_party)):
+        if len(party) < count:
+            raise ValueError(f"party {p} angle set lacks setting {len(party)}")
+    # A surplus setting is never read.
+    rotations = [rotation for party, count in zip(angles, spec.settings_per_party)
+                 for rotation in party[:count]]
+    outcomes = estimate_curve(curve, *rotation_angles(rotations), spec._layout,
+                              detector, config)
     return [outcome if isinstance(outcome, NonconvergenceError) else outcome[0]
-            for outcome in estimate_curve(curve, *stack, detector, config)]
+            for outcome in outcomes]
 
 
 def evaluate(
@@ -218,10 +217,9 @@ def evaluate(
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
 ) -> float:
-    """|functional| of the thermal-state family at the given settings."""
-    estimates = point_result(*_term_estimates(spec, (family,), angles, detector, config))
-    values = {indices: value for (_sign, indices), (value, _err) in zip(spec.terms, estimates)}
-    return abs(functional_value(spec, values.__getitem__))
+    """|functional| of the thermal-state family at the given settings: the
+    value of :func:`evaluate_with_error`."""
+    return evaluate_with_error(spec, family, angles, detector, config)[0]
 
 
 def evaluate_curve_with_error(
@@ -242,10 +240,10 @@ def evaluate_curve_with_error(
         if isinstance(estimates, NonconvergenceError):
             outcomes.append(estimates)
             continue
-        total = 0.0
+        total = math.fsum(sign * value
+                          for (sign, _indices), (value, _err) in zip(spec.terms, estimates))
         err = 0.0
-        for (sign, _indices), (value, term_err) in zip(spec.terms, estimates):
-            total += sign * value
+        for _value, term_err in estimates:
             err += term_err
         outcomes.append((abs(total), err))
     return outcomes

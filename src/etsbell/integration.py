@@ -31,7 +31,7 @@ read at the refinement level its term converges at.
 
 The moments come from deterministic per-axis rules (Gauss-Hermite, or a
 windowed composite Gauss-Legendre rule for wide weights) refined level by
-level, or, on request, from seeded Monte Carlo samples of the same weights.
+level.
 
 A curve is a set of points of one family kind and one V that differ only
 in d and share the detector, the angles and the config: the d axis of a
@@ -43,11 +43,11 @@ the composite tail), one pass per level forms the y factors and moments
 once and the x factors of every point as one (points × nodes) array, and
 the contraction runs over a stacked (points × terms) axis.  Each point
 stops at its own first converged level and only the rest climb.  The
-composite rule's panels move with the centre, and sampling draws one seeded
-stream per estimate, so there each point is a curve of its own; a single
-estimate is a curve of one point.  The points axis meets only elementwise
-arithmetic and einsum sums that run over each point's own nodes, so a point
-carries the bits it has alone (the tests check this).
+composite rule's panels move with the centre, so there each point is a
+curve of its own; a single estimate is a curve of one point.  The points
+axis meets only elementwise arithmetic and einsum sums that run over each
+point's own nodes, so a point carries the bits it has alone (the tests
+check this).
 
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
@@ -60,14 +60,12 @@ that differs splits them.  Sharing is keyed on values, so it moves no bit.
 Dawson's integral enters a y moment once per measured mode whose second
 part the moment takes.  It is odd and the y weight is symmetric about 0, so
 a moment with an odd number of such factors integrates to zero; the pass
-sets it to zero instead of summing roundoff (or, from Monte Carlo samples,
-noise), and a variable with at most one measured mode needs no Dawson
-values at all.
+sets it to zero instead of summing roundoff, and a variable with at most
+one measured mode needs no Dawson values at all.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -96,7 +94,6 @@ _FINE_DAWSON_HALFWIDTH = 5.0
 _FINE_PANEL_FRACTION = 0.4
 _COMPOSITE_BASE_ORDER = 12
 _MAX_AXIS_NODES = 200
-_MC_BATCHES = 8
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement levels, which an
@@ -113,35 +110,22 @@ _NUMERATOR_PAIR = np.array((np.diag([1.0, -1.0]), [[0.0, -1.0], [1.0, 0.0]]),
 _GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
 
 
-class Method(enum.Enum):
-    """Integration backend: deterministic rules (AUTO) or sampling."""
-
-    MONTE_CARLO = "monte-carlo"
-    AUTO = "auto"
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Resolution and tolerance knobs shared by all integration routines.
 
-    ``nodes_per_axis`` seeds the deterministic ladders (refinement may double
-    it up to 200 nodes per axis), ``mc_samples`` is the starting Monte Carlo
-    budget, and estimates count as converged once the refinement difference
-    drops below ``rel_tol`` relative to max(|value|, 1).
+    ``nodes_per_axis`` seeds the refinement ladders (refinement may double
+    it up to 200 nodes per axis), and estimates count as converged once the
+    refinement difference drops below ``rel_tol`` relative to max(|value|, 1).
     """
 
     nodes_per_axis: int = 40
-    mc_samples: int = 200_000
-    mc_seed: int = 20260815
-    method: Method = Method.AUTO
     rel_tol: float = 1e-7
 
     def __post_init__(self):
         if not (1 <= self.nodes_per_axis <= _MAX_AXIS_NODES):
             raise ValueError(
                 f"nodes_per_axis must lie in [1, {_MAX_AXIS_NODES}], got {self.nodes_per_axis}")
-        if self.mc_samples < _MC_BATCHES:
-            raise ValueError(f"mc_samples must be at least {_MC_BATCHES}, got {self.mc_samples}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
@@ -376,14 +360,14 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
 
     ``grids`` supplies (x, y, w) per variable: the x nodes of every point of
     the curve, shaped (points, n), the y nodes, which the points share, and
-    ``w``, the x weights followed by the y weights.  Deterministic rules and
-    Monte Carlo samples alike enter as the product measure of the two axes.
-    Every per-mode block is a sum of two separable terms, so each variable
-    needs only the 2^k products of per-mode axis factors (k modes), summed
-    over x and over y separately.  A mode that a term leaves
-    unmeasured takes the Gram factors in place of the detector's, so the
-    numerator moments are formed once per pattern, each stacked on the Gram
-    moments, which are then contracted into that pattern's denominator.
+    ``w``, the x weights followed by the y weights, which enter as the
+    product measure of the two axes.  Every per-mode block is a sum of two
+    separable terms, so each variable needs only the 2^k products of
+    per-mode axis factors (k modes), summed over x and over y separately.
+    A mode that a term leaves unmeasured takes the Gram factors in place of
+    the detector's, so the numerator moments are formed once per pattern,
+    each stacked on the Gram moments, which are then contracted into that
+    pattern's denominator.
     Variables equal in value (grid, scales, η and patterns) share one set of
     moments.  Nothing here depends on the measurement angles.
     """
@@ -644,20 +628,6 @@ def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
     return moments._replace(numerators=tuple(numerators), denominators=denominators)
 
 
-def _sampled_grids(variables, rng: np.random.Generator, count: int):
-    grids = []
-    for V, (center,), _scales in variables:
-        sigma = _variable_sigma(V)
-        if sigma == 0.0:
-            x = np.full(count, center)
-            y = np.zeros(count)
-        else:
-            x = rng.normal(center, sigma, size=count)
-            y = rng.normal(0.0, sigma, size=count)
-        grids.append((x[None], y, np.full(2 * count, 1.0 / count)))
-    return grids
-
-
 def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
     """Values of every row of the pending points per refinement level, with
     the level-to-level change, each shaped (pending points, rows).
@@ -700,35 +670,7 @@ def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
         previous = values
 
 
-def _sampled_steps(family, detector, config, table, layout):
-    """Values of every term per sampling attempt, with the batch spread,
-    each shaped (1, rows): sampling serves one point at a time.
-
-    One seeded stream serves the whole stack, so every term sees the samples
-    it would see alone; the budget doubles from one attempt to the next.
-    """
-    coeffs, signs, variables = _curve_structure((family,))
-    rng = np.random.default_rng(config.mc_seed)
-    samples = config.mc_samples
-    for _attempt in range(3):
-        per_batch = max(1, samples // _MC_BATCHES)
-        batch_values = []
-        num_total = 0.0
-        den_total = 0.0
-        for _b in range(_MC_BATCHES):
-            grids = _sampled_grids(variables, rng, per_batch)
-            moments = _engine_pass(coeffs, signs, variables, layout.patterns, detector, grids)
-            num, den = _terms(moments, table, layout)
-            batch_values.append(num[0] / den[0])
-            num_total = num_total + num
-            den_total = den_total + den
-        batches = np.array(batch_values).T
-        errs = np.array([np.std(np.ascontiguousarray(row), ddof=1) for row in batches])
-        yield num_total / den_total, errs[None] / math.sqrt(_MC_BATCHES)
-        samples *= 2
-
-
-def _converge(steps, pending, layout, rel_tol: float, stalled: str) -> list:
+def _converge(steps, pending, layout, rel_tol: float) -> list:
     """Each point's term results and derivative values, or its
     :class:`NonconvergenceError`, from the ladder ``steps``.
 
@@ -762,8 +704,9 @@ def _converge(steps, pending, layout, rel_tol: float, stalled: str) -> list:
         if None in found:
             t = found.index(None)
             value, err = float(last[p][0][t]), float(last[p][1][t])
-            outcomes.append(NonconvergenceError(stalled.format(value, err),
-                                                value=value, err_estimate=err))
+            outcomes.append(NonconvergenceError(
+                f"correlation refinement stalled at {value!r} with error {err:.3g}",
+                value=value, err_estimate=err))
         elif not layout.owners.size:
             # Nothing to gather: skipping it keeps the value path's cost.
             outcomes.append((found, history[p][-1]))
@@ -801,19 +744,9 @@ def estimate_curve(
             f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
     table = _rotation_table(theta, phase, derivatives=layout.owners.size > 0)
-
-    # Every mixture variable contributes an independent planar integral here,
-    # so deterministic rules stay affordable at any party count; only an
-    # explicit request routes the estimate through sampling.
-    if config.method is Method.MONTE_CARLO:
-        stalled = "sampling stalled at {!r} with batch error {:.3g}"
-        return [outcome for family in curve
-                for outcome in _converge(_sampled_steps(family, detector, config, table, layout),
-                                         [0], layout, config.rel_tol, stalled)]
     pending = list(range(len(curve)))
     steps = _refinement_steps(curve, detector, config.nodes_per_axis, table, layout, pending)
-    return _converge(steps, pending, layout, config.rel_tol,
-                     "correlation refinement stalled at {!r} with error {:.3g}")
+    return _converge(steps, pending, layout, config.rel_tol)
 
 
 def point_result(outcome):
@@ -840,11 +773,10 @@ def estimate_terms(
     all rows share one pass per refinement step.  Each term stops at its
     own first step that meets ``rel_tol`` (relative, floored at one, since
     correlations are order one), and its derivative rows are read at that
-    step.  Deterministic quadrature refines the per-axis resolution and
-    reports the change from the previous level; the Monte Carlo backend
-    reports the batch spread and doubles the sample budget up to twice.
-    Raises :class:`NonconvergenceError` for the first term whose ladder is
-    exhausted.  This is the curve of one point of :func:`estimate_curve`.
+    step.  Each step refines the per-axis resolution and reports the change
+    from the previous level.  Raises :class:`NonconvergenceError` for the
+    first term whose ladder is exhausted.  This is the curve of one point of
+    :func:`estimate_curve`.
     """
     return point_result(*estimate_curve((family,), theta, phase, layout, detector, config))
 

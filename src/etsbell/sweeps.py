@@ -121,7 +121,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     Each (V, η) cell is one curve: its points share the angles, the
     detector and the config and differ only in d, so the engine makes one
     pass per refinement level for all of them while they sit on a shift
-    rule (every point alone on the composite rule or under sampling).
+    rule (every point alone on the composite rule).
     Rows come back ordered lexicographically by (V, d, eta).  Nonconvergent
     points carry NaN values, the failed flag and the error message as their
     reason; every other row is exact to its error estimate and marks

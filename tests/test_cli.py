@@ -61,9 +61,7 @@ def test_scan_json_mirrors_csv(tmp_path, capsys):
     assert doc["metadata"]["version"]
     assert doc["metadata"]["family"] == "ghz3-cond"
     assert doc["metadata"]["angles"]["mode"] == "canonical"
-    assert doc["metadata"]["config"]["nodes_per_axis"] == 40
-    assert doc["metadata"]["config"]["mc_samples"] == 200_000
-    assert doc["metadata"]["config"]["mc_seed"] == 20260815
+    assert doc["metadata"]["config"] == {"nodes_per_axis": 40, "rel_tol": 1e-7}
 
     with csv_path.open() as fh:
         csv_rows = list(csv.DictReader(fh))

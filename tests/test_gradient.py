@@ -11,6 +11,7 @@ from etsbell.inequalities import (
     INEQUALITIES,
     SVETLICHNY3,
     evaluate,
+    evaluate_with_error,
     evaluate_with_gradient,
     optimize_angles,
 )
@@ -64,6 +65,7 @@ def test_gradient_matches_central_differences(kind, name):
             x = rng.uniform(0.0, 2.0 * math.pi, 2 * sum(spec.settings_per_party))
             value, gradient = evaluate_with_gradient(spec, family, x, detector)
             assert value == evaluate(spec, family, _angle_set(spec, x), detector)
+            assert value == evaluate_with_error(spec, family, _angle_set(spec, x), detector)[0]
             want = _central_differences(spec, family, x, detector)
             assert np.max(np.abs(gradient - want)) <= 1e-7, (V, detector)
 

@@ -27,7 +27,7 @@ from etsbell.inequalities import (
     term_settings,
     verify_lr_bound,
 )
-from etsbell.integration import Method, QuadratureConfig
+from etsbell.integration import QuadratureConfig
 from etsbell.states import FamilyKind, StateFamily
 
 SQRT2 = math.sqrt(2.0)
@@ -148,6 +148,7 @@ def test_evaluate_rejects_mismatched_angles_and_families():
     cases = [
         ((SVETLICHNY3, fam, angles[:2]), "expected angle tuples for 3 parties"),
         ((SVETLICHNY3, fam, angles[:2] + (angles[2][:1],)), "party 2 angle set lacks setting 1"),
+        ((SVETLICHNY3, fam, angles[:2] + ((),)), "party 2 angle set lacks setting 0"),
         ((SVETLICHNY3, StateFamily(FamilyKind.CLUSTER4_CONDITIONAL, 5.0, 1.5), angles),
          "family has 4 modes but got 3 settings"),
         ((SASA, fam, canonical_angles(SASA, FamilyKind.CLUSTER4_CONDITIONAL).angles),
@@ -244,6 +245,6 @@ def test_optimizer_rejects_restarts_below_one(restarts):
 def test_optimizer_raises_on_nonconvergence():
     # a nonconvergent evaluation is an error, never a score of zero
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.0)
-    cfg = QuadratureConfig(method=Method.MONTE_CARLO, rel_tol=1e-12, mc_samples=1000)
-    with pytest.raises(NonconvergenceError, match="sampling stalled"):
+    cfg = QuadratureConfig(rel_tol=1e-17)
+    with pytest.raises(NonconvergenceError, match="correlation refinement stalled"):
         optimize_angles(MERMIN3, fam, config=cfg, restarts=1)

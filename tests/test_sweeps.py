@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from etsbell.errors import NoCrossingError
 from etsbell.inequalities import get_inequality
-from etsbell.integration import Method, QuadratureConfig
+from etsbell.integration import QuadratureConfig
 from etsbell.oracles import svetlichny_ghz_closed
 from etsbell.states import FamilyKind
 from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep
@@ -82,15 +82,14 @@ def test_sweep_value_grows_with_displacement():
 
 
 def test_sweep_isolates_nonconverged_rows():
-    cfg = QuadratureConfig(method=Method.MONTE_CARLO, rel_tol=1e-12,
-                           mc_samples=1000)
+    cfg = QuadratureConfig(rel_tol=1e-17)
     result = run_sweep(small_plan(V_grid=(5.0,), d_grid=(1.0,),
                                   eta_grid=(1.0,), cfg=cfg))
     row = result.rows[0]
     assert row.failed
     assert math.isnan(row.value)
     assert not row.violated
-    assert row.reason.startswith("sampling stalled")
+    assert row.reason.startswith("correlation refinement stalled")
 
 
 def test_crossing_matches_closed_form_root():
