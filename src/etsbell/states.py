@@ -73,10 +73,10 @@ class StateFamily:
     d: float
 
     def __post_init__(self):
-        if self.V < 1.0:
-            raise ValueError(f"V must be >= 1, got {self.V}")
-        if self.d < 0.0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        if not 1.0 <= self.V < math.inf:
+            raise ValueError(f"V must be finite and >= 1, got {self.V}")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError(f"d must be finite and >= 0, got {self.d}")
 
     @property
     def num_modes(self) -> int:

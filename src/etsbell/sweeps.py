@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NoCrossingError, NonconvergenceError
 from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec, canonical_angles,
@@ -26,7 +26,7 @@ def _validated_grid(name: str, values: Sequence[float], lower: float,
     if not grid:
         raise ValueError(f"{name} grid must be nonempty")
     for v in grid:
-        if v < lower or (upper is not None and v > upper):
+        if not lower <= v < math.inf or (upper is not None and v > upper):
             raise ValueError(f"{name} value {v} out of range")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} grid must be strictly increasing")
@@ -151,6 +151,35 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         rows[(V, d, eta)] for V in plan.V_grid for d in plan.d_grid for eta in plan.eta_grid))
 
 
+def sign_change_bracket(f: Callable[[float], float], lo: float, up: float, f_lo: float,
+                        f_up: float, width: float = 1e-3) -> tuple[float, float]:
+    """Narrow ``[lo, up]``, where ``f_lo <= 0 < f_up``, to a bracket at most
+    ``width`` wide whose ends keep those signs: ITP (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020) with κ₁ = 0.5/(up − lo), κ₂ = 2 and n₀ = 1.  It calls ``f``
+    at most ⌈log₂((up − lo)/width)⌉ + 1 times, bisection's count plus one, and
+    only a few times on a smooth profile.
+    """
+    # each step's bracket fits in budget, 1% under width so rounding costs no step
+    budget = 0.99 * width * 2.0 ** math.ceil(math.log2((up - lo) / width))
+    kappa = 0.5 / (up - lo)
+    while up - lo > width:
+        mid = 0.5 * (lo + up)
+        falsi = (f_up * lo - f_lo * up) / (f_up - f_lo)
+        toward = math.copysign(1.0, mid - falsi)
+        shift = kappa * (up - lo) ** 2
+        x = falsi + toward * shift if shift <= abs(mid - falsi) else mid
+        radius = budget - 0.5 * (up - lo)
+        if abs(x - mid) > radius:
+            x = mid - toward * radius
+        budget *= 0.5
+        fx = f(x)
+        if fx > 0.0:
+            up, f_up = x, fx
+        else:
+            lo, f_lo = x, fx
+    return lo, up
+
+
 def crossing_displacement(
     family: FamilyKind,
     spec: InequalitySpec,
@@ -162,18 +191,23 @@ def crossing_displacement(
 ) -> float:
     """Smallest displacement at which the functional reaches its local bound.
 
-    Bisection to absolute tolerance 10⁻³ on d ∈ [0, 20√V] after checking that
-    a profile of nine probes increases with d.  The probes are one curve
-    (see :func:`run_sweep`), and each bisection step a curve of one point,
-    so every value carries the bits it has alone.  Raises
-    :class:`NoCrossingError` when the bound is never reached on that
-    interval, and the first probe's :class:`NonconvergenceError` in d
-    order if one does not converge.
+    A profile of nine probes on d ∈ [0, d_max] (default 20√V) must increase
+    with d; the two probes around the first one above the bound then go to
+    :func:`sign_change_bracket`, and the midpoint of its final bracket, at
+    most 10⁻³ wide, is returned.  A point counts as above the bound when
+    ``value > lr_bound``; a sweep row is ``violated`` only when
+    ``value > lr_bound + err``.  The probes are one curve (see
+    :func:`run_sweep`), and each search step a curve of one point, so every
+    value carries the bits it has alone.  Raises :class:`NoCrossingError`
+    when the bound is never reached on that interval, and the first probe's
+    :class:`NonconvergenceError` in d order if one does not converge.
     """
     if isinstance(angles, str):
         if angles != "canonical":
             raise ValueError("crossing search supports explicit or canonical angles")
         angles = canonical_angles(spec, family).angles
+    if d_max is not None and not 0.0 < d_max < math.inf:
+        raise ValueError(f"d_max must be finite and positive, got {d_max}")
     detector = DetectorModel(eta)
     hi = d_max if d_max is not None else 20.0 * math.sqrt(V)
     probes = [hi * k / 8.0 for k in range(9)]
@@ -186,24 +220,17 @@ def crossing_displacement(
                 f"functional is not increasing in d on [0, {hi:.3g}]; "
                 "bisection would be unreliable")
 
-    bracket = None
-    for k, (value, err) in enumerate(sampled):
-        if value - spec.lr_bound > 0.0:
-            if k == 0:
-                return 0.0
-            bracket = (probes[k - 1], probes[k])
-            break
-    if bracket is None:
+    excess = [value - spec.lr_bound for value, _err in sampled]
+    k = next((k for k, above in enumerate(excess) if above > 0.0), None)
+    if k is None:
         raise NoCrossingError(
             f"functional stays below the bound {spec.lr_bound} up to d = {hi:.3g}")
+    if k == 0:
+        return 0.0
 
-    lo, up = bracket
-    while up - lo > 1e-3:
-        mid = 0.5 * (lo + up)
-        value, _err = evaluate_with_error(
-            spec, StateFamily(family, V=V, d=mid), angles, detector, cfg)
-        if value - spec.lr_bound > 0.0:
-            up = mid
-        else:
-            lo = mid
+    def gap(d: float) -> float:
+        return evaluate_with_error(
+            spec, StateFamily(family, V=V, d=d), angles, detector, cfg)[0] - spec.lr_bound
+
+    lo, up = sign_change_bracket(gap, probes[k - 1], probes[k], excess[k - 1], excess[k])
     return 0.5 * (lo + up)

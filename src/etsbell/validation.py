@@ -22,6 +22,7 @@ from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, compensated_disp
                       ghz_correlation_closed, sasa_closed)
 from .phase_space import coherent_overlap, faddeeva, halfline_interference_integral
 from .states import FamilyKind, StateFamily
+from .sweeps import crossing_displacement, sign_change_bracket
 
 _GRID_SEED = 20260815
 
@@ -100,8 +101,6 @@ def check_svetlichny4_plateau() -> CheckResult:
 
 
 def check_sasa_exactness() -> CheckResult:
-    # Imported on use: scipy.optimize is most of the package's import time.
-    from scipy.optimize import brentq
     spec = INEQUALITIES["sasa"]
     angles = canonical_angles(spec, FamilyKind.CLUSTER4_CONDITIONAL).angles
     worst = 0.0
@@ -115,8 +114,13 @@ def check_sasa_exactness() -> CheckResult:
 
     # At high temperature the bound is crossed well before the functional
     # saturates; locate both displacements on the closed form.
-    crossing_d = brentq(lambda d: sasa_closed(1e3, d) - 2.0, 1e-6, 200.0, xtol=1e-6)
-    saturation_d = brentq(lambda d: sasa_closed(1e3, d) - 3.99, 1e-6, 400.0, xtol=1e-6)
+    def reaching(level: float, up: float) -> float:
+        ends = (sasa_closed(1e3, 1e-6) - level, sasa_closed(1e3, up) - level)
+        return 0.5 * sum(sign_change_bracket(lambda d: sasa_closed(1e3, d) - level,
+                                             1e-6, up, *ends, width=1e-6))
+
+    crossing_d = reaching(2.0, 200.0)
+    saturation_d = reaching(3.99, 400.0)
     ordered = crossing_d < 50.0 < saturation_d
     return CheckResult(
         name="sasa-exactness",
@@ -137,7 +141,6 @@ def check_wwzb_plateau() -> CheckResult:
 
 
 def check_tripartite_ordering() -> CheckResult:
-    from .sweeps import crossing_displacement
     spec = INEQUALITIES["svetlichny3"]
     parts = []
     ok = True
@@ -153,7 +156,6 @@ def check_tripartite_ordering() -> CheckResult:
 
 
 def check_cluster_ordering() -> CheckResult:
-    from .sweeps import crossing_displacement
     spec = INEQUALITIES["sasa"]
     parts = []
     ok = True

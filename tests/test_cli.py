@@ -239,6 +239,19 @@ def test_validate_rejects_flip_sign_out_of_range(capsys, term):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--V", "nan"), ("--V", "inf"), ("--d", "nan"),
+                                         ("--d", "inf")])
+def test_scan_rejects_non_finite_grid_values(capsys, flag, value):
+    grids = {"--V": "5", "--d": "1", flag: value}
+    code, out, err = run(capsys, [
+        "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
+        "--V", grids["--V"], "--d", grids["--d"]])
+    assert code == 1
+    assert out == ""
+    assert f"{flag[2:]} value {value} out of range" in err
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # scipy is most of the package's import time, so neither the import nor
     # a canonical-angle scan loads any of it: the engine's kernels are

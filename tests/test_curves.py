@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from etsbell import integration
+from etsbell import integration, sweeps
 from etsbell.errors import NonconvergenceError
 from etsbell.inequalities import (INEQUALITIES, canonical_angles, evaluate_curve_with_error,
                                   evaluate_with_error)
@@ -134,31 +134,16 @@ def test_curve_points_must_share_kind_and_V():
             evaluate_curve_with_error(spec, curve, angles)
 
 
-def _reference_crossing(kind, spec, V, eta):
-    """The crossing search point by point: nine probes, the monotonicity
-    check, then bisection, every value from its own evaluate_with_error."""
-    angles = canonical_angles(spec, kind).angles
-    detector = DetectorModel(eta)
-
-    def measure(d):
-        return evaluate_with_error(spec, StateFamily(kind, V, d), angles, detector)
-
-    hi = 20.0 * math.sqrt(V)
-    probes = [hi * k / 8.0 for k in range(9)]
-    sampled = [measure(d) for d in probes]
-    for (va, ea), (vb, eb) in zip(sampled, sampled[1:]):
-        assert not vb < va - 3.0 * (ea + eb) - 1e-9
-    k = next(k for k, (value, _err) in enumerate(sampled) if value - spec.lr_bound > 0.0)
-    assert k > 0
-    lo, up = probes[k - 1], probes[k]
-    while up - lo > 1e-3:
-        mid = 0.5 * (lo + up)
-        value, _err = measure(mid)
-        if value - spec.lr_bound > 0.0:
-            up = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + up)
+def _point_by_point(spec, curve, angles, detector=None, config=None):
+    """``evaluate_curve_with_error`` as one ``evaluate_with_error`` call per
+    point: every value from its own evaluation."""
+    outcomes = []
+    for family in curve:
+        try:
+            outcomes.append(evaluate_with_error(spec, family, angles, detector, config))
+        except NonconvergenceError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 @pytest.mark.parametrize("kind, name, eta", [
@@ -166,9 +151,11 @@ def _reference_crossing(kind, spec, V, eta):
     (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", 0.3),
     (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4", 1.0),
 ], ids=lambda v: getattr(v, "value", v))
-def test_crossing_equals_point_by_point_search(kind, name, eta):
+def test_crossing_equals_point_by_point_search(kind, name, eta, monkeypatch):
+    # the same search with its probe curve taken point by point
     spec = INEQUALITIES[name]
     integration._deterministic_moments.cache_clear()
-    want = _reference_crossing(kind, spec, 5.0, eta)
+    got = crossing_displacement(kind, spec, 5.0, eta)
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", _point_by_point)
     integration._deterministic_moments.cache_clear()
-    assert crossing_displacement(kind, spec, 5.0, eta) == want
+    assert crossing_displacement(kind, spec, 5.0, eta) == got

@@ -1,4 +1,4 @@
-"""Grid sweeps, violation flags, and threshold bisection."""
+"""Grid sweeps, violation flags, and crossing searches."""
 
 import math
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from etsbell import sweeps
 from etsbell.errors import NoCrossingError
-from etsbell.inequalities import get_inequality
+from etsbell.inequalities import evaluate_curve_with_error, evaluate_with_error, get_inequality
 from etsbell.integration import QuadratureConfig
 from etsbell.oracles import svetlichny_ghz_closed
-from etsbell.states import FamilyKind
-from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep
+from etsbell.states import FamilyKind, StateFamily
+from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep, sign_change_bracket
 
 SV3 = get_inequality("svetlichny3")
 
@@ -35,6 +36,10 @@ def test_plan_validation():
         small_plan(eta_grid=(1.5,))
     with pytest.raises(ValueError):
         small_plan(angles="foo")
+    for grid, value in (("V", math.nan), ("V", math.inf), ("d", math.nan),
+                        ("d", math.inf), ("eta", math.nan)):
+        with pytest.raises(ValueError, match=f"^{grid} value {value} out of range$"):
+            small_plan(**{f"{grid}_grid": (value,)})
     for restarts in (0, -2):
         message = f"optimizer_restarts must be at least 1, got {restarts}"
         with pytest.raises(ValueError, match=message):
@@ -117,3 +122,77 @@ def test_crossing_reports_absence():
     with pytest.raises(NoCrossingError):
         crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3,
                               V=5.0, eta=0.3, d_max=0.5)
+
+
+def test_crossing_rejects_a_bad_d_max():
+    for d_max in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"^d_max must be finite and positive, got {d_max}$"):
+            crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3,
+                                  d_max=d_max)
+
+
+def test_state_family_rejects_non_finite_inputs():
+    for V, d, message in ((math.nan, 1.0, "V must be finite and >= 1, got nan"),
+                          (math.inf, 1.0, "V must be finite and >= 1, got inf"),
+                          (5.0, math.nan, "d must be finite and >= 0, got nan"),
+                          (5.0, math.inf, "d must be finite and >= 0, got inf")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StateFamily(FamilyKind.W3, V=V, d=d)
+
+
+# Increasing functions with a known sign change c on a bracket (lo, up):
+# smooth, steep, a unit step, flat just below zero then a jump, and w3's
+# svetlichny3 profile at V = 10 between its first two probes, as a jump.
+SYNTHETIC = {
+    "linear": (lambda x: x - 0.3217, 0.0, 1.0, 0.3217),
+    "steep-erf": (lambda x: math.erf(40.0 * (x - 2.2)), 0.0, 5.0, 2.2),
+    "unit-step": (lambda x: 1.0 if x >= 0.6180339 else -1.0, 0.0, 1.0, 0.6180339),
+    "flat-then-jump": (lambda x: 10.0 if x >= 2.5 else -1e-3, 0.0, 7.0, 2.5),
+    "w3-jump": (lambda x: 0.355 if x >= 3.0 else -4.0, 0.0, 20.0 * math.sqrt(10.0) / 8.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_sign_change_bracket_keeps_bisections_worst_case(name):
+    f, lo, up, root = SYNTHETIC[name]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    a, b = sign_change_bracket(counted, lo, up, f(lo), f(up))
+    assert b - a <= 1e-3
+    assert f(a) <= 0.0 < f(b)
+    assert a <= root <= b
+    assert len(calls) <= math.ceil(math.log2((up - lo) / 1e-3)) + 1
+    assert all(lo < x < up for x in calls)
+
+
+def test_narrow_crossings_take_at_most_seven_steps(monkeypatch):
+    # the two crossings of the tripartite ordering check at V = 5, and the
+    # returned d* is the midpoint of a sign-change bracket from the points seen
+    seen, steps = [], []
+
+    def curve_spy(spec, curve, *args):
+        outcomes = evaluate_curve_with_error(spec, curve, *args)
+        seen.extend((f.d, value) for f, (value, _err) in zip(curve, outcomes))
+        return outcomes
+
+    def step_spy(spec, family, *args):
+        steps.append(family.d)
+        value, err = evaluate_with_error(spec, family, *args)
+        seen.append((family.d, value))
+        return value, err
+
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", curve_spy)
+    monkeypatch.setattr(sweeps, "evaluate_with_error", step_spy)
+    for kind in (FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_CONDITIONAL):
+        seen.clear()
+        steps.clear()
+        crossing = crossing_displacement(kind, SV3, V=5.0, eta=0.3)
+        assert 0 < len(steps) <= 7
+        lo = max(d for d, value in seen if value <= SV3.lr_bound and d < crossing)
+        up = min(d for d, value in seen if value > SV3.lr_bound and d > crossing)
+        assert up - lo <= 1e-3
+        assert crossing == 0.5 * (lo + up)

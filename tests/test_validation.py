@@ -1,7 +1,13 @@
 """Self-check registry plumbing; the full battery runs in test_acceptance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import etsbell
 from etsbell.validation import CHECKS, CheckResult, run_checks
 
 
@@ -45,3 +51,23 @@ def test_flip_term_defeats_bound_check():
 def test_flip_term_out_of_range_fails_clearly():
     with pytest.raises(ValueError, match="flip_term must lie in"):
         run_checks(["lr-bounds"], flip_term=-1)
+
+
+def test_crossing_checks_leave_scipy_unloaded():
+    # both closed-form roots of sasa-exactness and the four engine crossings
+    # of each ordering check are found without scipy, in a fresh interpreter
+    src = str(Path(etsbell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = (
+        "import sys\n"
+        "from etsbell.validation import run_checks\n"
+        "results = run_checks(['sasa-exactness', 'tripartite-scheme-ordering',\n"
+        "                      'cluster-scheme-ordering'])\n"
+        "print([r.passed for r in results])\n"
+        "print(results[0].detail.split(', ')[-1])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "[True, True, True]", "V=1e3 crossing 21.16 < 50 < saturation 53.50: True", "[]"]
