@@ -1,7 +1,7 @@
 """Real erf and Dawson's integral as numpy kernels, within 2 ulp everywhere.
 
 These are the only special functions the correlation engine needs, and
-written in numpy they spare every command the import of scipy.special.
+written in numpy they spare every command the import of scipy's.
 Both are odd, so each is evaluated on a = |x| and takes the sign of x back,
 which makes it exactly odd and zero at zero.  A table of panels over a,
 fitted with mpmath by ``tools/fit_special.py`` (see there for the forms and

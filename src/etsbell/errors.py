@@ -5,14 +5,6 @@ class EtsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class AmplitudeRangeError(EtsError, ValueError):
-    """A coherent amplitude is non-finite or exceeds the overflow guard."""
-
-
-class FaddeevaOverflowError(EtsError, ValueError):
-    """The scaled complementary error function cannot be evaluated safely."""
-
-
 class RotationError(EtsError, ValueError):
     """An effective rotation cannot be applied to the given mode."""
 

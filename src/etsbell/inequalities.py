@@ -23,8 +23,7 @@ from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
                           converged_correlation, estimate_correlation, estimate_curve,
                           estimate_terms, gradient_layout, point_result, rotation_angles,
                           term_layout)
-from .measurement import (IGNORE, PAULI_ROTATIONS, DetectorModel, EffectiveRotation,
-                          PartySetting, zx_rotation)
+from .measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation, zx_rotation
 from .states import FamilyKind, StateFamily
 
 #: Index tuple entry marking a party an inequality term does not measure.
@@ -173,22 +172,6 @@ def functional_value(spec: InequalitySpec,
                      correlator: Callable[[TermIndices], float]) -> float:
     """Signed sum Σ sign·correlator(indices) without the closing modulus."""
     return math.fsum(sign * correlator(indices) for sign, indices in spec.terms)
-
-
-def term_settings(spec: InequalitySpec, angles: AngleSet,
-                  indices: TermIndices) -> tuple[PartySetting, ...]:
-    """Per-party measurement settings for one term of the functional."""
-    if len(angles) != spec.parties:
-        raise ValueError(f"expected angle tuples for {spec.parties} parties")
-    settings = []
-    for p, idx in enumerate(indices):
-        if idx is UNMEASURED:
-            settings.append(IGNORE)
-            continue
-        if idx >= len(angles[p]):
-            raise ValueError(f"party {p} angle set lacks setting {idx}")
-        settings.append(PartySetting(angles[p][idx]))
-    return tuple(settings)
 
 
 def _term_estimates(spec: InequalitySpec, curve: Sequence[StateFamily], angles: AngleSet,

@@ -78,7 +78,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._special import dawsn, erf
 from .errors import NonconvergenceError
-from .measurement import DetectorModel, EffectiveRotation, PartySetting
+from .measurement import DetectorModel, EffectiveRotation
 from .states import StateFamily, family_structure
 
 _SQRT2 = math.sqrt(2.0)
@@ -602,30 +602,27 @@ def _deterministic_grids(variables, detector: DetectorModel, level: int,
 @lru_cache(maxsize=_MOMENT_CACHE)
 def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
                            nodes_per_axis: int, patterns: tuple) -> _Moments:
-    """Memoized moments of a curve's points at one refinement level.
+    """Memoized moments of a curve's points at one refinement level, on a
+    level axis before the point axis.
 
     Every estimate contracts levels 0 and 1 together, so level 1's entry
-    carries level 0's moments and its own, stacked on a level axis; a later
-    level's entry carries its own on a level axis of one, and level 0's is
-    the bare pass.  They do not depend on the measurement angles, so every
-    evaluation an optimizer makes on its state shares them.
+    carries level 0's moments and its own, and level 0 has no entry of its
+    own; a later level's entry carries its own on a level axis of one.  They
+    do not depend on the measurement angles, so every evaluation an
+    optimizer makes on its state shares them.
     """
     coeffs, signs, variables = _curve_structure(curve)
-    grids = _deterministic_grids(variables, detector, level, nodes_per_axis)
-    moments = _engine_pass(coeffs, signs, variables, patterns, detector, grids)
-    if level == 0:
-        return moments
-    passes = [moments]
-    if level == 1:
-        passes.insert(0, _deterministic_moments(curve, detector, 0, nodes_per_axis, patterns))
+    passes = [_engine_pass(coeffs, signs, variables, patterns, detector,
+                           _deterministic_grids(variables, detector, pass_level, nodes_per_axis))
+              for pass_level in ((0, 1) if level == 1 else (level,))]
     numerators = []
-    for modes, per_level in zip(moments.variables, zip(*(p.numerators for p in passes))):
+    for modes, per_level in zip(passes[0].variables, zip(*(p.numerators for p in passes))):
         stacked = np.stack(per_level, axis=len(modes))
         stacked.flags.writeable = False
         numerators.append(stacked)
     denominators = np.stack([p.denominators for p in passes])
     denominators.flags.writeable = False
-    return moments._replace(numerators=tuple(numerators), denominators=denominators)
+    return passes[-1]._replace(numerators=tuple(numerators), denominators=denominators)
 
 
 def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
@@ -651,12 +648,6 @@ def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
         groups = [points] if _shift_rule(sigma, level) else [(family,) for family in points]
         parts = []
         for group in groups:
-            if level == 1:
-                # Level 0 has no error to meet the tolerance with, so level
-                # 1's moments carry it and the two share one contraction.
-                # Level 0's entry is still taken, so that it stays as
-                # recently used as level 1's and a rebuilt level 1 finds it.
-                _deterministic_moments(group, detector, 0, nodes_per_axis, layout.patterns)
             moments = _deterministic_moments(group, detector, level, nodes_per_axis,
                                              layout.patterns)
             num, den = _terms(moments, table, layout)
@@ -781,54 +772,35 @@ def estimate_terms(
     return point_result(*estimate_curve((family,), theta, phase, layout, detector, config))
 
 
-def settings_layout(term_settings: Sequence[Sequence[PartySetting]]):
-    """θ and γ arrays and the layout of a stack of per-mode settings, one
-    rotation per measured setting."""
-    position = itertools.count()
-    index = [[-1 if s.ignored else next(position) for s in settings]
-             for settings in term_settings]
-    rotations = [s.rotation for settings in term_settings for s in settings if not s.ignored]
-    return (*rotation_angles(rotations), term_layout(index))
-
-
-def estimate_correlations(
-    family: StateFamily,
-    term_settings: Sequence[Sequence[PartySetting]],
-    detector: DetectorModel | None = None,
-    config: QuadratureConfig | None = None,
-) -> list[tuple[float, float]]:
-    """Correlation of outcome signs for each term, with an error estimate.
-
-    ``term_settings`` holds one per-mode setting sequence per term, at
-    least one; the terms are estimated together as in
-    :func:`estimate_terms`.
-    """
-    modes = family.num_modes
-    for settings in term_settings:
-        if len(settings) != modes:
-            raise ValueError(f"family has {modes} modes but got {len(settings)} settings")
-    results, _derivatives = estimate_terms(family, *settings_layout(term_settings),
-                                           detector, config)
-    return results
-
-
 def estimate_correlation(
     family: StateFamily,
-    settings: Sequence[PartySetting],
+    rotations: Sequence[EffectiveRotation | None],
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
 ) -> tuple[float, float]:
-    """Correlation of outcome signs with an error estimate: the one-term case
-    of :func:`estimate_correlations`."""
-    return estimate_correlations(family, [settings], detector, config)[0]
+    """Correlation of outcome signs with an error estimate.
+
+    ``rotations`` holds one entry per mode: its rotation, or None for a mode
+    the correlation leaves unmeasured.  This is the one-term case of
+    :func:`estimate_terms`.
+    """
+    modes = family.num_modes
+    if len(rotations) != modes:
+        raise ValueError(f"family has {modes} modes but got {len(rotations)} settings")
+    position = itertools.count()
+    index = [-1 if rotation is None else next(position) for rotation in rotations]
+    measured = [rotation for rotation in rotations if rotation is not None]
+    (result,), _derivatives = estimate_terms(family, *rotation_angles(measured),
+                                             term_layout([index]), detector, config)
+    return result
 
 
 def converged_correlation(
     family: StateFamily,
-    settings: Sequence[PartySetting],
+    rotations: Sequence[EffectiveRotation | None],
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
 ) -> float:
     """Correlation of outcome signs, converged to the configured tolerance."""
-    value, _err = estimate_correlation(family, settings, detector, config)
+    value, _err = estimate_correlation(family, rotations, detector, config)
     return value

@@ -1,9 +1,9 @@
-"""Local rotations, party settings and the detector model.
+"""Local rotations and the detector model.
 
 A measurement setting per mode is an effective two-branch rotation acting on
-the ± amplitude pair of that mode, or no setting at all when a party is
-ignored by a correlation term.  Outcomes are the signs of x-quadrature
-readings, smeared by the detector's inefficiency.
+the ± amplitude pair of that mode, or None when a correlation term leaves
+the party unmeasured.  Outcomes are the signs of x-quadrature readings,
+smeared by the detector's inefficiency.
 """
 
 from __future__ import annotations
@@ -58,21 +58,6 @@ def zx_rotation(angle: float) -> EffectiveRotation:
     angle = 0 recovers the z readout, angle = π/2 the x readout.
     """
     return EffectiveRotation((math.pi - angle) % _TWO_PI, 0.0)
-
-
-@dataclass(frozen=True)
-class PartySetting:
-    """A party's choice for one correlation term: rotate or sit out."""
-
-    rotation: EffectiveRotation | None = None
-
-    @property
-    def ignored(self) -> bool:
-        return self.rotation is None
-
-
-#: Sentinel setting for a party that an inequality term leaves unmeasured.
-IGNORE = PartySetting(None)
 
 
 @dataclass(frozen=True)

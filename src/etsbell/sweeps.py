@@ -209,6 +209,8 @@ def crossing_displacement(
     if d_max is not None and not 0.0 < d_max < math.inf:
         raise ValueError(f"d_max must be finite and positive, got {d_max}")
     detector = DetectorModel(eta)
+    # The default interval takes the square root of V, so V is checked first.
+    StateFamily(family, V=V, d=0.0)
     hi = d_max if d_max is not None else 20.0 * math.sqrt(V)
     probes = [hi * k / 8.0 for k in range(9)]
     profile = evaluate_curve_with_error(
@@ -218,7 +220,7 @@ def crossing_displacement(
         if vb < va - 3.0 * (ea + eb) - 1e-9:
             raise NoCrossingError(
                 f"functional is not increasing in d on [0, {hi:.3g}]; "
-                "bisection would be unreliable")
+                "the ITP bracket search would be unreliable")
 
     excess = [value - spec.lr_bound for value, _err in sampled]
     k = next((k for k, above in enumerate(excess) if above > 0.0), None)

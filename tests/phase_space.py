@@ -1,14 +1,16 @@
-"""Exact coherent-state kernels on the quadrature line.
+"""Exact coherent-state kernels on the quadrature line, for the pure-state oracle.
 
-Everything downstream reduces to three ingredients computed here: overlaps
-of coherent states, their position-quadrature wavefunctions, and interference
-integrals of wavefunction products restricted to a half-line.  The quadrature
-convention is x = eigenvalue of (a + a†)/√2, so a coherent state with real
-amplitude d is a Gaussian of mean √2·d and variance 1/2.
+The pure-state branch model of ``pure_state_oracle`` reduces to three
+ingredients computed here: overlaps of coherent states, their
+position-quadrature wavefunctions, and interference integrals of
+wavefunction products restricted to a half-line.  None of it is shared with
+the engine, whose thermal model needs only real erf and Dawson's integral.
+The quadrature convention is x = eigenvalue of (a + a†)/√2, so a coherent
+state with real amplitude d is a Gaussian of mean √2·d and variance 1/2.
 
 The half-line integrals need the complementary error function of complex
-argument, which is evaluated through the Faddeeva function w(z); that path
-is exposed as :func:`faddeeva` so its accuracy can be audited directly.
+argument, which is evaluated through scipy's Faddeeva function w(z); that
+path is exposed as :func:`faddeeva` so its accuracy can be audited directly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import cmath
 import enum
 import math
 
-from .errors import AmplitudeRangeError, FaddeevaOverflowError
+from scipy.special import wofz
+
+from etsbell.errors import EtsError
 
 # A coherent-state label: a plain complex number in phase-space units.
 ComplexAmplitude = complex
@@ -30,6 +34,14 @@ FADDEEVA_MAX_ARG = 1.0e6
 
 _SQRT2 = math.sqrt(2.0)
 _PI_QUARTER = math.pi ** (-0.25)
+
+
+class AmplitudeRangeError(EtsError, ValueError):
+    """A coherent amplitude is non-finite or exceeds the overflow guard."""
+
+
+class FaddeevaOverflowError(EtsError, ValueError):
+    """The scaled complementary error function cannot be evaluated safely."""
 
 
 class HalfLineSign(enum.IntEnum):
@@ -76,9 +88,6 @@ def quadrature_amplitude(x: float, alpha: ComplexAmplitude) -> complex:
 
 
 def _wofz(z: complex) -> complex:
-    # Imported on use: scipy.special takes longer to import than the rest
-    # of the package, and only the Faddeeva path needs it, not the engine.
-    from scipy.special import wofz
     return complex(wofz(z))
 
 

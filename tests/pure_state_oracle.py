@@ -3,8 +3,8 @@
 A multimode entangled coherent state is stored as a short list of branches,
 each a complex coefficient and one amplitude per mode.  Rotations act on the
 ± amplitude lattice branch by branch, and sign-pattern probabilities come
-from the Faddeeva half-line kernels of ``etsbell.phase_space``, one branch
-pair at a time.  Nothing here goes through the engine's quadrature or its
+from the Faddeeva half-line kernels of ``phase_space``, one branch pair at a
+time.  Nothing here goes through the engine's quadrature or its
 family table, so at V = 1, where every mixture variable sits at its center,
 agreement with the engine is a cross-check of both.
 """
@@ -17,8 +17,8 @@ from typing import Sequence
 
 from etsbell.errors import EtsError, RotationError
 from etsbell.measurement import DetectorModel, EffectiveRotation
-from etsbell.phase_space import (AMP_MAX, ComplexAmplitude, HalfLineSign, _halfline_kernel,
-                                 coherent_overlap)
+from phase_space import (AMP_MAX, ComplexAmplitude, HalfLineSign, _halfline_kernel,
+                         coherent_overlap)
 
 SignPattern = tuple[HalfLineSign, ...]
 

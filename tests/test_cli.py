@@ -255,8 +255,9 @@ def test_scan_rejects_non_finite_grid_values(capsys, flag, value):
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     # scipy is most of the package's import time, so neither the import nor
     # a canonical-angle scan loads any of it: the engine's kernels are
-    # numpy, and only the optimizer, validate and the Faddeeva path import
-    # scipy, on use; a fresh interpreter shows what every command pays
+    # numpy, and only the angle optimizer imports scipy, on use (so do
+    # --angles optimize and validate's kerr-violation-exists check); a fresh
+    # interpreter shows what every command pays
     src = str(Path(etsbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))

@@ -24,7 +24,6 @@ from etsbell.inequalities import (
     get_inequality,
     hybrid_partition_bound,
     optimize_angles,
-    term_settings,
     verify_lr_bound,
 )
 from etsbell.integration import QuadratureConfig
@@ -169,11 +168,10 @@ def test_canonical_angles_carry_provenance():
     assert isinstance(ca.provenance, str) and ca.provenance
 
 
-def test_term_settings_marks_unmeasured_parties():
-    angles = canonical_angles(SASA, FamilyKind.CLUSTER4_CONDITIONAL).angles
-    settings = term_settings(SASA, angles, SASA.terms[0][1])
-    assert settings[1].ignored
-    assert not settings[0].ignored
+def test_layout_marks_unmeasured_parties():
+    index = SASA._layout.index
+    assert index[0, 1] == -1
+    assert index[0, 0] >= 0
 
 
 def test_deterministic_bounds():

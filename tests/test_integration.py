@@ -1,5 +1,6 @@
 """Correlation engine against analytic, spin, pure-state and dense references."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,27 +13,18 @@ import pure_state_oracle
 import qubit_oracle
 from etsbell import integration
 from etsbell.errors import NonconvergenceError
-from etsbell.inequalities import INEQUALITIES, term_settings
+from etsbell.inequalities import INEQUALITIES
 from etsbell.integration import (
     QuadratureConfig,
     converged_correlation,
     estimate_correlation,
-    estimate_correlations,
     estimate_terms,
 )
-from etsbell.measurement import (
-    IGNORE,
-    PAULI_ROTATIONS,
-    DetectorModel,
-    EffectiveRotation,
-    PartySetting,
-)
+from etsbell.measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation
 from etsbell.oracles import ghz_correlation_closed
 from etsbell.states import FamilyKind, StateFamily, family_structure
 
-EQUATORIAL = [
-    PartySetting(EffectiveRotation(math.pi / 2, g)) for g in (0.3, 1.1, 2.4)
-]
+EQUATORIAL = [EffectiveRotation(math.pi / 2, g) for g in (0.3, 1.1, 2.4)]
 
 
 def test_config_validation():
@@ -50,18 +42,17 @@ def test_ghz_matches_closed_form():
         fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, V, d)
         got = converged_correlation(fam, EQUATORIAL, DetectorModel(eta))
         want = ghz_correlation_closed(
-            V, d, [s.rotation.phase for s in EQUATORIAL], eta)
+            V, d, [r.phase for r in EQUATORIAL], eta)
         assert got == pytest.approx(want, abs=5e-9), (V, d, eta)
 
 
 def test_beam_splitter_equals_conditional_at_unit_variance():
     # at V = 1 every mixture variable collapses to its centre, making the
     # rescaled preparation identical to the direct one
-    settings = EQUATORIAL
     a = converged_correlation(
-        StateFamily(FamilyKind.GHZ3_BEAM_SPLITTER, 1.0, 1.3), settings)
+        StateFamily(FamilyKind.GHZ3_BEAM_SPLITTER, 1.0, 1.3), EQUATORIAL)
     b = converged_correlation(
-        StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 1.3), settings)
+        StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 1.3), EQUATORIAL)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -77,8 +68,8 @@ def test_engine_matches_spin_oracle_at_large_displacement():
         fam = StateFamily(kind, V=10.0, d=40.0)
         pairs = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
                  for _ in range(fam.num_modes)]
-        settings = [PartySetting(EffectiveRotation(t, g)) for t, g in pairs]
-        got = converged_correlation(fam, settings)
+        rotations = [EffectiveRotation(t, g) for t, g in pairs]
+        got = converged_correlation(fam, rotations)
         want = qubit_oracle.correlation(state, pairs)
         assert got == pytest.approx(want, abs=1e-9), kind
 
@@ -92,19 +83,19 @@ def test_kerr_phase_shifts_spin_limit():
     fam = StateFamily(FamilyKind.GHZ3_KERR, V=10.0, d=40.0)
     pairs = [(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
              for _ in range(3)]
-    settings = [PartySetting(EffectiveRotation(t, g)) for t, g in pairs]
-    got = converged_correlation(fam, settings)
+    rotations = [EffectiveRotation(t, g) for t, g in pairs]
+    got = converged_correlation(fam, rotations)
     want = qubit_oracle.correlation(state, pairs)
     assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_ignored_party_marginals():
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 10.0, 40.0)
-    z = PartySetting(PAULI_ROTATIONS["z"])
-    assert converged_correlation(fam, [z, z, IGNORE]) == pytest.approx(
+    z = PAULI_ROTATIONS["z"]
+    assert converged_correlation(fam, [z, z, None]) == pytest.approx(
         1.0, abs=1e-9)
-    x = PartySetting(PAULI_ROTATIONS["x"])
-    assert converged_correlation(fam, [x, x, IGNORE]) == pytest.approx(
+    x = PAULI_ROTATIONS["x"]
+    assert converged_correlation(fam, [x, x, None]) == pytest.approx(
         0.0, abs=1e-9)
 
 
@@ -117,11 +108,10 @@ def test_zero_displacement_kills_equatorial_correlation():
 def test_engine_agrees_with_measurement_layer_when_separated():
     # both normalization conventions coincide once the branches separate
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 2.5)
-    rotations = [s.rotation for s in EQUATORIAL]
     state = pure_state_oracle.ghz_branches((2.5, 2.5, 2.5))
     det = DetectorModel(0.8)
     direct = pure_state_oracle.correlation(
-        pure_state_oracle.apply_rotation(state, rotations), det)
+        pure_state_oracle.apply_rotation(state, EQUATORIAL), det)
     engine = converged_correlation(fam, EQUATORIAL, det)
     assert engine == pytest.approx(direct, abs=1e-9)
 
@@ -157,8 +147,7 @@ def test_engine_matches_pure_state_oracle(kind):
                          for _ in range(modes)]
             want = pure_state_oracle.correlation(
                 pure_state_oracle.apply_rotation(state, rotations), detector)
-            got = converged_correlation(
-                family, [PartySetting(r) for r in rotations], detector)
+            got = converged_correlation(family, rotations, detector)
             assert got == pytest.approx(want, abs=1e-12), (eta, rotations)
 
 
@@ -234,8 +223,25 @@ def _random_angles(rng, spec):
         for count in spec.settings_per_party)
 
 
-def _stack(spec, angles):
-    return [term_settings(spec, angles, indices) for _sign, indices in spec.terms]
+def _term_rotations(spec, angles):
+    """Each term's rotation per mode, None where the term leaves it unmeasured."""
+    return [[None if idx is None else angles[p][idx] for p, idx in enumerate(indices)]
+            for _sign, indices in spec.terms]
+
+
+def _estimate_stack(family, stack, detector=None, config=None):
+    """Every term of ``stack`` from one batched call, with one rotation per
+    measured entry, so that no two terms share a row of the rotation table."""
+    position = itertools.count()
+    index = [[-1 if r is None else next(position) for r in term] for term in stack]
+    rotations = [r for term in stack for r in term if r is not None]
+    results, _derivatives = estimate_terms(family, *integration.rotation_angles(rotations),
+                                           integration.term_layout(index), detector, config)
+    return results
+
+
+def _dense_term(rotations):
+    return [None if r is None else (r.theta, r.phase) for r in rotations]
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
@@ -248,12 +254,11 @@ def test_separable_pass_matches_dense_reference(kind, tensor_grids):
                       for _ in range(modes)]
             for unmeasured in (None, 1):
                 term = [None if m == unmeasured else a for m, a in enumerate(angles)]
-                settings = [IGNORE if a is None else PartySetting(EffectiveRotation(*a))
-                            for a in term]
+                rotations = [None if a is None else EffectiveRotation(*a) for a in term]
                 num, den = dense_reference.correlation(
                     kind.value, V, 1.2, term, etas, tensor_grids)
                 got, _err = estimate_correlation(
-                    StateFamily(kind, V, 1.2), settings, DetectorModel(eta))
+                    StateFamily(kind, V, 1.2), rotations, DetectorModel(eta))
                 assert got == pytest.approx(num / den, abs=1e-12), (V, eta, unmeasured)
 
 
@@ -266,15 +271,13 @@ def test_stacked_terms_match_dense_reference(kind, tensor_grids):
     for spec in INEQUALITIES.values():
         if spec.parties != modes:
             continue
-        stack = _stack(spec, _random_angles(rng, spec))
+        stack = _term_rotations(spec, _random_angles(rng, spec))
         for V in (1.0, 5.0, 100.0):
             for eta, etas in _detector_cases(modes):
-                got = estimate_correlations(StateFamily(kind, V, 1.2), stack,
-                                            DetectorModel(eta))
+                got = _estimate_stack(StateFamily(kind, V, 1.2), stack, DetectorModel(eta))
                 assert len(got) == len(stack)
-                for settings, (value, _err) in zip(stack, got):
-                    term = [None if s.ignored else (s.rotation.theta, s.rotation.phase)
-                            for s in settings]
+                for rotations, (value, _err) in zip(stack, got):
+                    term = _dense_term(rotations)
                     num, den = dense_reference.correlation(
                         kind.value, V, 1.2, term, etas, tensor_grids)
                     assert value == pytest.approx(num / den, abs=1e-12), \
@@ -289,12 +292,11 @@ def test_partly_shared_detector_matches_dense_reference(kind, tensor_grids):
     rng = np.random.default_rng(41)
     etas = (0.5, 0.5, 0.7, 0.7)
     for spec in (INEQUALITIES["svetlichny4"], INEQUALITIES["wwzb4"], INEQUALITIES["sasa"]):
-        stack = _stack(spec, _random_angles(rng, spec))
+        stack = _term_rotations(spec, _random_angles(rng, spec))
         for V in (1.0, 5.0, 100.0):
-            got = estimate_correlations(StateFamily(kind, V, 1.2), stack, DetectorModel(etas))
-            for settings, (value, _err) in zip(stack, got):
-                term = [None if s.ignored else (s.rotation.theta, s.rotation.phase)
-                        for s in settings]
+            got = _estimate_stack(StateFamily(kind, V, 1.2), stack, DetectorModel(etas))
+            for rotations, (value, _err) in zip(stack, got):
+                term = _dense_term(rotations)
                 num, den = dense_reference.correlation(
                     kind.value, V, 1.2, term, etas, tensor_grids)
                 assert value == pytest.approx(num / den, abs=1e-12), (spec.name, V, term)
@@ -318,9 +320,9 @@ def test_stacked_call_equals_one_term_calls(config):
         family = StateFamily(kind, V, 1.3)
         detector = DetectorModel(0.7)
         angles = _random_angles(rng, spec)
-        stack = _stack(spec, angles)
+        stack = _term_rotations(spec, angles)
         memo.cache_clear()
-        stacked = estimate_correlations(family, stack, detector, config)
+        stacked = _estimate_stack(family, stack, detector, config)
         # nor on the index it is gathered through: the functional's own
         # layout shares each party setting's rotation among its terms
         rotations = [r for party in angles for r in party]
@@ -334,10 +336,10 @@ def test_stacked_call_equals_one_term_calls(config):
         repeated = [stack[1]] + stack + [stack[1]]
         for reordered, want in ((stack[::-1], stacked[::-1]),
                                 (repeated, [stacked[1]] + stacked + [stacked[1]])):
-            assert estimate_correlations(family, reordered, detector, config) == want, name
-        for settings, want in zip(stack, stacked):
+            assert _estimate_stack(family, reordered, detector, config) == want, name
+        for rotations, want in zip(stack, stacked):
             memo.cache_clear()
-            assert estimate_correlation(family, settings, detector, config) == want, name
+            assert estimate_correlation(family, rotations, detector, config) == want, name
 
 
 def _lone_level_ladder(family, detector, spec, angles, rel_tol):
@@ -382,12 +384,12 @@ def test_stacked_levels_equal_lone_level_contractions():
         assert (None not in found) == converges
         if converges:
             assert max(level for _result, level in found) >= 2
-            got = estimate_correlations(family, _stack(spec, angles), detector, config)
+            got = _estimate_stack(family, _term_rotations(spec, angles), detector, config)
             assert got == [result for result, _level in found]
             continue
         t = found.index(None)
         with pytest.raises(NonconvergenceError) as info:
-            estimate_correlations(family, _stack(spec, angles), detector, config)
+            _estimate_stack(family, _term_rotations(spec, angles), detector, config)
         value, err = float(values[t]), float(errs[t])
         message = f"correlation refinement stalled at {value!r} with error {err:.3g}"
         assert str(info.value) == message
@@ -434,7 +436,7 @@ def test_moment_memo_never_serves_a_stale_entry():
                         EQUATORIAL, DetectorModel(0.8), QuadratureConfig()),
         "displacement": (StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 2.5),
                          EQUATORIAL, DetectorModel(0.8), QuadratureConfig()),
-        "unmeasured pattern": (family, EQUATORIAL[:2] + [IGNORE], DetectorModel(0.8),
+        "unmeasured pattern": (family, EQUATORIAL[:2] + [None], DetectorModel(0.8),
                                QuadratureConfig()),
     }
     for name, variant in variants.items():
@@ -481,8 +483,7 @@ def _random_point(draw, kinds):
 @given(_random_point(list(FamilyKind)))
 def test_correlation_is_bounded(point):
     family, rotations, etas = point
-    value, _err = estimate_correlation(family, [PartySetting(r) for r in rotations],
-                                       DetectorModel(tuple(etas)))
+    value, _err = estimate_correlation(family, rotations, DetectorModel(tuple(etas)))
     assert abs(value) <= 1.0
 
 
@@ -491,15 +492,13 @@ def test_correlation_is_bounded(point):
 def test_symmetric_families_are_party_permutation_invariant(point, data):
     family, rotations, etas = point
     order = data.draw(hst.permutations(range(family.num_modes)))
-    value, _err = estimate_correlation(family, [PartySetting(r) for r in rotations],
-                                       DetectorModel(tuple(etas)))
+    value, _err = estimate_correlation(family, rotations, DetectorModel(tuple(etas)))
     permuted, _err = estimate_correlation(
-        family, [PartySetting(rotations[m]) for m in order],
-        DetectorModel(tuple(etas[m] for m in order)))
+        family, [rotations[m] for m in order], DetectorModel(tuple(etas[m] for m in order)))
     assert permuted == pytest.approx(value, abs=1e-12), order
 
 
 def test_empty_stack_is_refused():
     family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
     with pytest.raises(ValueError, match="the term list is empty"):
-        estimate_correlations(family, [])
+        _estimate_stack(family, [])

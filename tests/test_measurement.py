@@ -8,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from etsbell.errors import RotationError
-from etsbell.measurement import (
-    IGNORE,
-    PAULI_ROTATIONS,
-    DetectorModel,
-    EffectiveRotation,
-    PartySetting,
-    zx_rotation,
-)
-from etsbell.phase_space import _halfline_kernel, coherent_overlap
+from etsbell.measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation, zx_rotation
 from etsbell.states import FamilyKind
+from phase_space import _halfline_kernel, coherent_overlap
 from pure_state_oracle import (
     BranchSuperposition,
     apply_rotation,
@@ -179,9 +172,3 @@ def test_correlation_is_bounded():
                                      EffectiveRotation(0.3, 2.2)])
     value = correlation(rotated, DetectorModel(0.8))
     assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
-
-
-def test_party_setting_ignore_sentinel():
-    assert PartySetting(None).ignored
-    assert IGNORE.ignored
-    assert not PartySetting(EffectiveRotation(0.1, 0.2)).ignored

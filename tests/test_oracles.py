@@ -6,7 +6,7 @@ import pytest
 
 import qubit_oracle
 from etsbell.integration import converged_correlation
-from etsbell.measurement import EffectiveRotation, PartySetting, zx_rotation
+from etsbell.measurement import zx_rotation
 from etsbell.oracles import (
     GHZ3_SVETLICHNY_MAX,
     GHZ4_SVETLICHNY_MAX,
@@ -94,8 +94,7 @@ def test_w_closed_form_asymptote():
 def test_w_closed_form_matches_engine():
     fam = StateFamily(FamilyKind.W3, 10.0, 40.0)
     for thetas in ((0.4, 1.0, 2.2), (math.pi / 3, math.pi / 5, 0.9)):
-        settings = [PartySetting(zx_rotation(t)) for t in thetas]
-        got = converged_correlation(fam, settings)
+        got = converged_correlation(fam, [zx_rotation(t) for t in thetas])
         assert got == pytest.approx(w_correlation_closed(10.0, 40.0, thetas),
                                     abs=1e-7)
 

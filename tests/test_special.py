@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from etsbell import validation
 from etsbell._special import dawsn, erf
 
 # Dense on the range the quadrature rules reach, then log-spaced over every
@@ -81,3 +82,12 @@ def test_kernels_at_infinity_and_nan():
     mixed = np.array([math.nan, 0.7, 100.0])
     assert np.array_equal(dawsn(mixed)[1:], dawsn(mixed[1:]))
     assert np.array_equal(erf(mixed)[1:], erf(mixed[1:]))
+
+
+@pytest.mark.parametrize("x, erf_value, dawsn_value", validation._KERNEL_TABLE)
+def test_validation_kernel_table_is_mpmath_rounded(x, erf_value, dawsn_value):
+    # every stored value of the numerical-kernels check is the double nearest
+    # the 50-digit reference
+    with mpmath.workdps(50):
+        assert float(mpmath.erf(mpmath.mpf(x))) == erf_value
+        assert float(_dawson(mpmath.mpf(x))) == dawsn_value

@@ -131,6 +131,22 @@ def test_crossing_rejects_a_bad_d_max():
                                   d_max=d_max)
 
 
+def test_crossing_rejects_a_bad_V():
+    with pytest.raises(ValueError, match=r"^V must be finite and >= 1, got -1\.0$"):
+        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=-1.0, eta=0.3)
+
+
+def test_crossing_refuses_a_falling_profile(monkeypatch):
+    def falling(spec, curve, *args):
+        return [(5.0 - 0.1 * family.d, 0.0) for family in curve]
+
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", falling)
+    message = (r"^functional is not increasing in d on \[0, 3\]; "
+               r"the ITP bracket search would be unreliable$")
+    with pytest.raises(NoCrossingError, match=message):
+        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3, d_max=3.0)
+
+
 def test_state_family_rejects_non_finite_inputs():
     for V, d, message in ((math.nan, 1.0, "V must be finite and >= 1, got nan"),
                           (math.inf, 1.0, "V must be finite and >= 1, got inf"),

@@ -55,7 +55,8 @@ def test_flip_term_out_of_range_fails_clearly():
 
 def test_crossing_checks_leave_scipy_unloaded():
     # both closed-form roots of sasa-exactness and the four engine crossings
-    # of each ordering check are found without scipy, in a fresh interpreter
+    # of each ordering check are found without scipy, in a fresh interpreter,
+    # and numerical-kernels tests the engine's own numpy kernels
     src = str(Path(etsbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -63,11 +64,11 @@ def test_crossing_checks_leave_scipy_unloaded():
         "import sys\n"
         "from etsbell.validation import run_checks\n"
         "results = run_checks(['sasa-exactness', 'tripartite-scheme-ordering',\n"
-        "                      'cluster-scheme-ordering'])\n"
+        "                      'cluster-scheme-ordering', 'numerical-kernels'])\n"
         "print([r.passed for r in results])\n"
         "print(results[0].detail.split(', ')[-1])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == [
-        "[True, True, True]", "V=1e3 crossing 21.16 < 50 < saturation 53.50: True", "[]"]
+        "[True, True, True, True]", "V=1e3 crossing 21.16 < 50 < saturation 53.50: True", "[]"]
