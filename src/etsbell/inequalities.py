@@ -34,10 +34,16 @@ UNMEASURED = None
 OPTIMIZER_REL_TOL = 1e-5
 
 #: Largest gradient component at which the angle optimizer stops.  The
-#: functional has flat ridges: at scipy's default of 1e-5, BFGS stopped
-#: 3.9e-6 below the optimum of ghz3-kerr at V = 5, d = 3, η = 0.8, where
-#: the gradient was 2.4e-6.
+#: functional has flat ridges: stopping at 1e-5 (a common BFGS default) left
+#: the optimizer 3.9e-6 below the optimum of ghz3-kerr at V = 5, d = 3,
+#: η = 0.8, where the gradient was 2.4e-6.
 _GRADIENT_TOL = 1e-8
+
+#: BFGS iterations per angle before a restart counts as stalled, the strong
+#: Wolfe constants c₁ and c₂, and the trials each line search phase may take.
+_ITERATIONS_PER_ANGLE = 200
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9
+_ZOOM_TRIALS = 10
 
 _TWO_PI = 2.0 * math.pi
 
@@ -372,7 +378,8 @@ class OptimizationResult:
     """Best functional value found and the settings achieving it.
 
     ``evaluations`` counts the objective calls, each a value and its
-    gradient, summed over all ``restarts``.
+    gradient, summed over all ``restarts``; ``stalled`` counts the restarts
+    that stopped short of :data:`_GRADIENT_TOL`.
     """
 
     value: float
@@ -381,6 +388,7 @@ class OptimizationResult:
     provenance: str = "optimizer"
     evaluations: int = 0
     restarts: int = 0
+    stalled: int = 0
 
 
 def _angles_from_vector(spec: InequalitySpec, x: np.ndarray) -> AngleSet:
@@ -403,6 +411,84 @@ def _vector_from_angles(spec: InequalitySpec, angles: AngleSet) -> np.ndarray:
     return np.array(flat)
 
 
+def _zoom_step(lo, hi) -> float:
+    """Minimizer of the cubic through the values and slopes at both ends of
+    a bracket (Nocedal & Wright, eq. 3.59), or the midpoint where that is
+    undefined or within a tenth of the bracket of either end."""
+    (a, fa, _, da), (b, fb, _, db) = lo, hi
+    try:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        d2 = math.copysign(math.sqrt(d1 * d1 - da * db), b - a)
+        step = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+    except (ZeroDivisionError, ValueError):
+        step = math.nan
+    margin = 0.1 * abs(b - a)
+    return step if min(a, b) + margin <= step <= max(a, b) - margin else 0.5 * (a + b)
+
+
+def _line_search(objective, x, f, g, p, step):
+    """A step along the descent direction ``p`` that meets the strong Wolfe
+    conditions (Nocedal & Wright, Algorithms 3.5 and 3.6): the accepted
+    trial (α, value, gradient, slope), or None when the trials run out.
+    Each trial is one call of ``objective``, which gives value and gradient."""
+    slope = float(g @ p)
+
+    def trial(alpha):
+        value, gradient = objective(x + alpha * p)
+        return alpha, value, gradient, float(gradient @ p)
+
+    def zoom(lo, hi):
+        for _ in range(_ZOOM_TRIALS):
+            t = trial(_zoom_step(lo, hi))
+            if not t[1] <= f + _WOLFE_C1 * t[0] * slope or t[1] >= lo[1]:
+                hi = t
+            elif abs(t[3]) <= -_WOLFE_C2 * slope:
+                return t
+            else:
+                hi, lo = (lo if t[3] * (hi[0] - lo[0]) >= 0.0 else hi), t
+        return None
+
+    previous = (0.0, f, g, slope)
+    for k in range(_ZOOM_TRIALS):
+        t = trial(step)
+        if not t[1] <= f + _WOLFE_C1 * step * slope or (k and t[1] >= previous[1]):
+            return zoom(previous, t)
+        if abs(t[3]) <= -_WOLFE_C2 * slope:
+            return t
+        if t[3] >= 0.0:
+            return zoom(t, previous)
+        previous, step = t, 2.0 * step
+    return None
+
+
+def _bfgs(objective, x: np.ndarray):
+    """Minimize ``objective`` (value and gradient) from ``x`` by BFGS from
+    H₀ = I (Nocedal & Wright, Algorithm 6.1), to the last accepted point and
+    its value and gradient: ``x`` itself when its gradient already meets
+    :data:`_GRADIENT_TOL`, else where that tolerance was met, a line search
+    failed or the iteration cap ran out."""
+    f, g = objective(x)
+    inverse, previous = np.eye(x.size), f + np.linalg.norm(g) / 2.0
+    for _ in range(_ITERATIONS_PER_ANGLE * x.size):
+        p = -inverse @ g
+        slope = float(g @ p)
+        if np.abs(g).max() <= _GRADIENT_TOL or not slope < 0.0:
+            break
+        # First trial: the step that repeats the last decrease, at most 1.
+        step = min(1.0, 2.02 * (f - previous) / slope)
+        found = _line_search(objective, x, f, g, p, step if step > 0.0 else 1.0)
+        if found is None:
+            break
+        alpha, f_next, g_next, _slope = found
+        s, y = alpha * p, g_next - g
+        x, f, g, previous = x + s, f_next, g_next, f
+        ys = float(y @ s)
+        rho = 1.0 / ys if ys else 1000.0  # a large finite ρ where yᵀs vanishes
+        update = np.eye(x.size) - rho * np.outer(s, y)
+        inverse = update @ inverse @ update.T + rho * np.outer(s, s)
+    return x, f, g
+
+
 def optimize_angles(
     spec: InequalitySpec,
     family: StateFamily,
@@ -414,16 +500,15 @@ def optimize_angles(
     """Maximize |functional| over all measurement angles with BFGS.
 
     The objective is :func:`evaluate_with_gradient`, whose gradient is
-    exact, so a start that is already stationary stops after one call.
+    exact, so a stationary start stops after one call, bit for bit.
     Restart 0 is seeded from the canonical angle set when one exists; the
     remaining starts draw uniformly from [0, 2π).  Restarts run in order and
-    ties resolve to the lowest start index.  An evaluation that does not
+    ties resolve to the lowest start index; a stalled restart keeps the
+    value at its last accepted point.  An evaluation that does not
     converge raises its :class:`NonconvergenceError` out of the optimizer.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    # Imported on use: scipy.optimize is most of the package's import time.
-    from scipy.optimize import minimize
     if config is None:
         config = QuadratureConfig(rel_tol=OPTIMIZER_REL_TOL)
     nparams = 2 * sum(spec.settings_per_party)
@@ -442,21 +527,17 @@ def optimize_angles(
         value, gradient = evaluate_with_gradient(spec, family, x, detector, config)
         return -value, -gradient
 
-    def solve(start: np.ndarray):
-        result = minimize(objective, start, jac=True, method="BFGS",
-                          options={"gtol": _GRADIENT_TOL})
-        return -float(result.fun), result.x
-
-    outcomes = [solve(s) for s in starts]
+    outcomes = [_bfgs(objective, s) for s in starts]
     # max keeps the first of equal values: the lowest start index wins ties.
-    best_index = max(range(len(outcomes)), key=lambda k: outcomes[k][0])
-    best_value, best_x = outcomes[best_index]
+    best_index = max(range(restarts), key=lambda k: -outcomes[k][1])
+    best_x, best_f, _g = outcomes[best_index]
     return OptimizationResult(
-        value=best_value,
+        value=-best_f,
         angles=_angles_from_vector(spec, best_x),
         start_index=best_index,
         evaluations=evaluations,
         restarts=restarts,
+        stalled=sum(int(np.abs(g).max() > _GRADIENT_TOL) for _x, _f, g in outcomes),
     )
 
 

@@ -463,11 +463,6 @@ def _matrices(a00, a01, a10, a11) -> np.ndarray:
     return out
 
 
-def _pair_derivative(a, da) -> np.ndarray:
-    """Derivative of (A, B) = M·_NUMERATOR_PAIR·M, given M and its derivative."""
-    return da @ _NUMERATOR_PAIR @ a + a @ _NUMERATOR_PAIR @ da
-
-
 def _rotation_table(theta: np.ndarray, phase: np.ndarray,
                     derivatives: bool = False) -> np.ndarray:
     """Numerator block pair of every rotation, then the Gram pair.
@@ -488,12 +483,14 @@ def _rotation_table(theta: np.ndarray, phase: np.ndarray,
     a = _matrices(s, ph * c, ph.conj() * c, -s)
     count = theta.size
     table = np.empty((2, (3 if derivatives else 1) * count + 1, 2, 2), dtype=complex)
-    table[:, :count] = a @ _NUMERATOR_PAIR @ a
+    ap = a @ _NUMERATOR_PAIR
+    table[:, :count] = ap @ a
     if derivatives:
-        d_theta = _matrices(c / 2.0, -ph * s / 2.0, -ph.conj() * s / 2.0, -c / 2.0)
-        d_phase = _matrices(0.0, 1j * ph * c, -1j * ph.conj() * c, 0.0)
-        table[:, count:2 * count] = _pair_derivative(a, d_theta)
-        table[:, 2 * count:3 * count] = _pair_derivative(a, d_phase)
+        # ∂(MPM) = M′PM + (MP)M′ for M′ by θ, then by γ, in one chain.
+        d = np.concatenate((_matrices(c / 2.0, -ph * s / 2.0, -ph.conj() * s / 2.0, -c / 2.0),
+                            _matrices(0.0, 1j * ph * c, -1j * ph.conj() * c, 0.0)))
+        table[:, count:3 * count] = (d @ _NUMERATOR_PAIR @ np.concatenate((a, a))
+                                     + np.concatenate((ap, ap), axis=1) @ d)
     table[:, -1] = _GRAM_BLOCKS
     return table
 

@@ -5,8 +5,8 @@ the ``validate`` CLI command and the test suite so both report identical
 verdicts.  Reference numbers here are either closed forms evaluated in-place
 or high-precision constants frozen from an independent computation, such as
 the 50-digit erf and Dawson values that ``numerical-kernels`` holds the
-engine's own kernels to.  Only ``kerr-violation-exists``, through the angle
-optimizer, imports scipy.
+engine's own kernels to.  No check imports scipy: the angle optimizer behind
+``kerr-violation-exists`` is the package's own numpy BFGS.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def check_kerr_violation() -> CheckResult:
         passed=found.value > 4.0,
         detail=f"optimizer reached {found.value:.6f} (needs > 4, "
                f"start {found.start_index}, {found.evaluations} evaluations "
-               f"over {found.restarts} restarts)")
+               f"over {found.restarts} restarts, {found.stalled} stalled)")
 
 
 # (x, erf(x), Dawson(x)) computed once at 50 decimal digits with mpmath and

@@ -1,5 +1,6 @@
 """Command-line interface: scans, figure presets, self-validation."""
 
+import ast
 import csv
 import json
 import math
@@ -252,15 +253,21 @@ def test_scan_rejects_non_finite_grid_values(capsys, flag, value):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy is most of the package's import time, so neither the import nor
-    # a canonical-angle scan loads any of it: the engine's kernels are
-    # numpy, and only the angle optimizer imports scipy, on use (so do
-    # --angles optimize and validate's kerr-violation-exists check); a fresh
-    # interpreter shows what every command pays
+def _fresh_interpreter(probe, *args):
+    """stdout of ``probe`` run by a new interpreter that imports this etsbell."""
     src = str(Path(etsbell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return done.stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy would be most of the package's import time, so neither the
+    # import nor a canonical-angle scan loads any of it: the engine's
+    # kernels and the angle optimizer are numpy; a fresh interpreter shows
+    # what every command pays
     probe = (
         "import sys, etsbell.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
@@ -268,6 +275,39 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
         "etsbell.cli.main(['scan', '--family', 'ghz3-cond', '--inequality', 'svetlichny3',\n"
         "                  '--V', '5', '--d', '2', '--out', sys.argv[1]])\n"
         "print(loaded())\n")
-    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "rows.csv")],
-                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert _fresh_interpreter(probe, str(tmp_path / "rows.csv")) == ["[]", "[]"]
+
+
+def test_optimizing_commands_leave_scipy_unloaded(tmp_path):
+    # neither an --angles optimize scan nor the full validate suite, whose
+    # kerr-violation-exists check runs the optimizer, loads any scipy module
+    probe = (
+        "import contextlib, io, sys, etsbell.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "etsbell.cli.main(['scan', '--family', 'w3', '--inequality', 'svetlichny3',\n"
+        "                  '--V', '5', '--d', '1,3', '--angles', 'optimize',\n"
+        "                  '--out', sys.argv[1]])\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        "    code = etsbell.cli.main(['validate'])\n"
+        "print(code, report.getvalue().count('PASS'), loaded())\n")
+    lines = _fresh_interpreter(probe, str(tmp_path / "rows.csv"))
+    assert lines == ["[]", "0 12 []"]
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 3
+
+
+def test_no_package_module_imports_scipy():
+    package = Path(etsbell.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert len(list(package.glob("*.py"))) > 5
+    assert found == []

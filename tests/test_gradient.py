@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from etsbell import integration, validation
+from etsbell import inequalities, integration, validation
 from etsbell.errors import RotationError
 from etsbell.inequalities import (
     INEQUALITIES,
+    MERMIN3,
     SVETLICHNY3,
+    canonical_angles,
     evaluate,
     evaluate_with_error,
     evaluate_with_gradient,
@@ -73,19 +75,24 @@ def test_gradient_matches_central_differences(kind, name):
 def test_gradient_check_catches_a_dropped_half(monkeypatch):
     # ∂A = M'·P·M + M·P·M': a table that keeps only the second half for A
     # must fail the central-difference comparison
-    original = integration._pair_derivative
+    original = integration._rotation_table
 
-    def mutant(a, da):
-        pair = original(a, da)
-        pair[0] = a @ integration._NUMERATOR_PAIR[0] @ da
-        return pair
+    def mutant(theta, phase, derivatives=False):
+        table = original(theta, phase, derivatives)
+        c, s, ph = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phase)
+        a = integration._matrices(s, ph * c, ph.conj() * c, -s)
+        da = np.concatenate((
+            integration._matrices(c / 2.0, -ph * s / 2.0, -ph.conj() * s / 2.0, -c / 2.0),
+            integration._matrices(0.0, 1j * ph * c, -1j * ph.conj() * c, 0.0)))
+        table[0, theta.size:-1] = np.concatenate((a, a)) @ integration._NUMERATOR_PAIR[0] @ da
+        return table
 
     spec = SVETLICHNY3
     family = StateFamily(FamilyKind.GHZ3_KERR, 5.0, 1.2)
     detector = DetectorModel(0.7)
     x = np.random.default_rng(59).uniform(0.0, 2.0 * math.pi, 12)
     want = _central_differences(spec, family, x, detector)
-    monkeypatch.setattr(integration, "_pair_derivative", mutant)
+    monkeypatch.setattr(integration, "_rotation_table", mutant)
     _value, gradient = evaluate_with_gradient(spec, family, x, detector)
     assert np.max(np.abs(gradient - want)) > 1e-3
 
@@ -133,4 +140,88 @@ def test_kerr_check_meets_nelder_mead_within_a_call_budget(monkeypatch):
     assert result.value >= NELDER_MEAD_KERR_CHECK_OPTIMUM - 1e-9
     assert result.restarts == 2
     assert result.evaluations <= 60
-    assert f"{result.evaluations} evaluations over 2 restarts" in check.detail
+    assert f"{result.evaluations} evaluations over 2 restarts, {result.stalled} stalled" \
+        in check.detail
+
+
+# optimize_angles(restarts=4) at V = 5, d = 2, as run by
+# scipy.optimize.minimize(method="BFGS", gtol 1e-8) at git commit eb414ad,
+# the last that used scipy: (kind, functional, best value printed with repr,
+# objective calls over the four restarts).
+SCIPY_RESTART_TABLE = (
+    (FamilyKind.W3, "svetlichny3", 3.776004138136097, 139),
+    (FamilyKind.GHZ3_KERR, "svetlichny3", 5.540568080771747, 199),
+    (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", 4.496640960431208, 79),
+    (FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4", 4.1657903479035285, 70),
+)
+
+
+def _rosenbrock(x):
+    value = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+    gradient = np.zeros_like(x)
+    gradient[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    gradient[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return float(value), gradient
+
+
+def test_every_accepted_step_meets_the_strong_wolfe_conditions(monkeypatch):
+    original = inequalities._line_search
+    steps = []
+
+    def recording(objective, x, f, g, p, step):
+        found = original(objective, x, f, g, p, step)
+        steps.append((f, g @ p, found))
+        return found
+
+    monkeypatch.setattr(inequalities, "_line_search", recording)
+    x, f, g = inequalities._bfgs(_rosenbrock, np.array([-1.2, 1.0, -0.5, 0.8]))
+    assert np.abs(g).max() <= inequalities._GRADIENT_TOL
+    assert np.allclose(x, 1.0, atol=1e-7) and f < 1e-14
+    assert len(steps) > 20
+    for f0, slope, (alpha, value, _gradient, slope_at) in steps:
+        assert slope < 0.0 and alpha > 0.0
+        assert value <= f0 + inequalities._WOLFE_C1 * alpha * slope
+        assert abs(slope_at) <= -inequalities._WOLFE_C2 * slope
+
+
+def test_stationary_start_returns_its_bytes_after_one_call():
+    start = inequalities._vector_from_angles(
+        SVETLICHNY3, canonical_angles(SVETLICHNY3, KERR_POINT.kind).angles)
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        value, gradient = evaluate_with_gradient(SVETLICHNY3, KERR_POINT, x, None,
+                                                 QuadratureConfig(rel_tol=1e-5))
+        return -value, -gradient
+
+    x, _f, g = inequalities._bfgs(objective, start.copy())
+    assert len(calls) == 1 and np.abs(g).max() <= inequalities._GRADIENT_TOL
+    assert x.tobytes() == start.tobytes()
+    result = optimize_angles(SVETLICHNY3, KERR_POINT, restarts=1)
+    assert (result.evaluations, result.stalled) == (1, 0)
+    assert inequalities._vector_from_angles(SVETLICHNY3, result.angles).tobytes() \
+        == start.tobytes()
+
+
+def test_restart_table_meets_scipy_within_its_call_budget():
+    total = 0
+    for kind, name, scipy_best, _scipy_calls in SCIPY_RESTART_TABLE:
+        result = optimize_angles(INEQUALITIES[name], StateFamily(kind, 5.0, 2.0), restarts=4)
+        assert result.value >= scipy_best - 1e-9, (kind, name)
+        total += result.evaluations
+    assert total <= 1.25 * sum(row[3] for row in SCIPY_RESTART_TABLE)
+
+
+def test_a_restart_at_the_iteration_cap_is_counted_as_stalled(monkeypatch):
+    # mermin3 has no canonical angles on w3, so the one start is drawn at
+    # random; one iteration per angle (12 in all) does not reach the optimum
+    family = StateFamily(FamilyKind.W3, 5.0, 2.0)
+    converged = optimize_angles(MERMIN3, family, restarts=1)
+    monkeypatch.setattr(inequalities, "_ITERATIONS_PER_ANGLE", 1)
+    capped = optimize_angles(MERMIN3, family, restarts=1)
+    assert (converged.stalled, capped.stalled) == (0, 1)
+    assert capped.evaluations < converged.evaluations
+    assert math.isfinite(capped.value) and capped.value < converged.value
+    assert capped.value == evaluate(MERMIN3, family, capped.angles, None,
+                                    QuadratureConfig(rel_tol=1e-5))

@@ -1,5 +1,6 @@
 """Correlation engine against analytic, spin, pure-state and dense references."""
 
+import cmath
 import itertools
 import math
 
@@ -415,6 +416,32 @@ def test_rotation_table_matches_scalar_matrices():
     assert table[:, :-1].tobytes() == want.tobytes()
     gram = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
     assert table[:, -1].tobytes() == gram.tobytes()
+    # The derivative rows: ∂(MPM) = M'PM + MPM' by θ, then by γ, each M'
+    # built with the same scalar arithmetic.
+    count = len(rotations)
+    table = integration._rotation_table(*integration.rotation_angles(rotations),
+                                        derivatives=True)
+    assert table.shape == (2, 3 * count + 1, 2, 2)
+    assert table[:, :count].tobytes() == want.tobytes()
+    assert table[:, -1].tobytes() == gram.tobytes()
+    for k, derivative in enumerate((_scalar_theta_derivative, _scalar_phase_derivative)):
+        da = np.array([derivative(r) for r in rotations])
+        want = np.array([da @ p @ matrices + matrices @ p @ da for p in (reflect, turn)])
+        assert table[:, (k + 1) * count:(k + 2) * count].tobytes() == want.tobytes()
+
+
+def _scalar_theta_derivative(rotation):
+    c = math.cos(rotation.theta / 2.0)
+    s = math.sin(rotation.theta / 2.0)
+    ph = cmath.exp(1j * rotation.phase)
+    return np.array([[c / 2.0, -ph * s / 2.0], [-ph.conjugate() * s / 2.0, -c / 2.0]],
+                    dtype=complex)
+
+
+def _scalar_phase_derivative(rotation):
+    c = math.cos(rotation.theta / 2.0)
+    ph = cmath.exp(1j * rotation.phase)
+    return np.array([[0.0, 1j * ph * c], [-1j * ph.conjugate() * c, 0.0]], dtype=complex)
 
 
 def test_moment_memo_never_serves_a_stale_entry():
