@@ -3,7 +3,7 @@
 Output is CSV (or a JSON mirror with a metadata object); files contain no
 timestamps or environment details, so identical invocations produce identical
 bytes.  Exit codes: 0 success, 1 bad flags, 2 sweep completed with
-nonconvergent grid points.
+nonconvergent grid points, each named with its reason on stderr.
 """
 
 from __future__ import annotations
@@ -174,7 +174,11 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "angles": {"mode": args.angles, "provenance": provenances},
     }
     _write_output(rows, metadata, args.out, args.format)
-    return 2 if any(row.failed for row in result.rows) else 0
+    failed = [row for row in result.rows if row.failed]
+    for row in failed:
+        sys.stderr.write(f"etsbell: point V={_fmt(row.V)}, d={_fmt(row.d)}, "
+                         f"eta={_fmt(row.eta)} failed: {row.reason}\n")
+    return 2 if failed else 0
 
 
 def _figure_d_grid(V: float, points: int = 60) -> tuple[float, ...]:

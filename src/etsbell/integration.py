@@ -13,13 +13,16 @@ detector, the refinement level and which modes a term leaves unmeasured,
 but not on the measurement angles; one pass forms them, kernels included,
 for every term of a functional, together with the Gram denominator of each
 unmeasured pattern, and a small memo keeps the last few so that an
-optimizer's evaluations of one state share them.  The angle blocks come
+optimizer's evaluations of one state share them.  An estimate's first pass
+serves levels 0 and 1 of the refinement ladder: it forms each axis factor
+once on both levels' nodes joined and each level's moments by a sum over
+its own slice; a later level is a pass of its own.  The angle blocks come
 from (θ, γ) arrays in one vectorised table, which the terms gather through
 a static (terms × modes) index.  All terms are then contracted with the
-shared moments in one pass over a stacked term axis, levels 0 and 1 of the
-refinement ladder together on a level axis, by elementwise arithmetic in an
-order fixed by the family, so a term's value is bit-identical whichever
-terms share its call, wherever it sits and whichever level shares its pass.
+shared moments over a stacked term axis and the level axis, by elementwise
+arithmetic in an order fixed by the family, so a term's value is
+bit-identical whichever terms share its call, wherever it sits and
+whichever level shares its pass.
 
 A term's numerator is linear in each mode's block pair, and the Gram
 denominator does not depend on the angles, so the exact derivative of a
@@ -39,8 +42,8 @@ figure, or a crossing search's probe profile.  Along it only the centre c·d
 of each mixture variable moves; the branch structure, the y rule, the y
 moments and the x weights do not.  On a shift rule, whose nodes follow the
 centre by a shift alone (the delta rule at V = 1, or Gauss-Hermite below
-the composite tail), one pass per level forms the y factors and moments
-once and the x factors of every point as one (points × nodes) array, and
+the composite tail), each pass forms the y factors and moments once and
+the x factors of every point as one (points × nodes) array, and
 the contraction runs over a stacked (points × terms) axis.  Each point
 stops at its own first converged level and only the rest climb.  The
 composite rule's panels move with the centre, so there each point is a
@@ -252,12 +255,11 @@ class _Moments(NamedTuple):
     ``rows[m]`` holds mode m's row of each branch (0 where the branch has
     +α, 1 where it has −α), and ``variables`` each mixture variable's modes.
     ``numerators`` holds one array per variable, shaped
-    (2,)*k + (points, patterns): for each point of the curve and each
-    pattern of unmeasured modes (True per mode a term leaves out), in the
-    order the pass was given them, the 2^k numerator moments.
-    ``denominators`` holds the state trace of each, shaped (points,
-    patterns).  A memoized set stacks several levels' passes, and then both
-    carry a level axis before the point axis.
+    (2,)*k + (levels, points, patterns): for each refinement level of the
+    pass, each point of the curve and each pattern of unmeasured modes
+    (True per mode a term leaves out), in the order the pass was given
+    them, the 2^k numerator moments.  ``denominators`` holds the state
+    trace of each, shaped (levels, points, patterns).
     """
 
     weights: np.ndarray
@@ -306,16 +308,20 @@ def _y_factors(y, scale: float, eta, dawson: bool):
 
 
 def _variable_moments(x, y, w, per_mode, local, factors: dict):
-    """One variable's numerator and Gram moments for each point of ``x``
-    and each of its distinct local patterns, stacked on the last two axes,
+    """One variable's numerator and Gram moments for each level, each point
+    and each of its distinct local patterns, stacked on the last three axes,
     the patterns in the order of ``local``.
 
     ``per_mode`` holds each mode's (scale, η), η None where no pattern
     measures the mode.  ``factors`` memoizes axis factors by value across
     the pass, so modes and variables with equal axes, scales and η share
-    them.  The y factors and moments are formed once for every point; the
-    x factors of all points are one array, and their moments one sum.
+    them.  The y moments serve every point; the x factors of all points are
+    one array, and their moments one sum.
     """
+    ends = [np.cumsum([0] + [part.shape[-1] for part in parts]) for parts in (x, y)]
+    levels = [(slice(*ends[0][i:i + 2]), slice(*ends[1][i:i + 2])) for i in range(len(x))]
+    x = np.concatenate(x, axis=-1)
+    y = np.concatenate(y)
     wx = w[:x.shape[-1]]
     wy = w[x.shape[-1]:]
     x_key = x.tobytes()
@@ -344,11 +350,15 @@ def _variable_moments(x, y, w, per_mode, local, factors: dict):
             if key not in factors:
                 factors[key] = _y_factors(y, scale, eta, dawson)
             y_factors.append(factors[key])
-        y_moments = np.einsum(y_sum, *y_factors, wy)
-        if dawson:
-            y_moments[0][_odd_dawson(offs)] = 0.0
-        by_local[offs] = np.einsum(x_sum, *x_factors, wx) * y_moments[..., None]
-    stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), 0, -1)
+        by_local[offs] = per_level = []
+        for sx, sy in levels:
+            y_moments = np.einsum(y_sum, *(f[..., sy] for f in y_factors), wy[sy])
+            if dawson:
+                y_moments[0][_odd_dawson(offs)] = 0.0
+            per_level.append(np.einsum(x_sum, *(f[..., sx] for f in x_factors), wx[sx])
+                             * y_moments[..., None])
+    # (patterns, levels, u, 2^k moments, points) -> (u, 2^k, levels, points, patterns)
+    stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), (0, 1), (-1, -3))
     numerator = np.ascontiguousarray(stacked[0])
     numerator.flags.writeable = False
     return numerator, stacked[1]
@@ -358,16 +368,16 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
     """Per-variable moments, and the denominator, of every pattern in ``patterns``.
 
-    ``grids`` supplies (x, y, w) per variable: the x nodes of every point of
-    the curve, shaped (points, n), the y nodes, which the points share, and
-    ``w``, the x weights followed by the y weights, which enter as the
-    product measure of the two axes.  Every per-mode block is a sum of two
-    separable terms, so each variable needs only the 2^k products of
-    per-mode axis factors (k modes), summed over x and over y separately.
-    A mode that a term leaves unmeasured takes the Gram factors in place of
-    the detector's, so the numerator moments are formed once per pattern,
-    each stacked on the Gram moments, which are then contracted into that
-    pattern's denominator.
+    ``grids`` supplies (x, y, w) per variable: per level, the x nodes of
+    every point of the curve, shaped (points, n), and the y nodes, which the
+    points share; and ``w``, all x weights followed by all y weights, which
+    enter as each level's product measure of the two axes.  Every per-mode
+    block is a sum of two separable terms, so each variable needs only the
+    2^k products of per-mode axis factors (k modes), summed over x and over
+    y separately.  A mode that a term leaves unmeasured takes the Gram
+    factors in place of the detector's, so the numerator moments are formed
+    once per pattern, each stacked on the Gram moments, which are then
+    contracted into that pattern's denominators.
     Variables equal in value (grid, scales, η and patterns) share one set of
     moments.  Nothing here depends on the measurement angles.
     """
@@ -383,7 +393,7 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
         per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
                          for m in modes)
         local = tuple(tuple(p[m] for m in modes) for p in patterns)
-        key = (x.tobytes(), y.tobytes(), w.tobytes(), per_mode, local)
+        key = (tuple(part.tobytes() for part in x + y), w.tobytes(), per_mode, local)
         if key not in shared:
             shared[key] = _variable_moments(x, y, w, per_mode, local, factors)
         numerator, gram = shared[key]
@@ -397,7 +407,8 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     variable_modes = tuple(variable_modes)
     # Every mode of a denominator takes the Gram pair, row 0 of this table.
     gram_pairs = _branch_pairs(_GRAM_BLOCKS[:, None], np.zeros((1, len(rows)), dtype=int), rows)
-    denominators = _contract(weights, variable_modes, grams, gram_pairs)
+    # _contract returns the real part of a complex array; the memo keeps a copy.
+    denominators = np.ascontiguousarray(_contract(weights, variable_modes, grams, gram_pairs))
     denominators.flags.writeable = False
     return _Moments(weights, rows, variable_modes, tuple(numerators), denominators)
 
@@ -574,9 +585,9 @@ def _curve_structure(curve):
                                 for (V, _centre, scales), c in zip(variables, centres))
 
 
-def _deterministic_grids(variables, detector: DetectorModel, level: int,
+def _deterministic_grids(variables, detector: DetectorModel, levels: tuple,
                          nodes_per_axis: int):
-    """(x, y, w) per variable of a curve, as :func:`_engine_pass` takes them.
+    """(x, y, w) per variable of a curve at ``levels``, as :func:`_engine_pass` takes them.
 
     A lone point takes its memoized rule; the points of a longer curve share
     a shift rule, whose x nodes are formed for all of them at once.
@@ -586,40 +597,29 @@ def _deterministic_grids(variables, detector: DetectorModel, level: int,
         sigma = _variable_sigma(V)
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        if len(centres) == 1:
-            x, wx = _axis_rule(centres[0], sigma, smax, eta_min, level, nodes_per_axis)
-            x = x[None]
-        else:
-            x, wx = _shifted_axis(np.array(centres), sigma, level, nodes_per_axis)
-        y, wy = _axis_rule(0.0, sigma, smax, eta_min, level, nodes_per_axis)
-        grids.append((x, y, np.concatenate((wx, wy))))
+        rules = []
+        for level in levels:
+            x, wx = (_axis_rule(centres[0], sigma, smax, eta_min, level, nodes_per_axis)
+                     if len(centres) == 1 else
+                     _shifted_axis(np.array(centres), sigma, level, nodes_per_axis))
+            rules.append((np.atleast_2d(x), wx,
+                          *_axis_rule(0.0, sigma, smax, eta_min, level, nodes_per_axis)))
+        xs, wxs, ys, wys = zip(*rules)
+        grids.append((xs, ys, np.concatenate(wxs + wys)))
     return grids
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
 def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
                            nodes_per_axis: int, patterns: tuple) -> _Moments:
-    """Memoized moments of a curve's points at one refinement level, on a
-    level axis before the point axis.
-
-    Every estimate contracts levels 0 and 1 together, so level 1's entry
-    carries level 0's moments and its own, and level 0 has no entry of its
-    own; a later level's entry carries its own on a level axis of one.  They
-    do not depend on the measurement angles, so every evaluation an
-    optimizer makes on its state shares them.
+    """Memoized moments of a curve's points at one refinement level, from
+    one engine pass; level 1's entry carries level 0's too (see the module
+    docstring).  An optimizer's evaluations of one state share them.
     """
     coeffs, signs, variables = _curve_structure(curve)
-    passes = [_engine_pass(coeffs, signs, variables, patterns, detector,
-                           _deterministic_grids(variables, detector, pass_level, nodes_per_axis))
-              for pass_level in ((0, 1) if level == 1 else (level,))]
-    numerators = []
-    for modes, per_level in zip(passes[0].variables, zip(*(p.numerators for p in passes))):
-        stacked = np.stack(per_level, axis=len(modes))
-        stacked.flags.writeable = False
-        numerators.append(stacked)
-    denominators = np.stack([p.denominators for p in passes])
-    denominators.flags.writeable = False
-    return passes[-1]._replace(numerators=tuple(numerators), denominators=denominators)
+    grids = _deterministic_grids(variables, detector, (0, 1) if level == 1 else (level,),
+                                 nodes_per_axis)
+    return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
 
 
 def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
@@ -628,7 +628,7 @@ def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
 
     ``pending`` lists the points of ``curve`` still climbing, in order; the
     caller drops the points that converge, and each level is formed for the
-    rest only.  A shift rule serves them all in one pass; the composite
+    rest only.  A shift rule serves them all in each pass; the composite
     rule's panels move with the centre, so there each point is alone.
     """
     # Every variable of a family carries its V.  Wide weights are on the

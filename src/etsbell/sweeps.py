@@ -92,7 +92,8 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
     Canonical and explicit sets are shared across the grid.  Optimization runs
     once per (V, eta) at the largest displacement of the plan, where the
     functional sits on its plateau, and the result is reused along d.  The
-    optimizer integrates with the plan's config at its own looser tolerance.
+    optimizer integrates with the plan's config at its own looser tolerance;
+    a cell whose restarts stalled says how many in its provenance.
     """
     if not isinstance(plan.angles, str):
         shared = (tuple(tuple(p) for p in plan.angles), "explicit")
@@ -111,7 +112,10 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
                 detector=DetectorModel(eta), config=config,
                 restarts=plan.optimizer_restarts, seed=plan.optimizer_seed)
-            resolved[(V, eta)] = (found.angles, found.provenance)
+            provenance = found.provenance
+            if found.stalled:
+                provenance += f" ({found.stalled} of {found.restarts} restarts stalled)"
+            resolved[(V, eta)] = (found.angles, provenance)
     return resolved
 
 
@@ -119,9 +123,9 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan's functional at every grid point.
 
     Each (V, η) cell is one curve: its points share the angles, the
-    detector and the config and differ only in d, so the engine makes one
-    pass per refinement level for all of them while they sit on a shift
-    rule (every point alone on the composite rule).
+    detector and the config and differ only in d, so each engine pass
+    serves all of them while they sit on a shift rule (every point alone on
+    the composite rule); see :mod:`etsbell.integration` for the passes.
     Rows come back ordered lexicographically by (V, d, eta).  Nonconvergent
     points carry NaN values, the failed flag and the error message as their
     reason; every other row is exact to its error estimate and marks

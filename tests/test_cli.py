@@ -13,6 +13,7 @@ import pytest
 
 import etsbell
 from etsbell import cli, sweeps
+from etsbell.errors import NonconvergenceError
 from etsbell.inequalities import OPTIMIZER_REL_TOL, OptimizationResult, canonical_angles
 from etsbell.sweeps import SweepResult, SweepRow
 
@@ -178,6 +179,39 @@ def test_failed_rows_become_null_in_json(tmp_path, capsys, monkeypatch):
     doc = json.loads(out_path.read_text())
     assert doc["rows"][0]["value"] is None
     assert doc["rows"][0]["err"] is None
+
+
+def test_scan_names_each_failed_point_on_stderr(capsys, monkeypatch):
+    # one point of the curve raises; its row fails, stderr names it with its
+    # reason, and stdout keeps every other row as an unpatched scan writes it
+    argv = ["scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
+            "--V", "5", "--d", "1,2,3", "--eta", "0.5"]
+    code, clean, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    evaluate_curve = sweeps.evaluate_curve_with_error
+
+    def one_point_fails(spec, curve, *args):
+        outcomes = evaluate_curve(spec, curve, *args)
+        return [NonconvergenceError("stalled on purpose") if family.d == 2.0 else outcome
+                for family, outcome in zip(curve, outcomes)]
+
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", one_point_fails)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err == "etsbell: point V=5, d=2, eta=0.5 failed: stalled on purpose\n"
+    want = clean.splitlines()
+    want[2] = "ghz3-cond,svetlichny3,5,2,0.5,nan,nan,4,5.65685424949,false"
+    assert out.splitlines() == want
+
+
+def test_scan_metadata_names_stalled_restarts(capsys):
+    # one of this cell's four restarts stops short of the gradient tolerance
+    code, out, _err = run(capsys, [
+        "scan", "--family", "cluster4-cond", "--inequality", "wwzb4",
+        "--V", "2", "--d", "1", "--angles", "optimize", "--format", "json"])
+    assert code == 0
+    provenance = json.loads(out)["metadata"]["angles"]["provenance"]
+    assert provenance == ["optimizer (1 of 4 restarts stalled)"]
 
 
 def test_scan_optimize_passes_nodes_to_optimizer(capsys, monkeypatch):

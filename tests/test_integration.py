@@ -14,7 +14,7 @@ import pure_state_oracle
 import qubit_oracle
 from etsbell import integration
 from etsbell.errors import NonconvergenceError
-from etsbell.inequalities import INEQUALITIES
+from etsbell.inequalities import INEQUALITIES, canonical_angles, evaluate_with_error
 from etsbell.integration import (
     QuadratureConfig,
     converged_correlation,
@@ -195,14 +195,16 @@ def tensor_grids(monkeypatch):
     outlive the test.
     """
 
-    def tensor_axes(variables, detector, level, nodes_per_axis):
-        # a variable carries its curve's centres; x holds one row per point
+    def tensor_axes(variables, detector, levels, nodes_per_axis):
+        # a variable carries its curve's centres; x holds one row per point,
+        # and every level of the pass takes the same axes
         grids = []
         for V, centres, _scales in variables:
             x = np.array([dense_reference.axis(c, V, DENSE_NODES)[0] for c in centres])
             _x, wx = dense_reference.axis(centres[0], V, DENSE_NODES)
             y, wy = dense_reference.axis(0.0, V, DENSE_NODES)
-            grids.append((x, y, np.concatenate((wx, wy))))
+            grids.append(((x,) * len(levels), (y,) * len(levels),
+                          np.concatenate((wx,) * len(levels) + (wy,) * len(levels))))
         return grids
 
     monkeypatch.setattr(integration, "_deterministic_grids", tensor_axes)
@@ -355,12 +357,12 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
     found = [None] * len(spec.terms)
     previous = None
     for level in range(5):
-        grids = integration._deterministic_grids(variables, detector, level,
+        grids = integration._deterministic_grids(variables, detector, (level,),
                                                  QuadratureConfig().nodes_per_axis)
         moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
                                            detector, grids)
         num, den = integration._terms(moments, table, layout)
-        (values,) = num / den
+        ((values,),) = num / den
         errs = np.full(values.shape, math.inf) if previous is None else np.abs(values - previous)
         for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
             if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
@@ -370,9 +372,10 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
 
 
 def test_stacked_levels_equal_lone_level_contractions():
-    # Levels 0 and 1 share one contraction; at narrow weights (V = 5) and a
-    # tight tolerance the ladder climbs past them, and every term's result,
-    # and the stall message, must be what one level at a time gives.
+    # Levels 0 and 1 share one engine pass and one contraction; at narrow
+    # weights (V = 5) and a tight tolerance the ladder climbs past them, and
+    # every term's result, and the stall message, must be what one level at
+    # a time gives.
     rng = np.random.default_rng(41)
     spec = INEQUALITIES["svetlichny3"]
     family = StateFamily(FamilyKind.GHZ3_KERR, 5.0, 1.3)
@@ -395,6 +398,64 @@ def test_stacked_levels_equal_lone_level_contractions():
         message = f"correlation refinement stalled at {value!r} with error {err:.3g}"
         assert str(info.value) == message
         assert (info.value.value, info.value.err_estimate) == (value, err)
+
+
+def _spy_engine_passes(monkeypatch):
+    """Record the ``grids`` of every engine pass, and the levels of every
+    grid set, from here on."""
+    passes = []
+    levels = []
+    engine_pass = integration._engine_pass
+    deterministic_grids = integration._deterministic_grids
+
+    def pass_spy(coeffs, signs, variables, patterns, detector, grids):
+        passes.append(grids)
+        return engine_pass(coeffs, signs, variables, patterns, detector, grids)
+
+    def grids_spy(variables, detector, grid_levels, nodes_per_axis):
+        levels.append(grid_levels)
+        return deterministic_grids(variables, detector, grid_levels, nodes_per_axis)
+
+    monkeypatch.setattr(integration, "_engine_pass", pass_spy)
+    monkeypatch.setattr(integration, "_deterministic_grids", grids_spy)
+    integration._deterministic_moments.cache_clear()
+    return passes, levels
+
+
+def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
+    # an estimate that stops at level 1 on a shift rule forms both levels in
+    # one pass: per variable, both levels' nodes side by side, and w holding
+    # both levels' x weights, then both levels' y weights
+    passes, levels = _spy_engine_passes(monkeypatch)
+    family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
+    detector = DetectorModel(0.7)
+    estimate_correlation(family, EQUATORIAL, detector)
+    assert levels == [(0, 1)]
+    (grids,) = passes
+    n = QuadratureConfig().nodes_per_axis
+    _coeffs, _signs, variables = family_structure(family)
+    for (x, y, w), (V, centre, scales) in zip(grids, variables):
+        assert [part.shape for part in x] == [(1, n), (1, 2 * n)]
+        assert [part.shape for part in y] == [(n,), (2 * n,)]
+        ((_x0, _y0, lone0),), ((_x1, _y1, lone1),) = (
+            integration._deterministic_grids(((V, (centre,), scales),), detector, (level,), n)
+            for level in (0, 1))
+        want = np.concatenate((lone0[:n], lone1[:2 * n], lone0[n:], lone1[2 * n:]))
+        assert w.tobytes() == want.tobytes()
+
+
+def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
+    # w3 at V = 10 (σ = 1.5) climbs past Gauss-Hermite to the composite rule
+    # at levels 3 and 4; each later level is a pass of its own, of one level
+    passes, levels = _spy_engine_passes(monkeypatch)
+    spec = INEQUALITIES["svetlichny3"]
+    angles = canonical_angles(spec, FamilyKind.W3).angles
+    evaluate_with_error(spec, StateFamily(FamilyKind.W3, 10.0, 1.0), angles)
+    assert levels == [(0, 1), (2,), (3,), (4,)]
+    assert len(passes) == len(levels)
+    for grids, grid_levels in zip(passes, levels):
+        for x, y, _w in grids:
+            assert len(x) == len(y) == len(grid_levels)
 
 
 def test_rotation_table_matches_scalar_matrices():

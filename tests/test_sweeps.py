@@ -8,7 +8,8 @@ from scipy.optimize import brentq
 
 from etsbell import sweeps
 from etsbell.errors import NoCrossingError
-from etsbell.inequalities import evaluate_curve_with_error, evaluate_with_error, get_inequality
+from etsbell.inequalities import (OptimizationResult, canonical_angles, evaluate_curve_with_error,
+                                  evaluate_with_error, get_inequality)
 from etsbell.integration import QuadratureConfig
 from etsbell.oracles import svetlichny_ghz_closed
 from etsbell.states import FamilyKind, StateFamily
@@ -95,6 +96,23 @@ def test_sweep_isolates_nonconverged_rows():
     assert math.isnan(row.value)
     assert not row.violated
     assert row.reason.startswith("correlation refinement stalled")
+
+
+def test_optimized_cells_name_their_stalled_restarts(monkeypatch):
+    # a cell whose restarts all met the gradient tolerance keeps the bare
+    # provenance; one with stalled restarts says how many of how many
+    stalled = {1.0: 0, 5.0: 1}
+
+    def fake_optimize_angles(spec, family, detector=None, config=None, restarts=4, seed=0):
+        angles = canonical_angles(spec, family.kind).angles
+        return OptimizationResult(value=0.0, angles=angles, start_index=0,
+                                  restarts=restarts, stalled=stalled[family.V])
+
+    monkeypatch.setattr(sweeps, "optimize_angles", fake_optimize_angles)
+    result = run_sweep(small_plan(V_grid=(1.0, 5.0), d_grid=(1.0,), eta_grid=(1.0,),
+                                  angles="optimize"))
+    assert [(row.V, row.provenance) for row in result.rows] == [
+        (1.0, "optimizer"), (5.0, "optimizer (1 of 4 restarts stalled)")]
 
 
 def test_crossing_matches_closed_form_root():
