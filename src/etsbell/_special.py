@@ -24,11 +24,12 @@ if DEGREE != 8:
     raise ImportError(f"the kernels are written out for degree 8, the table has {DEGREE}")
 
 
-def _table(panels):
-    """Interior panel edges, and the rest of each row as a (rows, panels) table
-    with the rows M, S, c0_hi, c0_lo, then c1, c3, c5, c7 and c2, c4, c6, c8,
-    so that each polynomial half gathers as one contiguous block."""
-    rows = np.array(panels, dtype=float)
+def _table(panels: str):
+    """Interior panel edges, and the rest of each row of the ``panels`` text
+    as a (rows, panels) table with the rows M, S, c0_hi, c0_lo, then c1, c3,
+    c5, c7 and c2, c4, c6, c8, so that each polynomial half gathers as one
+    contiguous block."""
+    rows = np.array(panels.split(), dtype=float).reshape(-1, DEGREE + 5)
     edges = np.ascontiguousarray(rows[:-1, 0])
     table = np.ascontiguousarray(np.concatenate((rows[:, 1:5], rows[:, 5::2], rows[:, 6::2]),
                                                 axis=1).T)

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import functools
 import io
-import json
 import math
 import sys
 from typing import Sequence
@@ -28,7 +27,6 @@ from .measurement import EffectiveRotation
 from .oracles import sasa_closed, svetlichny_ghz4_closed, svetlichny_ghz_closed
 from .states import FamilyKind
 from .sweeps import SweepPlan, run_sweep
-from .validation import CHECKS, FLIPPABLE_TERMS, run_checks
 
 _COLUMNS = ("family", "inequality", "V", "d", "eta", "value", "err",
             "lr_bound", "quantum_max", "violated")
@@ -103,6 +101,8 @@ def _write_output(rows: list[dict], metadata: dict, out: str | None, fmt: str) -
             ])
         text = buffer.getvalue()
     else:
+        import json
+
         payload = {
             "metadata": metadata,
             "rows": [
@@ -147,6 +147,8 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     else:
+        if args.angle_list is not None:
+            parser.error(f"--angle-list needs --angles explicit, not --angles {args.angles}")
         angles = args.angles
 
     try:
@@ -259,9 +261,14 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # Imported here: a scan or a figure never runs a check.
+    from .validation import CHECKS, FLIPPABLE_TERMS, run_checks
+
     names = None
-    if args.checks:
+    if args.checks is not None:
         names = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not names:
+            parser.error(f"--checks {args.checks!r} selects no check")
         unknown = [n for n in names if n not in CHECKS]
         if unknown:
             parser.error(f"unknown checks: {', '.join(unknown)}")

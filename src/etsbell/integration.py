@@ -22,7 +22,11 @@ a static (terms × modes) index.  All terms are then contracted with the
 shared moments over a stacked term axis and the level axis, by elementwise
 arithmetic in an order fixed by the family, so a term's value is
 bit-identical whichever terms share its call, wherever it sits and
-whichever level shares its pass.
+whichever level shares its pass.  The angle side is memoized like the
+state side: each table, and each gather of it over a state's branch pairs,
+is built once per distinct (θ, γ, layout, branch rows) by value, so a
+crossing search's steps and a figure's cells, which share their angles,
+share them too.
 
 A term's numerator is linear in each mode's block pair, and the Gram
 denominator does not depend on the angles, so the exact derivative of a
@@ -103,6 +107,10 @@ _AXIS_RULE_CACHE = 256
 # optimizer revisits at every evaluation.  A sweep moves to a new state at
 # every point, so it finds nothing here and computes its own.
 _MOMENT_CACHE = 4
+# Rotation tables and their branch-pair gathers kept in memory: a crossing
+# search or a figure cell asks for a few angle sets many times; an optimizer
+# moves to new angles at every evaluation, so it finds nothing here.
+_ANGLE_CACHE = 16
 
 # Per-mode 2x2 blocks over the (+,−) branch pair.  A rotated block is
 # erf·A + e^{−2s²x²}·h(y)·B with (A, B) = M·_NUMERATOR_PAIR·M, that is
@@ -405,10 +413,9 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     rows = (1 - np.array(signs).T) // 2
     rows.flags.writeable = False
     variable_modes = tuple(variable_modes)
-    # Every mode of a denominator takes the Gram pair, row 0 of this table.
-    gram_pairs = _branch_pairs(_GRAM_BLOCKS[:, None], np.zeros((1, len(rows)), dtype=int), rows)
     # _contract returns the real part of a complex array; the memo keeps a copy.
-    denominators = np.ascontiguousarray(_contract(weights, variable_modes, grams, gram_pairs))
+    denominators = np.ascontiguousarray(
+        _contract(weights, variable_modes, grams, _gram_pairs(_array_key(rows))))
     denominators.flags.writeable = False
     return _Moments(weights, rows, variable_modes, tuple(numerators), denominators)
 
@@ -421,6 +428,45 @@ def _branch_pairs(table, index, rows) -> np.ndarray:
     t, and ``rows[m]`` gives mode m's row of each of the B branches.
     """
     return table[:, index[:, :, None, None], rows[:, :, None], rows[:, None, :]]
+
+
+def _array_key(array) -> tuple:
+    """A hashable key of an array's value: its dtype, shape and bytes."""
+    array = np.asarray(array)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def _keyed_array(key) -> np.ndarray:
+    """The read-only array of an :func:`_array_key` key."""
+    dtype, shape, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+@lru_cache(maxsize=_ANGLE_CACHE)
+def _gram_pairs(rows: tuple) -> np.ndarray:
+    """Memoized block pairs of a denominator over the branch ``rows`` key:
+    every mode takes the Gram pair, row 0 of a one-row table."""
+    rows = _keyed_array(rows)
+    pairs = _branch_pairs(_GRAM_BLOCKS[:, None], np.zeros((1, len(rows)), dtype=int), rows)
+    pairs.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=_ANGLE_CACHE)
+def _angle_table(theta: tuple, phase: tuple, derivatives: bool) -> np.ndarray:
+    """Memoized :func:`_rotation_table` of the ``theta`` and ``phase`` keys."""
+    table = _rotation_table(_keyed_array(theta), _keyed_array(phase), derivatives)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=_ANGLE_CACHE)
+def _angle_pairs(angles: tuple, index: tuple, rows: tuple) -> np.ndarray:
+    """Memoized :func:`_branch_pairs` of the table that ``angles`` keys (as
+    :func:`_angle_table` takes it) through the ``index`` and ``rows`` keys."""
+    pairs = _branch_pairs(_angle_table(*angles), _keyed_array(index), _keyed_array(rows))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _contract(weights, variables, moments, pairs) -> np.ndarray:
@@ -451,15 +497,16 @@ def _contract(weights, variables, moments, pairs) -> np.ndarray:
     return total.real
 
 
-def _terms(moments: _Moments, table, layout):
+def _terms(moments: _Moments, angles: tuple, layout):
     """Unnormalized correlation and state trace of every term of ``layout``,
     each shaped like the moments' level axes + (terms,).
 
-    ``table`` comes from :func:`_rotation_table`; the terms gather their
-    blocks from it through ``layout.index``, and their moments and
-    per-pattern denominators through ``layout.pattern_rows``.
+    ``angles`` keys the rotation table, as :func:`_angle_table` takes it;
+    the terms gather their blocks from it through ``layout.index``, and
+    their moments and per-pattern denominators through
+    ``layout.pattern_rows``.
     """
-    pairs = _branch_pairs(table, layout.index, moments.rows)
+    pairs = _angle_pairs(angles, _array_key(layout.index), _array_key(moments.rows))
     numerators = [n[..., layout.pattern_rows] for n in moments.numerators]
     num = _contract(moments.weights, moments.variables, numerators, pairs)
     return num, moments.denominators[..., layout.pattern_rows]
@@ -622,7 +669,7 @@ def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
     return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
 
 
-def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
+def _refinement_steps(curve, detector, nodes_per_axis, angles, layout, pending):
     """Values of every row of the pending points per refinement level, with
     the level-to-level change, each shaped (pending points, rows).
 
@@ -647,7 +694,7 @@ def _refinement_steps(curve, detector, nodes_per_axis, table, layout, pending):
         for group in groups:
             moments = _deterministic_moments(group, detector, level, nodes_per_axis,
                                              layout.patterns)
-            num, den = _terms(moments, table, layout)
+            num, den = _terms(moments, angles, layout)
             parts.append(num / den)
         values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         if level == 1:
@@ -731,9 +778,9 @@ def estimate_curve(
         raise ValueError(
             f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
-    table = _rotation_table(theta, phase, derivatives=layout.owners.size > 0)
+    angles = (_array_key(theta), _array_key(phase), layout.owners.size > 0)
     pending = list(range(len(curve)))
-    steps = _refinement_steps(curve, detector, config.nodes_per_axis, table, layout, pending)
+    steps = _refinement_steps(curve, detector, config.nodes_per_axis, angles, layout, pending)
     return _converge(steps, pending, layout, config.rel_tol)
 
 

@@ -148,6 +148,18 @@ def test_scan_rejects_incomplete_angle_list(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("mode", ["canonical", "optimize"])
+def test_scan_rejects_angle_list_without_explicit_mode(capsys, mode):
+    # the list would be ignored: the scan would print another set's values
+    code, out, err = run(capsys, [
+        "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
+        "--V", "1", "--d", "1", "--angles", mode,
+        "--angle-list", "0,0,0,0;0,0,0,0;0,0,0,0"])
+    assert code == 1
+    assert out == ""
+    assert f"--angle-list needs --angles explicit, not --angles {mode}" in err
+
+
 def test_scan_reports_failed_rows_with_exit_two(capsys, monkeypatch):
     def fake_run_sweep(plan):
         row = SweepRow(V=1.0, d=1.0, eta=1.0, value=float("nan"),
@@ -255,6 +267,15 @@ def test_validate_single_check(capsys):
     assert out.startswith("PASS numerical-kernels")
 
 
+@pytest.mark.parametrize("checks", [",", " , ", ""])
+def test_validate_rejects_an_empty_check_selection(capsys, checks):
+    # it would run no check and pass
+    code, out, err = run(capsys, ["validate", "--checks", checks])
+    assert code == 1
+    assert out == ""
+    assert f"--checks {checks!r} selects no check" in err
+
+
 def test_validate_flip_sign_fails(capsys):
     code, out, _err = run(capsys, [
         "validate", "--checks", "lr-bounds", "--flip-sign", "0"])
@@ -310,6 +331,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
         "                  '--V', '5', '--d', '2', '--out', sys.argv[1]])\n"
         "print(loaded())\n")
     assert _fresh_interpreter(probe, str(tmp_path / "rows.csv")) == ["[]", "[]"]
+
+
+def test_scan_leaves_validation_and_json_unloaded(tmp_path):
+    # a CSV scan runs no check and writes no JSON, so a fresh interpreter
+    # neither compiles the check suite nor imports the json package for it
+    probe = (
+        "import sys, etsbell.cli\n"
+        "etsbell.cli.main(['scan', '--family', 'ghz3-cond', '--inequality', 'svetlichny3',\n"
+        "                  '--V', '5', '--d', '2', '--out', sys.argv[1]])\n"
+        "print(sorted({'etsbell.validation', 'json'} & set(sys.modules)))\n")
+    assert _fresh_interpreter(probe, str(tmp_path / "rows.csv")) == ["[]"]
 
 
 def test_optimizing_commands_leave_scipy_unloaded(tmp_path):

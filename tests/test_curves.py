@@ -159,3 +159,23 @@ def test_crossing_equals_point_by_point_search(kind, name, eta, monkeypatch):
     monkeypatch.setattr(sweeps, "evaluate_curve_with_error", _point_by_point)
     integration._deterministic_moments.cache_clear()
     assert crossing_displacement(kind, spec, 5.0, eta) == got
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_CONDITIONAL],
+                         ids=lambda v: v.value)
+def test_a_crossing_search_builds_its_rotation_table_once(kind, monkeypatch):
+    # the probe curve and every bracket step measure with the same angles,
+    # so one table and one gather over the family's branch pairs serve them
+    builds = []
+    rotation_table = integration._rotation_table
+
+    def spy(theta, phase, derivatives=False):
+        builds.append(derivatives)
+        return rotation_table(theta, phase, derivatives)
+
+    for memo in (integration._angle_table, integration._angle_pairs):
+        memo.cache_clear()
+    monkeypatch.setattr(integration, "_rotation_table", spy)
+    crossing_displacement(kind, INEQUALITIES["svetlichny3"], 5.0, 0.3)
+    assert builds == [False]
+    assert integration._angle_pairs.cache_info().misses == 1

@@ -350,7 +350,8 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
     contraction per level, and the last level's values and errors."""
     layout = spec._layout
     rotations = [r for party in angles for r in party]
-    table = integration._rotation_table(*integration.rotation_angles(rotations))
+    theta, phase = integration.rotation_angles(rotations)
+    table_key = (integration._array_key(theta), integration._array_key(phase), False)
     # the curve of one point: each variable carries a tuple of one centre
     coeffs, signs, variables = family_structure(family)
     variables = tuple((V, (centre,), scales) for V, centre, scales in variables)
@@ -361,7 +362,7 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
                                                  QuadratureConfig().nodes_per_axis)
         moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
                                            detector, grids)
-        num, den = integration._terms(moments, table, layout)
+        num, den = integration._terms(moments, table_key, layout)
         ((values,),) = num / den
         errs = np.full(values.shape, math.inf) if previous is None else np.abs(values - previous)
         for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
@@ -489,6 +490,33 @@ def test_rotation_table_matches_scalar_matrices():
         da = np.array([derivative(r) for r in rotations])
         want = np.array([da @ p @ matrices + matrices @ p @ da for p in (reflect, turn)])
         assert table[:, (k + 1) * count:(k + 2) * count].tobytes() == want.tobytes()
+
+
+def test_angle_memo_entries_are_read_only_and_fresh_bits():
+    # a memoized table, gather or Gram gather is what a fresh build gives,
+    # bit for bit, and no caller can write into it
+    spec = INEQUALITIES["svetlichny3"]
+    _coeffs, signs, _variables = family_structure(StateFamily(FamilyKind.W3, 5.0, 1.2))
+    rows = (1 - np.array(signs).T) // 2
+    layout = spec._gradient_layout
+    rotations = [r for party in canonical_angles(spec, FamilyKind.W3).angles for r in party]
+    theta, phase = integration.rotation_angles(rotations)
+    key = integration._array_key
+    angles = (key(theta), key(phase), True)
+    table = integration._rotation_table(theta, phase, True)
+    gram = integration._branch_pairs(integration._GRAM_BLOCKS[:, None],
+                                     np.zeros((1, len(rows)), dtype=int), rows)
+    entries = ((integration._angle_table(*angles), table),
+               (integration._angle_pairs(angles, key(layout.index), key(rows)),
+                integration._branch_pairs(table, layout.index, rows)),
+               (integration._gram_pairs(key(rows)), gram))
+    for entry, fresh in entries:
+        assert entry.shape == fresh.shape
+        assert entry.tobytes() == fresh.tobytes()
+        assert not entry.flags.writeable
+        with pytest.raises(ValueError):
+            entry.flat[0] = 0.0
+    assert integration._angle_table(*angles) is entries[0][0]
 
 
 def _scalar_theta_derivative(rotation):

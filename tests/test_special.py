@@ -1,5 +1,6 @@
 """The engine's numpy erf and Dawson kernels against mpmath at 50 digits."""
 
+import hashlib
 import math
 import warnings
 
@@ -7,8 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from etsbell import validation
+from etsbell import _special, validation
 from etsbell._special import dawsn, erf
+from etsbell._special_table import DAWSON_TAIL
 
 # Dense on the range the quadrature rules reach, then log-spaced over every
 # magnitude a double has, subnormals included, with random signs.
@@ -91,3 +93,22 @@ def test_validation_kernel_table_is_mpmath_rounded(x, erf_value, dawsn_value):
     with mpmath.workdps(50):
         assert float(mpmath.erf(mpmath.mpf(x))) == erf_value
         assert float(_dawson(mpmath.mpf(x))) == dawsn_value
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(repr(array.shape).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def test_parsed_tables_keep_their_bits():
+    # the panel tables are stored as text and parsed at import; these are
+    # the digests of the edges and tables the float-literal tables gave
+    assert _sha256(*_special._ERF) == (
+        "51c60f803bc6fdda650ee1f0d02c55ec8e15019f3723283669f1837ace901ccc")
+    assert _sha256(*_special._DAWSON) == (
+        "b5b82fbba0d18bfd341bc4657acd868623fd2ddbb13b2c65e3720e95127eacb9")
+    assert _sha256(np.array(DAWSON_TAIL, dtype=float)) == (
+        "2614eef6054d8995b9db7bb57655641f97a973ea12c58f21727f3a527de2657d")

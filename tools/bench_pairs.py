@@ -10,8 +10,8 @@ runs for the benchmark's ``run_seconds`` on both sides in ten alternating
 pairs (pair k runs the parent first when k is even), each from a
 working directory outside both checkouts.  Then each side makes one
 ``--trace 1`` run per workload, runs the tier-1 suite once, and times
-``validate`` and the w3 optimize scan in seven fresh interpreters each,
-alternating.
+``validate``, the w3 optimize scan and ``figure fig3``, ``fig4`` and ``fig7``
+in seven fresh interpreters each, alternating.
 
 The file holds, per workload and end-to-end metric, both sides' medians,
 quartiles and the pairs the change won, every run's final JSON line, the
@@ -41,6 +41,10 @@ WALL_COMMANDS = {
     "validate": ["validate"],
     "w3_optimize_scan": ["scan", "--family", "w3", "--inequality", "svetlichny3",
                          "--V", "5", "--d", "1,3", "--angles", "optimize"],
+    # each writes <name>.csv into the working directory, which is removed
+    "figure_fig3": ["figure", "fig3"],
+    "figure_fig4": ["figure", "fig4"],
+    "figure_fig7": ["figure", "fig7"],
 }
 SIDES = ("parent", "change")
 PARENT = "HEAD"
@@ -194,9 +198,9 @@ def main(argv=None) -> int:
             "the test count of `python -m pytest -q` in each checkout, with its wall time from "
             f"one run each. `trace` holds one `--trace 1` run per side at seed {SEED}, "
             "its result and every metric. `wall` holds fresh-interpreter wall times of "
-            "`python -m etsbell.cli validate` and of `scan --family w3 --inequality "
-            f"svetlichny3 --V 5 --d 1,3 --angles optimize`, {WALL_RUNS} alternating runs "
-            "per side. Written by tools/bench_pairs.py."),
+            "`python -m etsbell.cli validate`, of `scan --family w3 --inequality "
+            "svetlichny3 --V 5 --d 1,3 --angles optimize` and of `figure fig3`, `fig4` and "
+            f"`fig7`, {WALL_RUNS} alternating runs per side. Written by tools/bench_pairs.py."),
         "host": {key: host[key] for key in ("nproc", "python", "numpy", "scipy")},
         "src_lines": {side: reports[side]["src_lines"] for side in SIDES},
         "tier1": tier1,

@@ -139,24 +139,28 @@ def dawson_tail():
     return [_round(c) for c in poly[::-1]]
 
 
-def _tuple(values) -> str:
-    return "(" + ", ".join(repr(float(v)).replace("inf", 'float("inf")') for v in values) + ")"
+def _row(values) -> str:
+    """One panel row as whitespace-separated reprs, which numpy parses back exactly."""
+    return " ".join(repr(float(v)) for v in values)
 
 
 def main() -> None:
     lines = [
         '"""Generated by tools/fit_special.py; edit and rerun that script instead.',
         "",
-        "Each panel row is (upper edge, M, S, c0_hi, c0_lo, c1, ..., c_DEGREE); the",
-        'script describes the forms."""',
+        "Each panel table is a string with one row per line, (upper edge, M, S,",
+        "c0_hi, c0_lo, c1, ..., c_DEGREE) as whitespace-separated reprs: a string",
+        "compiles far faster than as many float literals.  The script describes",
+        'the forms."""',
         "",
         f"DEGREE = {DEGREE}",
         f"ERF_CUT = {ERF_CUT!r}",
         f"DAWSON_TAIL_CUT = {DAWSON_TAIL_CUT!r}",
     ]
     for name, rows in (("ERF_PANELS", erf_rows()), ("DAWSON_PANELS", dawson_rows())):
-        lines += ["", f"{name} = ("] + [f"    {_tuple(row)}," for row in rows] + [")"]
-    lines += ["", "# T(u), lowest order first.", f"DAWSON_TAIL = {_tuple(dawson_tail())}"]
+        lines += ["", f'{name} = """'] + [_row(row) for row in rows] + ['"""']
+    lines += ["", "# T(u), lowest order first.",
+              f"DAWSON_TAIL = ({', '.join(repr(float(c)) for c in dawson_tail())})"]
     OUT.write_text("\n".join(lines) + "\n")
 
 
