@@ -275,6 +275,10 @@ def cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.flip_sign is not None and not 0 <= args.flip_sign < FLIPPABLE_TERMS:
         parser.error(f"--flip-sign TERM must lie in [0, {FLIPPABLE_TERMS - 1}], "
                      f"got {args.flip_sign}")
+    if args.flip_sign is not None and names is not None and "lr-bounds" not in names:
+        # only lr-bounds takes the flip: any other selection would pass unmutated
+        parser.error("--flip-sign applies to the lr-bounds check, which --checks "
+                     f"{args.checks!r} does not select")
     try:
         results = run_checks(names, flip_term=args.flip_sign)
     except EtsError as exc:

@@ -25,7 +25,7 @@ bit-identical whichever terms share its call, wherever it sits and
 whichever level shares its pass.  The angle side is memoized like the
 state side: each table, and each gather of it over a state's branch pairs,
 is built once per distinct (θ, γ, layout, branch rows) by value, so a
-crossing search's steps and a figure's cells, which share their angles,
+crossing search's rounds and a figure's cells, which share their angles,
 share them too.
 
 A term's numerator is linear in each mode's block pair, and the Gram
@@ -42,9 +42,9 @@ level.
 
 A curve is a set of points of one family kind and one V that differ only
 in d and share the detector, the angles and the config: the d axis of a
-figure, or a crossing search's probe profile.  Along it only the centre c·d
-of each mixture variable moves; the branch structure, the y rule, the y
-moments and the x weights do not.  On a shift rule, whose nodes follow the
+figure, or a crossing search's probe profile and each round of its search.
+Along it only the centre c·d of each mixture variable moves; the branch
+structure, the y rule, the y moments and the x weights do not.  On a shift rule, whose nodes follow the
 centre by a shift alone (the delta rule at V = 1, or Gauss-Hermite below
 the composite tail), each pass forms the y factors and moments once and
 the x factors of every point as one (points × nodes) array, and
@@ -243,6 +243,12 @@ def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float,
 
 def _variable_sigma(V: float) -> float:
     return math.sqrt(max(V - 1.0, 0.0) / 4.0)
+
+
+def curve_shares_pass(V: float) -> bool:
+    """Whether the points of a curve at ``V`` share an estimate's first
+    engine pass (levels 0 and 1), or each takes its own on the composite rule."""
+    return _shift_rule(_variable_sigma(V), 1)
 
 
 @lru_cache(maxsize=None)

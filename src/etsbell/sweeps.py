@@ -13,9 +13,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import NoCrossingError, NonconvergenceError
-from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec, canonical_angles,
-                           evaluate_curve_with_error, evaluate_with_error, optimize_angles)
-from .integration import QuadratureConfig, point_result
+# perfbench wraps evaluate_with_error by its name here.
+from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec,  # noqa: F401
+                           canonical_angles, evaluate_curve_with_error, evaluate_with_error,
+                           optimize_angles)
+from .integration import QuadratureConfig, curve_shares_pass, point_result
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
 
@@ -155,31 +157,93 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         rows[(V, d, eta)] for V in plan.V_grid for d in plan.d_grid for eta in plan.eta_grid))
 
 
-def sign_change_bracket(f: Callable[[float], float], lo: float, up: float, f_lo: float,
-                        f_up: float, width: float = 1e-3) -> tuple[float, float]:
+def _itp_point(lo: float, up: float, f_lo: float, f_up: float, kappa: float,
+               budget: float) -> float:
+    """One ITP step's point: regula falsi truncated toward the midpoint by
+    κ₁·(up − lo)², then projected so the next bracket fits ``budget``."""
+    mid = 0.5 * (lo + up)
+    falsi = (f_up * lo - f_lo * up) / (f_up - f_lo)
+    toward = math.copysign(1.0, mid - falsi)
+    shift = kappa * (up - lo) ** 2
+    x = falsi + toward * shift if shift <= abs(mid - falsi) else mid
+    radius = budget - 0.5 * (up - lo)
+    if abs(x - mid) > radius:
+        x = mid - toward * radius
+    return x
+
+
+def _pair_around_root(seen: list, lo: float, up: float, budget: float,
+                      width: float) -> tuple[float, float]:
+    """Two points 0.9·``width`` apart around the root in the bracket of the
+    cubic through the four evaluated points nearest it, shifted as little as
+    needed to lie strictly inside the bracket and to leave every gap within
+    ``budget``."""
+    near = sorted(seen, key=lambda point: max(lo - point[0], point[0] - up))[:4]
+    xs = [x for x, _fx in near]
+    coeffs = [fx for _x, fx in near]
+    # Newton's divided differences; the bracket's ends are among the nodes,
+    # so the cubic changes sign on it
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+
+    def cubic(t: float) -> float:
+        value = coeffs[-1]
+        for c, x in zip(coeffs[-2::-1], xs[-2::-1]):
+            value = value * (t - x) + c
+        return value
+
+    a, b = lo, up
+    while b - a > 0.01 * width:
+        m = 0.5 * (a + b)
+        if cubic(m) > 0.0:
+            b = m
+        else:
+            a = m
+    half = 0.45 * width
+    low = max(lo + 0.5 * width, up - budget - half)
+    high = min(up - 0.5 * width, lo + budget + half)
+    centre = min(max(0.5 * (a + b), low), high)
+    return centre - half, centre + half
+
+
+def sign_change_bracket(f: Callable[[tuple[float, ...]], Sequence[float]], lo: float,
+                        up: float, f_lo: float, f_up: float, width: float = 1e-3,
+                        round_points: int = 1) -> tuple[float, float]:
     """Narrow ``[lo, up]``, where ``f_lo <= 0 < f_up``, to a bracket at most
-    ``width`` wide whose ends keep those signs: ITP (Oliveira & Takahashi, ACM
-    TOMS 47(1), 2020) with κ₁ = 0.5/(up − lo), κ₂ = 2 and n₀ = 1.  It calls ``f``
-    at most ⌈log₂((up − lo)/width)⌉ + 1 times, bisection's count plus one, and
-    only a few times on a smooth profile.
+    ``width`` wide whose ends keep those signs.
+
+    The search goes in rounds; a round is one call of ``f`` on a tuple of
+    increasing points strictly inside the bracket, which returns their
+    values.  With ``round_points`` = 1 a round is one ITP step (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020) with κ₁ = 0.5/(up − lo), κ₂ = 2 and
+    n₀ = 1.  With more, the first round spaces ``round_points`` points evenly
+    across the bracket, and each later round places two points 0.9·``width``
+    apart around the root of the cubic through the four evaluated points
+    nearest the bracket, so a smooth profile closes on the pair.  Every
+    round leaves a bracket within ITP's budget, so there are at most
+    ⌈log₂((up − lo)/width)⌉ + 1 rounds, bisection's count plus one, and only
+    a few on a smooth profile.
     """
-    # each step's bracket fits in budget, 1% under width so rounding costs no step
+    # each round's bracket fits in budget, 1% under width so rounding costs no round
     budget = 0.99 * width * 2.0 ** math.ceil(math.log2((up - lo) / width))
     kappa = 0.5 / (up - lo)
+    seen = [(lo, f_lo), (up, f_up)]
     while up - lo > width:
-        mid = 0.5 * (lo + up)
-        falsi = (f_up * lo - f_lo * up) / (f_up - f_lo)
-        toward = math.copysign(1.0, mid - falsi)
-        shift = kappa * (up - lo) ** 2
-        x = falsi + toward * shift if shift <= abs(mid - falsi) else mid
-        radius = budget - 0.5 * (up - lo)
-        if abs(x - mid) > radius:
-            x = mid - toward * radius
-        budget *= 0.5
-        fx = f(x)
-        if fx > 0.0:
-            up, f_up = x, fx
+        if round_points == 1:
+            points = (_itp_point(lo, up, f_lo, f_up, kappa, budget),)
+        elif len(seen) == 2:
+            points = tuple(lo + (up - lo) * j / (round_points + 1)
+                           for j in range(1, round_points + 1))
         else:
+            points = _pair_around_root(seen, lo, up, budget, width)
+        budget *= 0.5
+        values = f(points)
+        seen.extend(zip(points, values))
+        for x, fx in zip(points, values):
+            if fx > 0.0:
+                up, f_up = x, fx
+                break
             lo, f_lo = x, fx
     return lo, up
 
@@ -201,10 +265,15 @@ def crossing_displacement(
     most 10⁻³ wide, is returned.  A point counts as above the bound when
     ``value > lr_bound``; a sweep row is ``violated`` only when
     ``value > lr_bound + err``.  The probes are one curve (see
-    :func:`run_sweep`), and each search step a curve of one point, so every
-    value carries the bits it has alone.  Raises :class:`NoCrossingError`
-    when the bound is never reached on that interval, and the first probe's
-    :class:`NonconvergenceError` in d order if one does not converge.
+    :func:`run_sweep`), and so is each round of the search, so every value
+    carries the bits it has alone.  While the points of a curve share an
+    engine pass (σ ≤ 1.55, V ≤ 10.61; see
+    :func:`etsbell.integration.curve_shares_pass`) a round holds four
+    points, then two, and a crossing takes about three rounds; on the
+    composite rule each point costs a pass of its own, so a round is one
+    ITP step.  Raises :class:`NoCrossingError` when the bound is never
+    reached on that interval, and the first :class:`NonconvergenceError` in
+    d order of the probes or of a round's points if one does not converge.
     """
     if isinstance(angles, str):
         if angles != "canonical":
@@ -234,9 +303,13 @@ def crossing_displacement(
     if k == 0:
         return 0.0
 
-    def gap(d: float) -> float:
-        return evaluate_with_error(
-            spec, StateFamily(family, V=V, d=d), angles, detector, cfg)[0] - spec.lr_bound
+    def gaps(ds: tuple[float, ...]) -> list[float]:
+        outcomes = evaluate_curve_with_error(
+            spec, [StateFamily(family, V=V, d=d) for d in ds], angles, detector, cfg)
+        return [point_result(outcome)[0] - spec.lr_bound for outcome in outcomes]
 
-    lo, up = sign_change_bracket(gap, probes[k - 1], probes[k], excess[k - 1], excess[k])
+    # a round's points share an engine pass only on a shift rule; on the
+    # composite rule each would cost its own, so a round is one ITP step
+    lo, up = sign_change_bracket(gaps, probes[k - 1], probes[k], excess[k - 1], excess[k],
+                                 round_points=4 if curve_shares_pass(V) else 1)
     return 0.5 * (lo + up)

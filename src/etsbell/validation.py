@@ -118,7 +118,7 @@ def check_sasa_exactness() -> CheckResult:
     # saturates; locate both displacements on the closed form.
     def reaching(level: float, up: float) -> float:
         ends = (sasa_closed(1e3, 1e-6) - level, sasa_closed(1e3, up) - level)
-        return 0.5 * sum(sign_change_bracket(lambda d: sasa_closed(1e3, d) - level,
+        return 0.5 * sum(sign_change_bracket(lambda ds: [sasa_closed(1e3, d) - level for d in ds],
                                              1e-6, up, *ends, width=1e-6))
 
     crossing_d = reaching(2.0, 200.0)

@@ -283,6 +283,15 @@ def test_validate_flip_sign_fails(capsys):
     assert out.startswith("FAIL lr-bounds")
 
 
+@pytest.mark.parametrize("checks", ["numerical-kernels", "sasa-exactness,numerical-kernels"])
+def test_validate_rejects_flip_sign_without_lr_bounds(capsys, checks):
+    # the flip reaches lr-bounds only, so any other selection would pass unmutated
+    code, out, err = run(capsys, ["validate", "--checks", checks, "--flip-sign", "0"])
+    assert code == 1
+    assert out == ""
+    assert f"--flip-sign applies to the lr-bounds check, which --checks {checks!r}" in err
+
+
 @pytest.mark.parametrize("term", ["-1", "99"])
 def test_validate_rejects_flip_sign_out_of_range(capsys, term):
     # -1 would flip each table's last term through negative indexing, 99

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from etsbell import sweeps
+from etsbell import integration, sweeps
 from etsbell.errors import NoCrossingError
 from etsbell.inequalities import (OptimizationResult, canonical_angles, evaluate_curve_with_error,
-                                  evaluate_with_error, get_inequality)
+                                  get_inequality)
 from etsbell.integration import QuadratureConfig
-from etsbell.oracles import svetlichny_ghz_closed
+from etsbell.oracles import svetlichny_ghz4_closed, svetlichny_ghz_closed
 from etsbell.states import FamilyKind, StateFamily
 from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep, sign_change_bracket
 
@@ -188,45 +188,96 @@ SYNTHETIC = {
 
 @pytest.mark.parametrize("name", SYNTHETIC)
 def test_sign_change_bracket_keeps_bisections_worst_case(name):
+    # in single ITP steps and in rounds of four points then pairs, every
+    # point lies strictly inside the bracket its round narrows
     f, lo, up, root = SYNTHETIC[name]
-    calls = []
+    for round_points in (1, 4):
+        rounds = []
+        below, above = lo, up
 
-    def counted(x):
-        calls.append(x)
-        return f(x)
+        def counted(xs):
+            nonlocal below, above
+            assert list(xs) == sorted(xs)
+            assert all(below < x < above for x in xs)
+            rounds.append(xs)
+            values = [f(x) for x in xs]
+            below = max([below] + [x for x, fx in zip(xs, values) if fx <= 0.0])
+            above = min([above] + [x for x, fx in zip(xs, values) if fx > 0.0])
+            return values
 
-    a, b = sign_change_bracket(counted, lo, up, f(lo), f(up))
-    assert b - a <= 1e-3
-    assert f(a) <= 0.0 < f(b)
-    assert a <= root <= b
-    assert len(calls) <= math.ceil(math.log2((up - lo) / 1e-3)) + 1
-    assert all(lo < x < up for x in calls)
+        a, b = sign_change_bracket(counted, lo, up, f(lo), f(up), round_points=round_points)
+        assert b - a <= 1e-3
+        assert f(a) <= 0.0 < f(b)
+        assert a <= root <= b
+        assert (a, b) == (below, above)
+        assert len(rounds) <= math.ceil(math.log2((up - lo) / 1e-3)) + 1
+        assert all(len(xs) == 1 for xs in rounds) == (round_points == 1)
 
 
-def test_narrow_crossings_take_at_most_seven_steps(monkeypatch):
-    # the two crossings of the tripartite ordering check at V = 5, and the
-    # returned d* is the midpoint of a sign-change bracket from the points seen
-    seen, steps = [], []
-
-    def curve_spy(spec, curve, *args):
+def _curve_spy(seen, rounds):
+    """``evaluate_curve_with_error`` that records every (d, value) it
+    returns in ``seen`` and each call's displacements in ``rounds``."""
+    def spy(spec, curve, *args):
         outcomes = evaluate_curve_with_error(spec, curve, *args)
+        rounds.append([f.d for f in curve])
         seen.extend((f.d, value) for f, (value, _err) in zip(curve, outcomes))
         return outcomes
+    return spy
 
-    def step_spy(spec, family, *args):
-        steps.append(family.d)
-        value, err = evaluate_with_error(spec, family, *args)
-        seen.append((family.d, value))
-        return value, err
 
-    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", curve_spy)
-    monkeypatch.setattr(sweeps, "evaluate_with_error", step_spy)
+def test_narrow_crossings_take_at_most_three_rounds(monkeypatch):
+    # the two crossings of the tripartite ordering check at V = 5: after the
+    # probe curve, at most three curve calls, and the returned d* is the
+    # midpoint of a sign-change bracket from the points seen
+    seen, rounds = [], []
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", _curve_spy(seen, rounds))
     for kind in (FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_CONDITIONAL):
         seen.clear()
-        steps.clear()
+        rounds.clear()
         crossing = crossing_displacement(kind, SV3, V=5.0, eta=0.3)
-        assert 0 < len(steps) <= 7
+        assert len(rounds[0]) == 9
+        assert 0 < len(rounds) - 1 <= 3
         lo = max(d for d, value in seen if value <= SV3.lr_bound and d < crossing)
         up = min(d for d, value in seen if value > SV3.lr_bound and d > crossing)
         assert up - lo <= 1e-3
         assert crossing == 0.5 * (lo + up)
+
+
+@pytest.mark.parametrize("kind, V, eta, passes", [
+    (FamilyKind.GHZ3_BEAM_SPLITTER, 20.0, 0.7, 15),
+    (FamilyKind.GHZ3_CONDITIONAL, 100.0, 0.8, 16),
+], ids=["ghz3-bs-V20", "ghz3-cond-V100"])
+def test_wide_crossings_take_single_point_steps(kind, V, eta, passes, monkeypatch):
+    # on the composite rule (σ > 1.55) every point is an engine pass of its
+    # own, so each round is one ITP step and the search makes no more passes
+    # than a search of single-point steps
+    seen, rounds, calls = [], [], []
+    engine_pass = integration._engine_pass
+
+    def pass_spy(*args):
+        calls.append(1)
+        return engine_pass(*args)
+
+    integration._deterministic_moments.cache_clear()
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", _curve_spy(seen, rounds))
+    monkeypatch.setattr(integration, "_engine_pass", pass_spy)
+    crossing_displacement(kind, SV3, V=V, eta=eta)
+    assert not integration.curve_shares_pass(V)
+    assert all(len(ds) == 1 for ds in rounds[1:])
+    assert len(calls) <= passes
+
+
+@pytest.mark.parametrize("kind, name, closed", [
+    (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", svetlichny_ghz_closed),
+    (FamilyKind.GHZ4_CONDITIONAL, "svetlichny4", svetlichny_ghz4_closed),
+], ids=["ghz3-cond", "ghz4-cond"])
+def test_crossing_matches_closed_form_root_in_both_round_regimes(kind, name, closed):
+    # V = 1 (the delta rule), shared passes up to V = 10 and single-point
+    # steps on the composite rule beyond
+    spec = get_inequality(name)
+    for V in (1.0, 2.0, 5.0, 10.0, 100.0, 1e4):
+        for eta in (0.5, 1.0):
+            got = crossing_displacement(kind, spec, V=V, eta=eta)
+            want = brentq(lambda d: closed(V, d, eta) - spec.lr_bound,
+                          1e-9, 20.0 * math.sqrt(V), xtol=1e-12)
+            assert got == pytest.approx(want, abs=1e-3), (V, eta)
