@@ -11,17 +11,20 @@ nodes per axis.
 An estimate runs in two steps.  The moments depend on the state, the
 detector, the refinement level and which modes a term leaves unmeasured,
 but not on the measurement angles; one pass forms them, kernels included,
-for every term of a functional, together with the Gram denominator of each
-unmeasured pattern, and a small memo keeps the last few so that an
-optimizer's evaluations of one state share them.  An estimate's first pass
-serves levels 0 and 1 of the refinement ladder: it forms each axis factor
-once on both levels' nodes joined and each level's moments by a sum over
-its own slice; a later level is a pass of its own.  The angle blocks come
-from (θ, γ) arrays in one vectorised table, which the terms gather through
-a static (terms × modes) index.  All terms are then contracted with the
-shared moments over a stacked term axis and the level axis, by elementwise
-arithmetic in an order fixed by the family, so a term's value is
-bit-identical whichever terms share its call, wherever it sits and
+for every term of a functional: per unmeasured pattern the numerator
+moments and the Gram moments its denominator takes.  A small memo keeps the
+last few moment sets so that an optimizer's evaluations of one state share
+them.  An estimate's first pass serves levels 0 and 1 of the refinement
+ladder: it forms each axis factor once on both levels' nodes joined and
+each level's moments by a sum over its own slice; a later level is a pass
+of its own.  The angle blocks come from (θ, γ) arrays in one vectorised
+table, which the terms gather through a static (terms × modes) index.  All
+terms are then contracted with the shared moments over a stacked term axis
+and the level axis, in one contraction whose leading rows, one per
+pattern, leave every mode unmeasured: they read the table's Gram row and
+the pattern's Gram moments, and give that pattern's denominator.  The
+arithmetic is elementwise, in an order fixed by the family, so a term's
+value is bit-identical whichever terms share its call, wherever it sits and
 whichever level shares its pass.  The angle side is memoized like the
 state side: each table, and each gather of it over a state's branch pairs,
 is built once per distinct (θ, γ, layout, branch rows) by value, so a
@@ -44,37 +47,44 @@ A curve is a set of points of one family kind and one V that differ only
 in d and share the detector, the angles and the config: the d axis of a
 figure, or a crossing search's probe profile and each round of its search.
 Along it only the centre c·d of each mixture variable moves; the branch
-structure, the y rule, the y moments and the x weights do not.  On a shift rule, whose nodes follow the
-centre by a shift alone (the delta rule at V = 1, or Gauss-Hermite below
-the composite tail), each pass forms the y factors and moments once and
-the x factors of every point as one (points × nodes) array, and
-the contraction runs over a stacked (points × terms) axis.  Each point
-stops at its own first converged level and only the rest climb.  The
-composite rule's panels move with the centre, so there each point is a
-curve of its own; a single estimate is a curve of one point.  The points
-axis meets only elementwise arithmetic and einsum sums that run over each
-point's own nodes, so a point carries the bits it has alone (the tests
-check this).
+structure, the y rule, the y moments and the x weights do not.  So each
+pass splits into a frame that does not depend on d and an x half that
+does.  The frame is built once and memoized by value: the y moments of
+each (y nodes and weights, per-mode scale and η, local pattern), the node
+offsets and weights of a shift rule's levels, and a family's branch
+weights and rows.  On a shift rule, whose nodes follow the centre by a
+shift alone (the delta rule at V = 1, or Gauss-Hermite below the composite
+tail), a pass forms only the x nodes of every point (centre plus offsets),
+their x factors as one (points × nodes) array and the x moments, and the
+contraction runs over a stacked (points × terms) axis.  Each point stops
+at its own first converged level and only the rest climb.  The composite
+rule's panels move with the centre, so there each point is a curve of its
+own, though its y moments still come from the frame; a single estimate is
+a curve of one point.  The points axis meets only elementwise arithmetic
+and einsum sums that run over each point's own nodes, so a point carries
+the bits it has alone (the tests check this).
 
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
 no estimate imports scipy.  Those kernels cost a fixed number of array
-operations per call, so a pass calls them as rarely as it can.  Axis factors
-are formed once per distinct (axis, scale, η) in a pass, and moments once
-per distinct variable: the modes of a splitter or Kerr state share one
-scale, the variables of a conditional state are equal, and a per-mode η
-that differs splits them.  Sharing is keyed on values, so it moves no bit.
-Dawson's integral enters a y moment once per measured mode whose second
-part the moment takes.  It is odd and the y weight is symmetric about 0, so
-a moment with an odd number of such factors integrates to zero; the pass
-sets it to zero instead of summing roundoff, and a variable with at most
-one measured mode needs no Dawson values at all.
+operations per call, so a pass calls them as rarely as it can.  x factors
+are formed once per distinct (axis, scale, η) in a pass, y factors once
+per frame, and moments once per distinct variable: the modes of a splitter
+or Kerr state share one scale, the variables of a conditional state are
+equal, and a per-mode η that differs splits them.  Sharing is keyed on
+values, so it moves no bit.  Dawson's integral enters a y moment once per
+measured mode whose second part the moment takes.  It is odd and the y
+weight is symmetric about 0, so a moment with an odd number of such factors
+integrates to zero; the frame sets it to zero instead of summing roundoff,
+and a variable with at most one measured mode needs no Dawson values at
+all.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -86,7 +96,7 @@ from numpy.polynomial.legendre import leggauss
 from ._special import dawsn, erf
 from .errors import NonconvergenceError
 from .measurement import DetectorModel, EffectiveRotation
-from .states import StateFamily, family_structure
+from .states import StateFamily, centre_units, family_structure
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -104,9 +114,15 @@ _MAX_AXIS_NODES = 200
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement levels, which an
-# optimizer revisits at every evaluation.  A sweep moves to a new state at
-# every point, so it finds nothing here and computes its own.
+# optimizer revisits at every evaluation.  A sweep or a crossing search moves
+# to new points at every curve, so it finds nothing here; what its passes
+# share, it finds in the frame memos below.
 _MOMENT_CACHE = 4
+# Frame entries kept in memory (see _shift_frame and _y_moments): what does
+# not move with d.  A crossing search needs one y-moment entry, `figure fig4`
+# four (one per pass's levels) and `validate`, the widest user, 25 y-moment
+# and 4 shift-rule entries, so this keeps every frame of one command.
+_FRAME_CACHE = 32
 # Rotation tables and their branch-pair gathers kept in memory: a crossing
 # search or a figure cell asks for a few angle sets many times; an optimizer
 # moves to new angles at every evaluation, so it finds nothing here.
@@ -134,6 +150,9 @@ class QuadratureConfig:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
+        if isinstance(self.nodes_per_axis, bool) or not isinstance(self.nodes_per_axis,
+                                                                    numbers.Integral):
+            raise TypeError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}")
         if not (1 <= self.nodes_per_axis <= _MAX_AXIS_NODES):
             raise ValueError(
                 f"nodes_per_axis must lie in [1, {_MAX_AXIS_NODES}], got {self.nodes_per_axis}")
@@ -149,11 +168,6 @@ def _gh_rule(n: int):
 @lru_cache(maxsize=None)
 def _gl_rule(n: int):
     return leggauss(n)
-
-
-def _gauss_axis(mu: float, sigma: float, n: int):
-    t, w = _gh_rule(n)
-    return mu + _SQRT2 * sigma * t, w / _SQRT_PI
 
 
 def _composite_axis(mu: float, sigma: float, order: int, smax: float, eta_min: float):
@@ -208,34 +222,46 @@ def _shift_rule(sigma: float, level: int) -> bool:
     return sigma == 0.0 or (sigma <= _GH_SIGMA_MAX and level <= 2)
 
 
-def _shifted_axis(centres: np.ndarray, sigma: float, level: int, nodes_per_axis: int):
-    """Nodes of a shift rule at each of ``centres``, shaped (centres, n), and
-    the weights they share."""
-    if sigma == 0.0:
-        return centres[:, None], np.array([1.0])
-    n = min(nodes_per_axis * (1 << level), _MAX_AXIS_NODES)
-    return _gauss_axis(centres[:, None], sigma, n)
+@lru_cache(maxsize=_FRAME_CACHE)
+def _shift_frame(sigma: float, levels: tuple, nodes_per_axis: int):
+    """What every pass of a shift rule at ``levels`` shares, read-only: per
+    level the x nodes' offsets from their centre (None for the delta rule,
+    whose one node is the centre) and the y nodes, and every level's x
+    weights followed by every level's y weights, as :func:`_engine_pass`
+    takes them.  A point's x nodes are its centre plus the offsets."""
+    offsets, ys, weights = [], [], []
+    for level in levels:
+        if sigma == 0.0:
+            offset, y, w = None, np.zeros(1), np.ones(1)
+        else:
+            t, w = _gh_rule(min(nodes_per_axis << level, _MAX_AXIS_NODES))
+            offset = _SQRT2 * sigma * t
+            y = 0.0 + offset
+            w = w / _SQRT_PI
+        offsets.append(offset)
+        ys.append(y)
+        weights.append(w)
+    w = np.concatenate(weights + weights)
+    for array in ys + [w] + [o for o in offsets if o is not None]:
+        array.flags.writeable = False
+    return tuple(offsets), tuple(ys), w
 
 
 @lru_cache(maxsize=_AXIS_RULE_CACHE)
-def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float,
-               level: int, nodes_per_axis: int):
-    """Refinement ladder for one axis, as read-only (nodes, weights).
+def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, level: int):
+    """Composite rule of an axis at ``level``, as read-only (nodes, weights).
 
-    Narrow weights climb three Gauss-Hermite node doublings and then switch
-    to the windowed composite rule, which handles integrands the Hermite
-    polynomials resolve slowly; wide weights use the composite rule from the
-    start with panel-order doubling.  Rules are memoized: every term of a
-    functional, every refinement pass and every identical variable of a
-    state asks for the same ones.
+    Narrow weights climb three Gauss-Hermite node doublings (shift rules,
+    see :func:`_shift_frame`) and then switch to the windowed composite
+    rule, which handles integrands the Hermite polynomials resolve slowly;
+    wide weights use the composite rule from the start with panel-order
+    doubling.  Rules are memoized: every term of a functional, every
+    refinement pass and every identical variable of a state asks for the
+    same ones.
     """
-    if _shift_rule(sigma, level):
-        nodes, weights = _shifted_axis(np.array([mu]), sigma, level, nodes_per_axis)
-        nodes = nodes[0]
-    else:
-        doublings = min(level, 2) if sigma > _GH_SIGMA_MAX else level - 3
-        nodes, weights = _composite_axis(mu, sigma, _COMPOSITE_BASE_ORDER << doublings,
-                                         smax, eta_min)
+    doublings = min(level, 2) if sigma > _GH_SIGMA_MAX else level - 3
+    nodes, weights = _composite_axis(mu, sigma, _COMPOSITE_BASE_ORDER << doublings,
+                                     smax, eta_min)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -265,22 +291,35 @@ def _moment_subscripts(k: int, points: bool) -> str:
 class _Moments(NamedTuple):
     """The angle-independent half of a pass over one state.
 
-    ``weights`` holds the branch-pair coefficients conj(c_j)·c_i.
-    ``rows[m]`` holds mode m's row of each branch (0 where the branch has
-    +α, 1 where it has −α), and ``variables`` each mixture variable's modes.
-    ``numerators`` holds one array per variable, shaped
-    (2,)*k + (levels, points, patterns): for each refinement level of the
+    ``weights`` holds the branch-pair coefficients conj(c_j)·c_i, and
+    ``rows`` the :func:`_array_key` of the branch rows, whose row m holds
+    mode m's row of each branch (0 where the branch has +α, 1 where it has
+    −α); ``variables`` holds each mixture variable's modes.
+    ``moments`` holds one array per variable, shaped
+    (2,)*k + (levels, points, 2·patterns): for each refinement level of the
     pass, each point of the curve and each pattern of unmeasured modes
     (True per mode a term leaves out), in the order the pass was given
-    them, the 2^k numerator moments.  ``denominators`` holds the state
-    trace of each, shaped (levels, points, patterns).
+    them, the 2^k Gram moments, then for each pattern in the same order the
+    2^k numerator moments.  A contraction of a pattern's Gram moments with
+    the Gram blocks on every mode is its state trace, the denominator of
+    every term with that pattern (see :class:`TermLayout`).
     """
 
     weights: np.ndarray
-    rows: np.ndarray
+    rows: tuple
     variables: tuple
-    numerators: tuple
-    denominators: np.ndarray
+    moments: tuple
+
+
+@lru_cache(maxsize=8)
+def _branches(coeffs: tuple, signs: tuple):
+    """Memoized read-only branch-pair weights and key of the branch rows (as
+    :class:`_Moments` holds them) of a family's ``coeffs`` and ``signs``:
+    one entry per family kind, of which there are seven."""
+    coeffs = np.array(coeffs)
+    weights = np.multiply.outer(coeffs.conj(), coeffs)
+    weights.flags.writeable = False
+    return weights, _array_key((1 - np.array(signs).T) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -321,66 +360,96 @@ def _y_factors(y, scale: float, eta, dawson: bool):
     return np.array(((ones, part), gram))
 
 
-def _variable_moments(x, y, w, per_mode, local, factors: dict):
-    """One variable's numerator and Gram moments for each level, each point
-    and each of its distinct local patterns, stacked on the last three axes,
-    the patterns in the order of ``local``.
+@lru_cache(maxsize=_FRAME_CACHE)
+def _y_moments(y: tuple, wy: tuple, per_mode: tuple, local: tuple) -> tuple:
+    """Memoized y moments of a variable, read-only: for each local pattern
+    of ``local``, in order, each level's moments, shaped (2,)*(k + 1) for
+    the numerator or Gram part and the 2^k moments of the k modes.
 
-    ``per_mode`` holds each mode's (scale, η), η None where no pattern
-    measures the mode.  ``factors`` memoizes axis factors by value across
-    the pass, so modes and variables with equal axes, scales and η share
-    them.  The y moments serve every point; the x factors of all points are
-    one array, and their moments one sum.
+    ``y`` holds the :func:`_array_key` of each level's y nodes and ``wy``
+    that of every level's y weights, joined; ``per_mode`` is as
+    :func:`_variable_moments` takes it.  The y factors are formed once on
+    every level's nodes joined, and shared by the patterns that ask for
+    equal ones.
     """
-    ends = [np.cumsum([0] + [part.shape[-1] for part in parts]) for parts in (x, y)]
-    levels = [(slice(*ends[0][i:i + 2]), slice(*ends[1][i:i + 2])) for i in range(len(x))]
-    x = np.concatenate(x, axis=-1)
-    y = np.concatenate(y)
-    wx = w[:x.shape[-1]]
-    wy = w[x.shape[-1]:]
-    x_key = x.tobytes()
-    y_key = y.tobytes()
+    ys = [_keyed_array(key) for key in y]
+    ends = np.cumsum([0] + [len(part) for part in ys])
+    y = np.concatenate(ys)
+    wy = _keyed_array(wy)
     y_sum = _moment_subscripts(len(per_mode), False)
-    x_sum = _moment_subscripts(len(per_mode), True)
-    # Patterns that agree on the variable's own modes share one sum.  Each
-    # pattern's Gram moments come from the sum that carries its numerator,
-    # and may differ from another pattern's in the last bit, so each
-    # pattern keeps its own denominator.
-    by_local = dict.fromkeys(local)
-    for offs in by_local:
+    factors = {}
+    per_pattern = []
+    for offs in local:
         # Dawson's integral is odd and the y weight symmetric, so a y moment
         # with an odd number of Dawson factors is zero; with at most one
         # measured mode every Dawson factor enters such a moment.
         dawson = sum(not off for off in offs) > 1
-        x_factors = []
         y_factors = []
+        for (scale, eta), off in zip(per_mode, offs):
+            key = (scale, None if off else eta, dawson)
+            if key not in factors:
+                factors[key] = _y_factors(y, *key)
+            y_factors.append(factors[key])
+        per_level = []
+        for a, b in zip(ends[:-1], ends[1:]):
+            moments = np.einsum(y_sum, *(f[..., a:b] for f in y_factors), wy[a:b])
+            if dawson:
+                moments[0][_odd_dawson(offs)] = 0.0
+            moments.flags.writeable = False
+            per_level.append(moments)
+        per_pattern.append(tuple(per_level))
+    return tuple(per_pattern)
+
+
+def _variable_moments(x, y, w, per_mode, local, factors: dict):
+    """One variable's moments, as :class:`_Moments` holds them, for each
+    level, each point and each of its local patterns, in the order of
+    ``local``.
+
+    ``per_mode`` holds each mode's (scale, η), η None where no pattern
+    measures the mode.  The y moments come from :func:`_y_moments`, which
+    every point and every pass with equal y nodes, weights, scales and η
+    share.  ``factors`` memoizes x factors by value across the pass, so
+    modes and variables with equal nodes, scales and η share them; the x
+    factors of all points are one array, and their moments one sum.
+    """
+    ends = np.cumsum([0] + [part.shape[-1] for part in x])
+    x = np.concatenate(x, axis=-1)
+    wx = w[:ends[-1]]
+    # Patterns that agree on the variable's own modes share one sum.  Each
+    # pattern's Gram moments come from the sum that carries its numerator,
+    # and may differ from another pattern's in the last bit, so each
+    # pattern keeps its own denominator.
+    distinct = tuple(dict.fromkeys(local))
+    y_moments = _y_moments(tuple(_array_key(part) for part in y), _array_key(w[ends[-1]:]),
+                           per_mode, distinct)
+    x_key = x.tobytes()
+    x_sum = _moment_subscripts(len(per_mode), True)
+    by_local = {}
+    for offs, y_levels in zip(distinct, y_moments):
+        x_factors = []
         for (scale, eta), off in zip(per_mode, offs):
             eta = None if off else eta
             key = (x_key, scale, eta)
             if key not in factors:
                 factors[key] = _x_factors(x, scale, eta)
             x_factors.append(factors[key])
-            key = (y_key, scale, eta, dawson)
-            if key not in factors:
-                factors[key] = _y_factors(y, scale, eta, dawson)
-            y_factors.append(factors[key])
-        by_local[offs] = per_level = []
-        for sx, sy in levels:
-            y_moments = np.einsum(y_sum, *(f[..., sy] for f in y_factors), wy[sy])
-            if dawson:
-                y_moments[0][_odd_dawson(offs)] = 0.0
-            per_level.append(np.einsum(x_sum, *(f[..., sx] for f in x_factors), wx[sx])
-                             * y_moments[..., None])
-    # (patterns, levels, u, 2^k moments, points) -> (u, 2^k, levels, points, patterns)
-    stacked = np.moveaxis(np.array([by_local[offs] for offs in local]), (0, 1), (-1, -3))
-    numerator = np.ascontiguousarray(stacked[0])
-    numerator.flags.writeable = False
-    return numerator, stacked[1]
+        by_local[offs] = [np.einsum(x_sum, *(f[..., a:b] for f in x_factors), wx[a:b])
+                          * moments[..., None]
+                          for a, b, moments in zip(ends[:-1], ends[1:], y_levels)]
+    # (patterns, levels, u, 2^k moments, points), u reversed to put Gram
+    # first -> (2^k moments, levels, points, u, patterns), u and patterns joined
+    stacked = np.array([by_local[offs] for offs in local])[:, :, ::-1]
+    k = len(per_mode)
+    stacked = np.ascontiguousarray(stacked.transpose(*range(3, 3 + k), 1, 3 + k, 2, 0))
+    moments = stacked.reshape(stacked.shape[:-2] + (-1,))
+    moments.flags.writeable = False
+    return moments
 
 
 def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
-    """Per-variable moments, and the denominator, of every pattern in ``patterns``.
+    """Per-variable Gram and numerator moments of every pattern in ``patterns``.
 
     ``grids`` supplies (x, y, w) per variable: per level, the x nodes of
     every point of the curve, shaped (points, n), and the y nodes, which the
@@ -390,8 +459,7 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     2^k products of per-mode axis factors (k modes), summed over x and over
     y separately.  A mode that a term leaves unmeasured takes the Gram
     factors in place of the detector's, so the numerator moments are formed
-    once per pattern, each stacked on the Gram moments, which are then
-    contracted into that pattern's denominators.
+    once per pattern, each with the Gram moments its denominator takes.
     Variables equal in value (grid, scales, η and patterns) share one set of
     moments.  Nothing here depends on the measurement angles.
     """
@@ -399,8 +467,7 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
     factors = {}
     shared = {}
     variable_modes = []
-    numerators = []
-    grams = []
+    moments = []
     for (_V, _centres, scales), (x, y, w) in zip(variables, grids):
         modes = tuple(sorted(scales))
         variable_modes.append(modes)
@@ -410,20 +477,9 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
         key = (tuple(part.tobytes() for part in x + y), w.tobytes(), per_mode, local)
         if key not in shared:
             shared[key] = _variable_moments(x, y, w, per_mode, local, factors)
-        numerator, gram = shared[key]
-        numerators.append(numerator)
-        grams.append(gram)
-    coeffs = np.array(coeffs)
-    weights = np.multiply.outer(coeffs.conj(), coeffs)
-    weights.flags.writeable = False
-    rows = (1 - np.array(signs).T) // 2
-    rows.flags.writeable = False
-    variable_modes = tuple(variable_modes)
-    # _contract returns the real part of a complex array; the memo keeps a copy.
-    denominators = np.ascontiguousarray(
-        _contract(weights, variable_modes, grams, _gram_pairs(_array_key(rows))))
-    denominators.flags.writeable = False
-    return _Moments(weights, rows, variable_modes, tuple(numerators), denominators)
+        moments.append(shared[key])
+    weights, rows = _branches(coeffs, signs)
+    return _Moments(weights, rows, tuple(variable_modes), tuple(moments))
 
 
 def _branch_pairs(table, index, rows) -> np.ndarray:
@@ -446,16 +502,6 @@ def _keyed_array(key) -> np.ndarray:
     """The read-only array of an :func:`_array_key` key."""
     dtype, shape, data = key
     return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-
-@lru_cache(maxsize=_ANGLE_CACHE)
-def _gram_pairs(rows: tuple) -> np.ndarray:
-    """Memoized block pairs of a denominator over the branch ``rows`` key:
-    every mode takes the Gram pair, row 0 of a one-row table."""
-    rows = _keyed_array(rows)
-    pairs = _branch_pairs(_GRAM_BLOCKS[:, None], np.zeros((1, len(rows)), dtype=int), rows)
-    pairs.flags.writeable = False
-    return pairs
 
 
 @lru_cache(maxsize=_ANGLE_CACHE)
@@ -507,15 +553,15 @@ def _terms(moments: _Moments, angles: tuple, layout):
     """Unnormalized correlation and state trace of every term of ``layout``,
     each shaped like the moments' level axes + (terms,).
 
-    ``angles`` keys the rotation table, as :func:`_angle_table` takes it;
-    the terms gather their blocks from it through ``layout.index``, and
-    their moments and per-pattern denominators through
-    ``layout.pattern_rows``.
+    ``angles`` keys the rotation table, as :func:`_angle_table` takes it.
+    One contraction serves the whole of ``layout.stack``: its leading
+    all-unmeasured rows read the table's Gram row and give each pattern's
+    denominator, which the terms then gather through ``layout.pattern_rows``.
     """
-    pairs = _angle_pairs(angles, _array_key(layout.index), _array_key(moments.rows))
-    numerators = [n[..., layout.pattern_rows] for n in moments.numerators]
-    num = _contract(moments.weights, moments.variables, numerators, pairs)
-    return num, moments.denominators[..., layout.pattern_rows]
+    pairs = _angle_pairs(angles, layout.stack, moments.rows)
+    values = _contract(moments.weights, moments.variables,
+                       [m[..., layout.stack_rows] for m in moments.moments], pairs)
+    return values[..., len(layout.patterns):], values[..., layout.pattern_rows]
 
 
 def _matrices(a00, a01, a10, a11) -> np.ndarray:
@@ -568,9 +614,13 @@ class TermLayout(NamedTuple):
     sorted, and ``pattern_rows`` gives each row's entry in it.  One row per
     term comes first; a gradient layout appends derivative rows, the j-th
     of which differentiates term ``owners[j]`` by entry ``slots[j]`` of the
-    angle vector (2k for θ and 2k + 1 for γ of rotation k).  A functional's
-    layouts do not depend on its angles, so each is built once per
-    functional.
+    angle vector (2k for θ and 2k + 1 for γ of rotation k).  ``stack`` is
+    the :func:`_array_key` of the index as one contraction takes it: first
+    one all-unmeasured row per pattern, whose value is that pattern's Gram
+    denominator, then ``index``; ``stack_rows`` gives each stack row's entry
+    in a pass's moments, which hold every pattern's Gram moments and then
+    its numerator moments.  A functional's layouts do not depend on its
+    angles, so each is built once per functional.
     """
 
     index: np.ndarray
@@ -578,6 +628,8 @@ class TermLayout(NamedTuple):
     pattern_rows: np.ndarray
     owners: np.ndarray
     slots: np.ndarray
+    stack: tuple
+    stack_rows: np.ndarray
 
 
 def rotation_angles(rotations: Sequence[EffectiveRotation]) -> tuple[np.ndarray, np.ndarray]:
@@ -592,6 +644,15 @@ def _frozen(values) -> np.ndarray:
     return array
 
 
+def _stacked_layout(index, patterns, pattern_rows, owners, slots) -> TermLayout:
+    """A :class:`TermLayout`, with its stack built once (see the class)."""
+    count = len(patterns)
+    stack = np.concatenate((np.full((count, index.shape[1]), -1), index))
+    stack_rows = np.concatenate((np.arange(count), count + np.asarray(pattern_rows, dtype=int)))
+    return TermLayout(_frozen(index), patterns, _frozen(pattern_rows), _frozen(owners),
+                      _frozen(slots), _array_key(stack), _frozen(stack_rows))
+
+
 def term_layout(index: Sequence[Sequence[int]]) -> TermLayout:
     """Layout of the (terms × modes) rotation ``index``, −1 for unmeasured."""
     index = np.array(index, dtype=int)
@@ -600,8 +661,7 @@ def term_layout(index: Sequence[Sequence[int]]) -> TermLayout:
     term_patterns = [tuple(row) for row in (index < 0).tolist()]
     patterns = tuple(sorted(set(term_patterns)))
     pattern_rows = [patterns.index(p) for p in term_patterns]
-    return TermLayout(_frozen(index), patterns, _frozen(pattern_rows),
-                      owners=_frozen([]), slots=_frozen([]))
+    return _stacked_layout(index, patterns, pattern_rows, owners=[], slots=[])
 
 
 def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
@@ -624,41 +684,42 @@ def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
             pattern_rows.append(layout.pattern_rows[t:t + 1])
             owners.append(t)
             slots.append(2 * k + angle)
-    return TermLayout(_frozen(np.concatenate(index)), layout.patterns,
-                      _frozen(np.concatenate(pattern_rows)), _frozen(owners), _frozen(slots))
+    return _stacked_layout(np.concatenate(index), layout.patterns,
+                           np.concatenate(pattern_rows), owners, slots)
 
 
 def _curve_structure(curve):
     """:func:`family_structure` of a curve: its first point's, with each
     variable's centre replaced by the tuple of every point's centre."""
-    structures = [family_structure(family) for family in curve]
-    coeffs, signs, variables = structures[0]
-    centres = zip(*([centre for _V, centre, _scales in s[2]] for s in structures))
-    return coeffs, signs, tuple((V, c, scales)
-                                for (V, _centre, scales), c in zip(variables, centres))
+    coeffs, signs, variables = family_structure(curve[0])
+    units = centre_units(curve[0].kind)
+    return coeffs, signs, tuple((V, tuple(unit * family.d for family in curve), scales)
+                                for (V, _centre, scales), unit in zip(variables, units))
 
 
 def _deterministic_grids(variables, detector: DetectorModel, levels: tuple,
                          nodes_per_axis: int):
     """(x, y, w) per variable of a curve at ``levels``, as :func:`_engine_pass` takes them.
 
-    A lone point takes its memoized rule; the points of a longer curve share
-    a shift rule, whose x nodes are formed for all of them at once.
+    The points of a curve share a shift rule, whose x nodes are formed for
+    all of them at once from its memoized frame; the composite rule serves
+    one point at a time.  A pass's levels are all of one kind.
     """
     grids = []
     for V, centres, scales in variables:
         sigma = _variable_sigma(V)
+        if _shift_rule(sigma, levels[-1]):
+            offsets, ys, w = _shift_frame(sigma, levels, nodes_per_axis)
+            centres = np.array(centres)[:, None]
+            grids.append((tuple(centres if o is None else centres + o for o in offsets), ys, w))
+            continue
+        (centre,) = centres
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        rules = []
-        for level in levels:
-            x, wx = (_axis_rule(centres[0], sigma, smax, eta_min, level, nodes_per_axis)
-                     if len(centres) == 1 else
-                     _shifted_axis(np.array(centres), sigma, level, nodes_per_axis))
-            rules.append((np.atleast_2d(x), wx,
-                          *_axis_rule(0.0, sigma, smax, eta_min, level, nodes_per_axis)))
+        rules = [(*_axis_rule(centre, sigma, smax, eta_min, level),
+                  *_axis_rule(0.0, sigma, smax, eta_min, level)) for level in levels]
         xs, wxs, ys, wys = zip(*rules)
-        grids.append((xs, ys, np.concatenate(wxs + wys)))
+        grids.append((tuple(x[None] for x in xs), ys, np.concatenate(wxs + wys)))
     return grids
 
 

@@ -67,6 +67,8 @@ class DetectorModel:
     eta: float | tuple[float, ...] = 1.0
 
     def __post_init__(self):
+        if isinstance(self.eta, tuple) and not self.eta:
+            raise ValueError("per-mode detector efficiencies need at least one mode")
         values = self.eta if isinstance(self.eta, tuple) else (self.eta,)
         for e in values:
             if not (0.0 < e <= 1.0):

@@ -73,6 +73,8 @@ class StateFamily:
     d: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, FamilyKind):
+            raise TypeError(f"kind must be a FamilyKind, got {self.kind!r}")
         if not 1.0 <= self.V < math.inf:
             raise ValueError(f"V must be finite and >= 1, got {self.V}")
         if not 0.0 <= self.d < math.inf:
@@ -93,3 +95,9 @@ def family_structure(family: StateFamily):
     coeffs, signs, variables = _FAMILIES[family.kind]
     return (tuple(complex(c) for c in coeffs), signs,
             tuple((family.V, unit * family.d, dict(scales)) for unit, scales in variables))
+
+
+def centre_units(kind: FamilyKind) -> tuple:
+    """Each mixture variable's centre per unit displacement, in the order of
+    :func:`family_structure`'s variables; a variable's centre is this times d."""
+    return tuple(unit for unit, _scales in _FAMILIES[kind][2])

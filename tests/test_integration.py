@@ -37,6 +37,14 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.0)
 
 
+@pytest.mark.parametrize("nodes", [40.5, True, "40"])
+def test_config_rejects_a_node_count_that_is_not_an_integer(nodes):
+    # 40.5 used to fail later inside hermgauss, and True to run as one node
+    with pytest.raises(TypeError, match="nodes_per_axis must be an integer"):
+        QuadratureConfig(nodes_per_axis=nodes)
+    assert QuadratureConfig(nodes_per_axis=np.int64(24)).nodes_per_axis == 24
+
+
 def test_ghz_matches_closed_form():
     for V, d, eta in ((1.0, 1.0, 1.0), (5.0, 1.5, 1.0), (10.0, 2.0, 0.4),
                       (3.0, 0.7, 0.75), (5.0, 1.0, 1.0), (10.0, 2.0, 1.0)):
@@ -459,6 +467,59 @@ def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
             assert len(x) == len(y) == len(grid_levels)
 
 
+def _clear_memos():
+    """Empty every bounded memo of the engine, frame and angle memos included."""
+    for memo in vars(integration).values():
+        if hasattr(memo, "cache_clear") and memo.cache_info().maxsize is not None:
+            memo.cache_clear()
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls to each of ``names`` in the engine, from here on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(integration, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(integration, name, spy)
+    return counts
+
+
+def test_fig4_forms_its_y_factors_once_per_level(monkeypatch, tmp_path):
+    # fig4 (w3, V = 10) makes 2 curve passes and 66 single-point passes on
+    # the composite tail; the y nodes of every pass at one set of levels are
+    # the same, so the frame forms their y factors once: 4 level sets, 4
+    # calls.  Each engine pass is contracted once, denominators included.
+    from etsbell import cli
+
+    monkeypatch.chdir(tmp_path)
+    _clear_memos()
+    counts = _count_calls(monkeypatch, "_y_factors", "_contract", "_engine_pass")
+    _passes, levels = _spy_engine_passes(monkeypatch)
+    assert cli.main(["figure", "fig4"]) == 0
+    assert set(levels) == {(0, 1), (2,), (3,), (4,)}
+    assert counts["_y_factors"] <= len(set(levels))
+    assert counts["_engine_pass"] == len(levels) > 60
+    assert counts["_contract"] == counts["_engine_pass"]
+    _clear_memos()
+
+
+def test_a_wide_crossing_forms_its_y_factors_once(monkeypatch):
+    # ghz3-cond at V = 100 is on the composite rule, one pass per point, and
+    # every pass shares one y rule, scale and η
+    from etsbell.sweeps import crossing_displacement
+
+    _clear_memos()
+    counts = _count_calls(monkeypatch, "_y_factors", "_contract", "_engine_pass")
+    crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, INEQUALITIES["svetlichny3"], 100.0, 0.8)
+    assert counts["_y_factors"] == 1
+    assert counts["_contract"] == counts["_engine_pass"] > 1
+    _clear_memos()
+
+
 def test_rotation_table_matches_scalar_matrices():
     # The table builds every rotation matrix from (θ, γ) arrays with numpy's
     # vectorised cos, sin and exp; each block must carry the bits the scalar
@@ -493,10 +554,12 @@ def test_rotation_table_matches_scalar_matrices():
 
 
 def test_angle_memo_entries_are_read_only_and_fresh_bits():
-    # a memoized table, gather or Gram gather is what a fresh build gives,
-    # bit for bit, and no caller can write into it
+    # a memoized table or gather, and every frame entry (y moments, shift
+    # rule offsets and weights, branch weights and rows), is what a fresh
+    # build gives, bit for bit, and no caller can write into it
     spec = INEQUALITIES["svetlichny3"]
-    _coeffs, signs, _variables = family_structure(StateFamily(FamilyKind.W3, 5.0, 1.2))
+    family = StateFamily(FamilyKind.W3, 5.0, 1.2)
+    coeffs, signs, _variables = family_structure(family)
     rows = (1 - np.array(signs).T) // 2
     layout = spec._gradient_layout
     rotations = [r for party in canonical_angles(spec, FamilyKind.W3).angles for r in party]
@@ -504,19 +567,43 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
     key = integration._array_key
     angles = (key(theta), key(phase), True)
     table = integration._rotation_table(theta, phase, True)
-    gram = integration._branch_pairs(integration._GRAM_BLOCKS[:, None],
-                                     np.zeros((1, len(rows)), dtype=int), rows)
-    entries = ((integration._angle_table(*angles), table),
-               (integration._angle_pairs(angles, key(layout.index), key(rows)),
-                integration._branch_pairs(table, layout.index, rows)),
-               (integration._gram_pairs(key(rows)), gram))
+    entries = [(integration._angle_table(*angles), table),
+               (integration._angle_pairs(angles, layout.stack, key(rows)),
+                integration._branch_pairs(table, integration._keyed_array(layout.stack),
+                                          rows))]
+    weights, rows_key = integration._branches(coeffs, signs)
+    assert rows_key == key(rows)
+    coeff_array = np.array(coeffs)
+    entries += [(weights, np.multiply.outer(coeff_array.conj(), coeff_array)),
+                (integration._keyed_array(rows_key), rows)]
+    sigma = integration._variable_sigma(family.V)
+    n = QuadratureConfig().nodes_per_axis
+    offsets, ys, w = integration._shift_frame(sigma, (0, 1), n)
+    nodes = [np.polynomial.hermite.hermgauss(n << level) for level in (0, 1)]
+    for (t, _w), offset, y in zip(nodes, offsets, ys):
+        entries += [(offset, math.sqrt(2.0) * sigma * t), (y, 0.0 + math.sqrt(2.0) * sigma * t)]
+    level_weights = [w / math.sqrt(math.pi) for _t, w in nodes]
+    entries.append((w, np.concatenate(level_weights + level_weights)))
+    # the y moments of w3's one variable, fully measured at η = 0.7, at both
+    # levels, as fresh arrays give them, Dawson's odd moments zeroed
+    per_mode = ((1.0, 0.7),) * 3
+    frame = integration._y_moments(tuple(key(y) for y in ys), key(w[len(w) // 2:]),
+                                   per_mode, ((False,) * 3,))
+    y = np.concatenate(ys)
+    factors = integration._y_factors(y, 1.0, 0.7, True)
+    for (a, b), moments in zip(((0, n), (n, 3 * n)), frame[0]):
+        fresh = np.einsum("uax,ubx,ucx,x->uabc", *(factors[..., a:b],) * 3,
+                          w[len(w) // 2:][a:b])
+        fresh[0][integration._odd_dawson((False,) * 3)] = 0.0
+        entries.append((moments, fresh))
     for entry, fresh in entries:
         assert entry.shape == fresh.shape
         assert entry.tobytes() == fresh.tobytes()
         assert not entry.flags.writeable
         with pytest.raises(ValueError):
-            entry.flat[0] = 0.0
+            entry.flat[0] = 0
     assert integration._angle_table(*angles) is entries[0][0]
+    assert integration._shift_frame(sigma, (0, 1), n)[2] is w
 
 
 def _scalar_theta_derivative(rotation):
@@ -559,7 +646,8 @@ def test_moment_memo_never_serves_a_stale_entry():
         memo.cache_clear()
         estimate_correlation(*base)
         warm = estimate_correlation(*variant)
-        memo.cache_clear()
+        # cold: no moment set, frame or angle entry survives from base
+        _clear_memos()
         assert warm == estimate_correlation(*variant), name
         assert warm[0] != first[0], name
 

@@ -77,6 +77,12 @@ def test_detector_model_validation():
     assert DetectorModel(1.0).ideal
 
 
+def test_detector_model_rejects_an_empty_tuple():
+    # it used to be accepted and fail only inside an estimate
+    with pytest.raises(ValueError, match="at least one mode"):
+        DetectorModel(())
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_amps, small_amps, small_amps, small_amps,
        hst.floats(0.05, 1.0))

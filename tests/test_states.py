@@ -91,6 +91,12 @@ def test_family_validation():
         StateFamily(FamilyKind.W3, V=2.0, d=-1.0)
 
 
+def test_family_rejects_a_kind_given_by_name():
+    # the kind's name used to be accepted and fail later with a bare KeyError
+    with pytest.raises(TypeError, match="kind must be a FamilyKind, got 'ghz3-cond'"):
+        StateFamily("ghz3-cond", 5.0, 1.0)
+
+
 def test_family_mode_counts():
     assert StateFamily(FamilyKind.GHZ3_KERR, 1.0, 1.0).num_modes == 3
     assert StateFamily(FamilyKind.CLUSTER4_CONDITIONAL, 1.0, 1.0).num_modes == 4

@@ -11,7 +11,7 @@ from etsbell.errors import NoCrossingError
 from etsbell.inequalities import (OptimizationResult, canonical_angles, evaluate_curve_with_error,
                                   get_inequality)
 from etsbell.integration import QuadratureConfig
-from etsbell.oracles import svetlichny_ghz4_closed, svetlichny_ghz_closed
+from etsbell.oracles import sasa_closed, svetlichny_ghz4_closed, svetlichny_ghz_closed
 from etsbell.states import FamilyKind, StateFamily
 from etsbell.sweeps import SweepPlan, crossing_displacement, run_sweep, sign_change_bracket
 
@@ -270,13 +270,15 @@ def test_wide_crossings_take_single_point_steps(kind, V, eta, passes, monkeypatc
 @pytest.mark.parametrize("kind, name, closed", [
     (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", svetlichny_ghz_closed),
     (FamilyKind.GHZ4_CONDITIONAL, "svetlichny4", svetlichny_ghz4_closed),
-], ids=["ghz3-cond", "ghz4-cond"])
+    (FamilyKind.CLUSTER4_CONDITIONAL, "sasa", sasa_closed),
+], ids=["ghz3-cond", "ghz4-cond", "cluster4-cond-sasa"])
 def test_crossing_matches_closed_form_root_in_both_round_regimes(kind, name, closed):
     # V = 1 (the delta rule), shared passes up to V = 10 and single-point
-    # steps on the composite rule beyond
+    # steps on the composite rule beyond, out to the large-V tail where
+    # every pass of a search shares its y moments
     spec = get_inequality(name)
-    for V in (1.0, 2.0, 5.0, 10.0, 100.0, 1e4):
-        for eta in (0.5, 1.0):
+    for V in (1.0, 2.0, 5.0, 10.0, 100.0, 1e4, 1e5, 1e6):
+        for eta in (0.5, 0.7, 1.0):
             got = crossing_displacement(kind, spec, V=V, eta=eta)
             want = brentq(lambda d: closed(V, d, eta) - spec.lr_bound,
                           1e-9, 20.0 * math.sqrt(V), xtol=1e-12)
