@@ -86,38 +86,29 @@ def _parse_angle_list(text: str, spec: InequalitySpec) -> AngleSet:
     return tuple(angles)
 
 
+def _field(value, fmt: str):
+    """One row field as ``fmt`` writes it: a string as is, a bool as true or
+    false, a number with :func:`_fmt` (JSON: :func:`_jsonable`)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return value if fmt == "json" else ("true" if value else "false")
+    return _jsonable(value) if fmt == "json" else _fmt(value)
+
+
 def _write_output(rows: list[dict], metadata: dict, out: str | None, fmt: str) -> None:
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["family"], row["inequality"],
-                _fmt(row["V"]), _fmt(row["d"]), _fmt(row["eta"]),
-                _fmt(row["value"]), _fmt(row["err"]),
-                _fmt(row["lr_bound"]), _fmt(row["quantum_max"]),
-                "true" if row["violated"] else "false",
-            ])
+            writer.writerow([_field(row[column], fmt) for column in _COLUMNS])
         text = buffer.getvalue()
     else:
         import json
 
-        payload = {
-            "metadata": metadata,
-            "rows": [
-                {
-                    "family": row["family"], "inequality": row["inequality"],
-                    "V": _jsonable(row["V"]), "d": _jsonable(row["d"]),
-                    "eta": _jsonable(row["eta"]), "value": _jsonable(row["value"]),
-                    "err": _jsonable(row["err"]), "lr_bound": _jsonable(row["lr_bound"]),
-                    "quantum_max": _jsonable(row["quantum_max"]),
-                    "violated": bool(row["violated"]),
-                }
-                for row in rows
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        rows = [{column: _field(row[column], fmt) for column in _COLUMNS} for row in rows]
+        text = json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -132,7 +123,7 @@ def _row(kind: FamilyKind, spec: InequalitySpec, V: float, d: float, eta: float,
         "family": kind.value, "inequality": spec.name,
         "V": V, "d": d, "eta": eta, "value": value, "err": err,
         "lr_bound": spec.lr_bound, "quantum_max": spec.quantum_max,
-        "violated": violated,
+        "violated": bool(violated),
     }
 
 

@@ -180,25 +180,6 @@ def functional_value(spec: InequalitySpec,
     return math.fsum(sign * correlator(indices) for sign, indices in spec.terms)
 
 
-def _term_estimates(spec: InequalitySpec, curve: Sequence[StateFamily], angles: AngleSet,
-                    detector: DetectorModel | None,
-                    config: QuadratureConfig | None) -> list:
-    """(value, err) of every term at each point of ``curve``, or the point's
-    :class:`NonconvergenceError`, all from one batched engine call."""
-    if len(angles) != spec.parties:
-        raise ValueError(f"expected angle tuples for {spec.parties} parties")
-    for p, (party, count) in enumerate(zip(angles, spec.settings_per_party)):
-        if len(party) < count:
-            raise ValueError(f"party {p} angle set lacks setting {len(party)}")
-    # A surplus setting is never read.
-    rotations = [rotation for party, count in zip(angles, spec.settings_per_party)
-                 for rotation in party[:count]]
-    outcomes = estimate_curve(curve, *rotation_angles(rotations), spec._layout,
-                              detector, config)
-    return [outcome if isinstance(outcome, NonconvergenceError) else outcome[0]
-            for outcome in outcomes]
-
-
 def evaluate(
     spec: InequalitySpec,
     family: StateFamily,
@@ -224,11 +205,21 @@ def evaluate_curve_with_error(
     A point that does not converge gives its :class:`NonconvergenceError`
     in place of its pair; every other point keeps the bits it has alone.
     """
+    if len(angles) != spec.parties:
+        raise ValueError(f"expected angle tuples for {spec.parties} parties")
+    for p, (party, count) in enumerate(zip(angles, spec.settings_per_party)):
+        if len(party) < count:
+            raise ValueError(f"party {p} angle set lacks setting {len(party)}")
+    # A surplus setting is never read.
+    rotations = [rotation for party, count in zip(angles, spec.settings_per_party)
+                 for rotation in party[:count]]
     outcomes = []
-    for estimates in _term_estimates(spec, curve, angles, detector, config):
-        if isinstance(estimates, NonconvergenceError):
-            outcomes.append(estimates)
+    for outcome in estimate_curve(curve, *rotation_angles(rotations), spec._layout,
+                                  detector, config):
+        if isinstance(outcome, NonconvergenceError):
+            outcomes.append(outcome)
             continue
+        estimates, _derivatives = outcome
         total = math.fsum(sign * value
                           for (sign, _indices), (value, _err) in zip(spec.terms, estimates))
         err = 0.0

@@ -14,22 +14,24 @@ but not on the measurement angles; one pass forms them, kernels included,
 for every term of a functional: per unmeasured pattern the numerator
 moments and the Gram moments its denominator takes.  A small memo keeps the
 last few moment sets so that an optimizer's evaluations of one state share
-them.  An estimate's first pass serves levels 0 and 1 of the refinement
-ladder: it forms each axis factor once on both levels' nodes joined and
-each level's moments by a sum over its own slice; a later level is a pass
-of its own.  The angle blocks come from (θ, γ) arrays in one vectorised
-table, which the terms gather through a static (terms × modes) index.  All
-terms are then contracted with the shared moments over a stacked term axis
+them.  The refinement ladder is one loop over passes.  The first serves
+levels 0 and 1: it forms each axis factor once on both levels' nodes
+joined and each level's moments by a sum over its own slice, and checks
+level 1 against level 0.  Each later pass is one level, checked against
+the pass before; narrow weights climb to level 4, wide ones to level 2.
+The angle blocks come from (θ, γ) arrays in one vectorised table, which
+the terms gather through a static (terms × modes) index.  All terms are
+then contracted with the shared moments over a stacked term axis
 and the level axis, in one contraction whose leading rows, one per
 pattern, leave every mode unmeasured: they read the table's Gram row and
 the pattern's Gram moments, and give that pattern's denominator.  The
 arithmetic is elementwise, in an order fixed by the family, so a term's
 value is bit-identical whichever terms share its call, wherever it sits and
-whichever level shares its pass.  The angle side is memoized like the
-state side: each table, and each gather of it over a state's branch pairs,
-is built once per distinct (θ, γ, layout, branch rows) by value, so a
-crossing search's rounds and a figure's cells, which share their angles,
-share them too.
+whichever level shares its pass.  The angle side has one memo, as the
+state side has: each gather over a state's branch pairs, with the table it
+reads, is built once per distinct (θ, γ, layout, branch rows) by value, so
+a crossing search's rounds and a figure's cells, which share their angles,
+share it too.
 
 A term's numerator is linear in each mode's block pair, and the Gram
 denominator does not depend on the angles, so the exact derivative of a
@@ -123,9 +125,10 @@ _MOMENT_CACHE = 4
 # four (one per pass's levels) and `validate`, the widest user, 25 y-moment
 # and 4 shift-rule entries, so this keeps every frame of one command.
 _FRAME_CACHE = 32
-# Rotation tables and their branch-pair gathers kept in memory: a crossing
-# search or a figure cell asks for a few angle sets many times; an optimizer
-# moves to new angles at every evaluation, so it finds nothing here.
+# Branch-pair gathers kept in memory, each with its rotation table built in
+# (nothing else reads a table): a crossing search or a figure cell asks for
+# a few angle sets many times; an optimizer moves to new angles at every
+# evaluation, so it finds nothing here.
 _ANGLE_CACHE = 16
 
 # Per-mode 2x2 blocks over the (+,−) branch pair.  A rotated block is
@@ -505,18 +508,13 @@ def _keyed_array(key) -> np.ndarray:
 
 
 @lru_cache(maxsize=_ANGLE_CACHE)
-def _angle_table(theta: tuple, phase: tuple, derivatives: bool) -> np.ndarray:
-    """Memoized :func:`_rotation_table` of the ``theta`` and ``phase`` keys."""
-    table = _rotation_table(_keyed_array(theta), _keyed_array(phase), derivatives)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=_ANGLE_CACHE)
 def _angle_pairs(angles: tuple, index: tuple, rows: tuple) -> np.ndarray:
-    """Memoized :func:`_branch_pairs` of the table that ``angles`` keys (as
-    :func:`_angle_table` takes it) through the ``index`` and ``rows`` keys."""
-    pairs = _branch_pairs(_angle_table(*angles), _keyed_array(index), _keyed_array(rows))
+    """Memoized :func:`_branch_pairs`, through the ``index`` and ``rows``
+    keys, of the :func:`_rotation_table` that ``angles`` keys: the keys of
+    θ and γ and the derivatives flag."""
+    theta, phase, derivatives = angles
+    table = _rotation_table(_keyed_array(theta), _keyed_array(phase), derivatives)
+    pairs = _branch_pairs(table, _keyed_array(index), _keyed_array(rows))
     pairs.flags.writeable = False
     return pairs
 
@@ -553,7 +551,7 @@ def _terms(moments: _Moments, angles: tuple, layout):
     """Unnormalized correlation and state trace of every term of ``layout``,
     each shaped like the moments' level axes + (terms,).
 
-    ``angles`` keys the rotation table, as :func:`_angle_table` takes it.
+    ``angles`` keys the rotation table, as :func:`_angle_pairs` takes it.
     One contraction serves the whole of ``layout.stack``: its leading
     all-unmeasured rows read the table's Gram row and give each pattern's
     denominator, which the terms then gather through ``layout.pattern_rows``.
@@ -724,99 +722,14 @@ def _deterministic_grids(variables, detector: DetectorModel, levels: tuple,
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
-def _deterministic_moments(curve: tuple, detector: DetectorModel, level: int,
+def _deterministic_moments(curve: tuple, detector: DetectorModel, levels: tuple,
                            nodes_per_axis: int, patterns: tuple) -> _Moments:
-    """Memoized moments of a curve's points at one refinement level, from
-    one engine pass; level 1's entry carries level 0's too (see the module
-    docstring).  An optimizer's evaluations of one state share them.
+    """Memoized moments of a curve's points at the refinement ``levels`` of
+    one engine pass.  An optimizer's evaluations of one state share them.
     """
     coeffs, signs, variables = _curve_structure(curve)
-    grids = _deterministic_grids(variables, detector, (0, 1) if level == 1 else (level,),
-                                 nodes_per_axis)
+    grids = _deterministic_grids(variables, detector, levels, nodes_per_axis)
     return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
-
-
-def _refinement_steps(curve, detector, nodes_per_axis, angles, layout, pending):
-    """Values of every row of the pending points per refinement level, with
-    the level-to-level change, each shaped (pending points, rows).
-
-    ``pending`` lists the points of ``curve`` still climbing, in order; the
-    caller drops the points that converge, and each level is formed for the
-    rest only.  A shift rule serves them all in each pass; the composite
-    rule's panels move with the centre, so there each point is alone.
-    """
-    # Every variable of a family carries its V.  Wide weights are on the
-    # composite rule from level 0 and have no levels past 2; narrow ones may
-    # still need the composite tail.
-    sigma = _variable_sigma(curve[0].V)
-    top_level = 4 if 0.0 < sigma <= _GH_SIGMA_MAX else 2
-    climbed = []
-    for level in range(1, top_level + 1):
-        if len(pending) < len(climbed):
-            previous = previous[[climbed.index(p) for p in pending]]
-        climbed = list(pending)
-        points = tuple(curve[p] for p in climbed)
-        groups = [points] if _shift_rule(sigma, level) else [(family,) for family in points]
-        parts = []
-        for group in groups:
-            moments = _deterministic_moments(group, detector, level, nodes_per_axis,
-                                             layout.patterns)
-            num, den = _terms(moments, angles, layout)
-            parts.append(num / den)
-        values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        if level == 1:
-            previous, values = values
-        else:
-            (values,) = values
-        yield values, np.abs(values - previous)
-        previous = values
-
-
-def _converge(steps, pending, layout, rel_tol: float) -> list:
-    """Each point's term results and derivative values, or its
-    :class:`NonconvergenceError`, from the ladder ``steps``.
-
-    ``steps`` yields the values and errors of the points in ``pending``,
-    which holds every point's index at the start.  Each term stops at its
-    own first step that meets ``rel_tol``, and its derivative rows are read
-    at that step; a point leaves ``pending`` once all its terms have
-    stopped.  A point still pending when the ladder is
-    exhausted fails on its first open term, with that term's last value.
-    """
-    terms = len(layout.index) - len(layout.owners)
-    results = [[None] * terms for _p in pending]
-    term_steps = [[None] * terms for _p in pending]
-    history = [[] for _p in pending]
-    last = [None] * len(pending)
-    for values, errs in steps:
-        for p, point_values, point_errs in zip(pending, values, errs):
-            found = results[p]
-            for t, (value, err) in enumerate(zip(point_values[:terms].tolist(),
-                                                 point_errs[:terms].tolist())):
-                if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
-                    found[t] = (value, err)
-                    term_steps[p][t] = len(history[p])
-            history[p].append(point_values[terms:])
-            last[p] = (point_values, point_errs)
-        pending[:] = [p for p in pending if None in results[p]]
-        if not pending:
-            break
-    outcomes = []
-    for p, found in enumerate(results):
-        if None in found:
-            t = found.index(None)
-            value, err = float(last[p][0][t]), float(last[p][1][t])
-            outcomes.append(NonconvergenceError(
-                f"correlation refinement stalled at {value!r} with error {err:.3g}",
-                value=value, err_estimate=err))
-        elif not layout.owners.size:
-            # Nothing to gather: skipping it keeps the value path's cost.
-            outcomes.append((found, history[p][-1]))
-        else:
-            derivatives = np.array(history[p])[np.array(term_steps[p])[layout.owners],
-                                               np.arange(len(layout.owners))]
-            outcomes.append((found, derivatives))
-    return outcomes
 
 
 def estimate_curve(
@@ -846,9 +759,63 @@ def estimate_curve(
             f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
     angles = (_array_key(theta), _array_key(phase), layout.owners.size > 0)
+    # Every variable of a family carries its V.  Wide weights are on the
+    # composite rule from level 0 and have no levels past 2; narrow ones may
+    # still need the composite tail.
+    sigma = _variable_sigma(first.V)
+    passes = ((0, 1), (2,), (3,), (4,)) if 0.0 < sigma <= _GH_SIGMA_MAX else ((0, 1), (2,))
+    terms = len(layout.index) - len(layout.owners)
+    found = [[None] * terms for _family in curve]
+    derivatives = [None] * len(curve)
     pending = list(range(len(curve)))
-    steps = _refinement_steps(curve, detector, config.nodes_per_axis, angles, layout, pending)
-    return _converge(steps, pending, layout, config.rel_tol)
+    previous = None
+    for levels in passes:
+        # A shift rule serves every climbing point in one pass; the
+        # composite rule's panels move with the centre, so there each
+        # point is alone.
+        points = tuple(curve[p] for p in pending)
+        groups = [points] if _shift_rule(sigma, levels[-1]) else [(family,) for family in points]
+        parts = []
+        for group in groups:
+            moments = _deterministic_moments(group, detector, levels, config.nodes_per_axis,
+                                             layout.patterns)
+            num, den = _terms(moments, angles, layout)
+            parts.append(num / den)
+        values = np.concatenate(parts, axis=1)
+        # The first pass's last level is checked against its first, a later
+        # pass's against the previous pass.
+        if previous is None:
+            previous = values[0]
+        values = values[-1]
+        errs = np.abs(values - previous)
+        climbing = []
+        for i, (p, point_values, point_errs) in enumerate(zip(
+                pending, values[:, :terms].tolist(), errs[:, :terms].tolist())):
+            point = found[p]
+            # A derivative row takes each level's value while its term is
+            # open, so it keeps the one of the level where the term stops.
+            if derivatives[p] is None:
+                derivatives[p] = values[i, terms:]
+            elif layout.owners.size:
+                still = np.array([result is None for result in point])[layout.owners]
+                derivatives[p] = np.where(still, values[i, terms:], derivatives[p])
+            for t, (value, err) in enumerate(zip(point_values, point_errs)):
+                if point[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
+                    point[t] = (value, err)
+            if None in point:
+                climbing.append(i)
+        pending = [pending[i] for i in climbing]
+        if not pending:
+            break
+        previous, errs = values[climbing], errs[climbing]
+    for i, p in enumerate(pending):
+        t = found[p].index(None)
+        value, err = float(previous[i, t]), float(errs[i, t])
+        found[p] = NonconvergenceError(
+            f"correlation refinement stalled at {value!r} with error {err:.3g}",
+            value=value, err_estimate=err)
+    return [point if isinstance(point, NonconvergenceError) else (point, rows)
+            for point, rows in zip(found, derivatives)]
 
 
 def point_result(outcome):

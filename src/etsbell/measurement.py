@@ -78,9 +78,3 @@ class DetectorModel:
         if isinstance(self.eta, tuple):
             return self.eta[mode]
         return self.eta
-
-    @property
-    def ideal(self) -> bool:
-        if isinstance(self.eta, tuple):
-            return all(e == 1.0 for e in self.eta)
-        return self.eta == 1.0

@@ -47,7 +47,6 @@ class SweepPlan:
     angles: AngleSet | str = "canonical"
     cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
     optimizer_restarts: int = 4
-    optimizer_seed: int = 20260815
 
     def __post_init__(self):
         object.__setattr__(self, "V_grid", _validated_grid("V", self.V_grid, 1.0))
@@ -113,7 +112,7 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
             found = optimize_angles(
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
                 detector=DetectorModel(eta), config=config,
-                restarts=plan.optimizer_restarts, seed=plan.optimizer_seed)
+                restarts=plan.optimizer_restarts)
             provenance = found.provenance
             if found.stalled:
                 provenance += f" ({found.stalled} of {found.restarts} restarts stalled)"

@@ -83,9 +83,9 @@ def test_points_that_stop_at_different_levels(monkeypatch):
     calls = []
     memo = integration._deterministic_moments
 
-    def spy(curve, detector, level, nodes_per_axis, patterns):
-        calls.append((level, len(curve)))
-        return memo(curve, detector, level, nodes_per_axis, patterns)
+    def spy(curve, detector, levels, nodes_per_axis, patterns):
+        calls.append((levels, len(curve)))
+        return memo(curve, detector, levels, nodes_per_axis, patterns)
 
     monkeypatch.setattr(integration, "_deterministic_moments", spy)
     spec = INEQUALITIES["svetlichny3"]
@@ -96,9 +96,9 @@ def test_points_that_stop_at_different_levels(monkeypatch):
         plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(V,), d_grid=d_grid,
                          eta_grid=(0.7,), cfg=QuadratureConfig(rel_tol=1e-13))
         result = run_sweep(plan)
-        assert (1, len(d_grid)) in calls
-        assert 0 < sum(size for level, size in calls if level == climbs_to) < len(d_grid)
-        assert all(size == 1 for level, size in calls if level >= 3)
+        assert ((0, 1), len(d_grid)) in calls
+        assert 0 < sum(size for levels, size in calls if levels == (climbs_to,)) < len(d_grid)
+        assert all(size == 1 for levels, size in calls if levels[-1] >= 3)
         for row in result.rows:
             assert not row.failed
             assert (row.value, row.err) == _alone(plan, row), (V, row.d)
@@ -173,8 +173,7 @@ def test_a_crossing_search_builds_its_rotation_table_once(kind, monkeypatch):
         builds.append(derivatives)
         return rotation_table(theta, phase, derivatives)
 
-    for memo in (integration._angle_table, integration._angle_pairs):
-        memo.cache_clear()
+    integration._angle_pairs.cache_clear()
     monkeypatch.setattr(integration, "_rotation_table", spy)
     crossing_displacement(kind, INEQUALITIES["svetlichny3"], 5.0, 0.3)
     assert builds == [False]

@@ -92,17 +92,14 @@ def test_gradient_check_catches_a_dropped_half(monkeypatch):
     detector = DetectorModel(0.7)
     x = np.random.default_rng(59).uniform(0.0, 2.0 * math.pi, 12)
     want = _central_differences(spec, family, x, detector)
-    # the angle memo must neither serve a table built before the mutant nor
+    # the angle memo must neither serve a gather built before the mutant nor
     # keep the mutant's after it
-    memos = (integration._angle_table, integration._angle_pairs)
-    for memo in memos:
-        memo.cache_clear()
+    integration._angle_pairs.cache_clear()
     monkeypatch.setattr(integration, "_rotation_table", mutant)
     try:
         _value, gradient = evaluate_with_gradient(spec, family, x, detector)
     finally:
-        for memo in memos:
-            memo.cache_clear()
+        integration._angle_pairs.cache_clear()
     assert np.max(np.abs(gradient - want)) > 1e-3
 
 

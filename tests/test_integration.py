@@ -353,18 +353,18 @@ def test_stacked_call_equals_one_term_calls(config):
             assert estimate_correlation(family, rotations, detector, config) == want, name
 
 
-def _lone_level_ladder(family, detector, spec, angles, rel_tol):
+def _lone_level_ladder(family, detector, layout, theta, phase, rel_tol):
     """Each term's (value, err) and level, from one engine pass and one
-    contraction per level, and the last level's values and errors."""
-    layout = spec._layout
-    rotations = [r for party in angles for r in party]
-    theta, phase = integration.rotation_angles(rotations)
-    table_key = (integration._array_key(theta), integration._array_key(phase), False)
+    contraction per level of every row of ``layout``; and every level's
+    row values, and the last level's errors."""
+    terms = len(layout.index) - len(layout.owners)
+    table_key = (integration._array_key(theta), integration._array_key(phase),
+                 layout.owners.size > 0)
     # the curve of one point: each variable carries a tuple of one centre
     coeffs, signs, variables = family_structure(family)
     variables = tuple((V, (centre,), scales) for V, centre, scales in variables)
-    found = [None] * len(spec.terms)
-    previous = None
+    found = [None] * terms
+    levels = []
     for level in range(5):
         grids = integration._deterministic_grids(variables, detector, (level,),
                                                  QuadratureConfig().nodes_per_axis)
@@ -372,12 +372,12 @@ def _lone_level_ladder(family, detector, spec, angles, rel_tol):
                                            detector, grids)
         num, den = integration._terms(moments, table_key, layout)
         ((values,),) = num / den
-        errs = np.full(values.shape, math.inf) if previous is None else np.abs(values - previous)
-        for t, (value, err) in enumerate(zip(values.tolist(), errs.tolist())):
+        errs = np.full(values.shape, math.inf) if not levels else np.abs(values - levels[-1])
+        for t, (value, err) in enumerate(zip(values[:terms].tolist(), errs[:terms].tolist())):
             if found[t] is None and err <= rel_tol * max(abs(value), 1.0):
                 found[t] = ((value, err), level)
-        previous = values
-    return found, values, errs
+        levels.append(values)
+    return found, levels, errs
 
 
 def test_stacked_levels_equal_lone_level_contractions():
@@ -390,9 +390,11 @@ def test_stacked_levels_equal_lone_level_contractions():
     family = StateFamily(FamilyKind.GHZ3_KERR, 5.0, 1.3)
     detector = DetectorModel(0.7)
     angles = _random_angles(rng, spec)
+    theta, phase = integration.rotation_angles([r for party in angles for r in party])
     integration._deterministic_moments.cache_clear()
     for rel_tol, converges in ((1e-13, True), (1e-17, False)):
-        found, values, errs = _lone_level_ladder(family, detector, spec, angles, rel_tol)
+        found, levels, errs = _lone_level_ladder(family, detector, spec._layout, theta, phase,
+                                                 rel_tol)
         config = QuadratureConfig(rel_tol=rel_tol)
         assert (None not in found) == converges
         if converges:
@@ -403,10 +405,23 @@ def test_stacked_levels_equal_lone_level_contractions():
         t = found.index(None)
         with pytest.raises(NonconvergenceError) as info:
             _estimate_stack(family, _term_rotations(spec, angles), detector, config)
-        value, err = float(values[t]), float(errs[t])
+        value, err = float(levels[-1][t]), float(errs[t])
         message = f"correlation refinement stalled at {value!r} with error {err:.3g}"
         assert str(info.value) == message
         assert (info.value.value, info.value.err_estimate) == (value, err)
+    # At V = 8 the terms of a gradient layout stop at different levels, and
+    # each derivative row is the lone contraction's row at its term's level.
+    family = StateFamily(FamilyKind.GHZ3_KERR, 8.0, 1.3)
+    layout = spec._gradient_layout
+    found, levels, _errs = _lone_level_ladder(family, detector, layout, theta, phase, 1e-13)
+    stops = [level for _result, level in found]
+    assert len(set(stops)) > 1
+    results, derivatives = estimate_terms(family, theta, phase, layout, detector,
+                                          QuadratureConfig(rel_tol=1e-13))
+    assert results == [result for result, _level in found]
+    terms = len(found)
+    want = [levels[stops[owner]][terms + j] for j, owner in enumerate(layout.owners)]
+    assert derivatives.tobytes() == np.array(want).tobytes()
 
 
 def _spy_engine_passes(monkeypatch):
@@ -554,7 +569,7 @@ def test_rotation_table_matches_scalar_matrices():
 
 
 def test_angle_memo_entries_are_read_only_and_fresh_bits():
-    # a memoized table or gather, and every frame entry (y moments, shift
+    # a memoized gather of a rotation table, and every frame entry (y moments, shift
     # rule offsets and weights, branch weights and rows), is what a fresh
     # build gives, bit for bit, and no caller can write into it
     spec = INEQUALITIES["svetlichny3"]
@@ -567,8 +582,7 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
     key = integration._array_key
     angles = (key(theta), key(phase), True)
     table = integration._rotation_table(theta, phase, True)
-    entries = [(integration._angle_table(*angles), table),
-               (integration._angle_pairs(angles, layout.stack, key(rows)),
+    entries = [(integration._angle_pairs(angles, layout.stack, key(rows)),
                 integration._branch_pairs(table, integration._keyed_array(layout.stack),
                                           rows))]
     weights, rows_key = integration._branches(coeffs, signs)
@@ -602,7 +616,7 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
         assert not entry.flags.writeable
         with pytest.raises(ValueError):
             entry.flat[0] = 0
-    assert integration._angle_table(*angles) is entries[0][0]
+    assert integration._angle_pairs(angles, layout.stack, key(rows)) is entries[0][0]
     assert integration._shift_frame(sigma, (0, 1), n)[2] is w
 
 

@@ -73,8 +73,6 @@ def test_detector_model_validation():
         DetectorModel((0.5, -0.1, 0.9))
     det = DetectorModel((0.4, 0.7, 1.0))
     assert det.eta_for(1) == 0.7
-    assert not det.ideal
-    assert DetectorModel(1.0).ideal
 
 
 def test_detector_model_rejects_an_empty_tuple():

@@ -12,9 +12,9 @@ trees compute, each in fresh interpreters:
   of three displacements and as a single point; then crossing displacements,
   ``evaluate_with_gradient`` at random angles and one ``optimize_angles``
   run.  Every number of an output is kept as its ``repr``.
-- the CLI outputs of ``figure fig3``, ``fig4`` and ``fig7``, ``validate``
-  and the w3 ``scan --angles optimize``, split into fields on commas and
-  whitespace.
+- the CLI outputs of ``figure fig2`` to ``fig7`` (``fig3`` also as JSON),
+  ``validate``, the w3 ``scan --angles optimize`` and a canonical ghz3-bs
+  ``scan --format json``, split into fields on commas and whitespace.
 
 For each output it prints ``identical``, or each value that moved with its
 ``repr`` before and after; then a summary line.  It exits 1 when anything
@@ -38,12 +38,19 @@ from pathlib import Path
 from bench_pairs import PARENT, ROOT, _export
 
 CLI_COMMANDS = {
+    "figure fig2": ["figure", "fig2"],
     "figure fig3": ["figure", "fig3"],
+    "figure fig3 --format json": ["figure", "fig3", "--format", "json"],
     "figure fig4": ["figure", "fig4"],
+    "figure fig5": ["figure", "fig5"],
+    "figure fig6": ["figure", "fig6"],
     "figure fig7": ["figure", "fig7"],
     "validate": ["validate"],
     "w3 scan --angles optimize": ["scan", "--family", "w3", "--inequality", "svetlichny3",
                                   "--V", "5", "--d", "1,3", "--angles", "optimize"],
+    "ghz3-bs scan --format json": ["scan", "--family", "ghz3-bs", "--inequality",
+                                   "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
+                                   "--eta", "0.3,1", "--format", "json"],
 }
 PAIRS = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
          ("ghz3-kerr", "svetlichny3"), ("w3", "svetlichny3"), ("w3", "mermin3"),
