@@ -9,29 +9,38 @@ over each axis.  No 2-D grid is ever formed; a pass costs O(2^k·n) for n
 nodes per axis.
 
 An estimate runs in two steps.  The moments depend on the state, the
-detector, the refinement level and which modes a term leaves unmeasured,
-but not on the measurement angles; one pass forms them, kernels included,
-for every term of a functional: per unmeasured pattern the numerator
-moments and the Gram moments its denominator takes.  A small memo keeps the
-last few moment sets so that an optimizer's evaluations of one state share
-them.  The refinement ladder is one loop over passes.  The first serves
-levels 0 and 1: it forms each axis factor once on both levels' nodes
-joined and each level's moments by a sum over its own slice, and checks
-level 1 against level 0.  Each later pass is one level, checked against
-the pass before; narrow weights climb to level 4, wide ones to level 2.
-The angle blocks come from (θ, γ) arrays in one vectorised table, which
-the terms gather through a static (terms × modes) index.  All terms are
-then contracted with the shared moments over a stacked term axis
-and the level axis, in one contraction whose leading rows, one per
-pattern, leave every mode unmeasured: they read the table's Gram row and
-the pattern's Gram moments, and give that pattern's denominator.  The
-arithmetic is elementwise, in an order fixed by the family, so a term's
-value is bit-identical whichever terms share its call, wherever it sits and
-whichever level shares its pass.  The angle side has one memo, as the
-state side has: each gather over a state's branch pairs, with the table it
-reads, is built once per distinct (θ, γ, layout, branch rows) by value, so
-a crossing search's rounds and a figure's cells, which share their angles,
-share it too.
+detector, the axis rules and which modes a term leaves unmeasured, but not
+on the measurement angles; one pass forms them, kernels included, for every
+term of a functional: per unmeasured pattern the numerator moments and the
+Gram moments its denominator takes.  A small memo keeps the last few moment
+sets so that an optimizer's evaluations of one state share them.
+
+The refinement ladder is one table, :func:`_ladder`, that lists an
+estimate's passes in order, each as (shift, sizes): whether its rules are
+shift rules, and the Gauss-Hermite node counts or composite panel orders
+of its rules.  With n = ``nodes_per_axis`` it reads
+
+- σ = 0 (V = 1): the delta rule, which is the one-node Hermite rule;
+- 0 < σ ≤ 1.55: Hermite rules of n and 2n nodes, then 4n, then the
+  composite rule of order 12, then 24;
+- σ > 1.55: the composite rule of orders 12 and 24, then 48.
+
+A pass forms each axis factor once on all its rules' nodes joined and each
+rule's moments by a sum over its own slice.  The first pass checks its last
+rule against its first (a one-rule pass checks nothing and reports 0);
+each later pass is checked against the pass before.  The angle blocks come
+from (θ, γ) arrays in one vectorised table, which the terms gather through
+a static (terms × modes) index.  All terms are then contracted with the
+shared moments over a stacked term axis and the rule axis, in one
+contraction whose leading rows, one per pattern, leave every mode
+unmeasured: they read the table's Gram row and the pattern's Gram moments,
+and give that pattern's denominator.  The arithmetic is elementwise, in an
+order fixed by the family, so a term's value is bit-identical whichever
+terms share its call, wherever it sits and whichever rule shares its pass.
+The angle side has one memo, as the state side has: each gather over a
+state's branch pairs, with the table it reads, is built once per distinct
+(θ, γ, layout, branch rows) by value, so a crossing search's rounds and a
+figure's cells, which share their angles, share it too.
 
 A term's numerator is linear in each mode's block pair, and the Gram
 denominator does not depend on the angles, so the exact derivative of a
@@ -39,11 +48,7 @@ correlation by one angle is the same contraction with that mode's pair
 replaced by its derivative, divided by the same denominator.  A gradient
 layout appends one such row per (term, measured mode, angle) to the term
 axis, and the table appends the derivative pairs it gathers; every row is
-read at the refinement level its term converges at.
-
-The moments come from deterministic per-axis rules (Gauss-Hermite, or a
-windowed composite Gauss-Legendre rule for wide weights) refined level by
-level.
+read at the rule its term converges on.
 
 A curve is a set of points of one family kind and one V that differ only
 in d and share the detector, the angles and the config: the d axis of a
@@ -53,16 +58,15 @@ structure, the y rule, the y moments and the x weights do not.  So each
 pass splits into a frame that does not depend on d and an x half that
 does.  The frame is built once and memoized by value: the y moments of
 each (y nodes and weights, per-mode scale and η, local pattern), the node
-offsets and weights of a shift rule's levels, and a family's branch
-weights and rows.  On a shift rule, whose nodes follow the centre by a
-shift alone (the delta rule at V = 1, or Gauss-Hermite below the composite
-tail), a pass forms only the x nodes of every point (centre plus offsets),
-their x factors as one (points × nodes) array and the x moments, and the
-contraction runs over a stacked (points × terms) axis.  Each point stops
-at its own first converged level and only the rest climb.  The composite
-rule's panels move with the centre, so there each point is a curve of its
-own, though its y moments still come from the frame; a single estimate is
-a curve of one point.  The points axis meets only elementwise arithmetic
+offsets and weights of a pass's shift rules, and a family's branch weights
+and rows.  On shift rules, whose nodes follow the centre by a shift alone
+(Gauss-Hermite), a pass forms only the x nodes of every point (centre plus
+offsets), their x factors as one (points × nodes) array and the x moments,
+and the contraction runs over a stacked (points × terms) axis.  Each point
+stops at its own first converged pass and only the rest climb.  The
+composite rule's panels move with the centre, so there each point is a
+curve of its own, though its y moments still come from the frame; a single
+estimate is a curve of one point.  The points axis meets only elementwise arithmetic
 and einsum sums that run over each point's own nodes, so a point carries
 the bits it has alone (the tests check this).
 
@@ -111,19 +115,21 @@ _RANGE_SIGMAS = 8.5
 _FINE_ERF_HALFWIDTH = 4.5
 _FINE_DAWSON_HALFWIDTH = 5.0
 _FINE_PANEL_FRACTION = 0.4
-_COMPOSITE_BASE_ORDER = 12
-_MAX_AXIS_NODES = 200
+# The ladder's finest Hermite rule has 4·nodes_per_axis nodes, and hermgauss
+# loses its weights past about 360 nodes (at 400 they are NaN).
+_MAX_NODES_PER_AXIS = 50
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
-# Moment sets kept in memory: one state's refinement levels, which an
+# Moment sets kept in memory: one state's refinement passes, which an
 # optimizer revisits at every evaluation.  A sweep or a crossing search moves
 # to new points at every curve, so it finds nothing here; what its passes
 # share, it finds in the frame memos below.
 _MOMENT_CACHE = 4
 # Frame entries kept in memory (see _shift_frame and _y_moments): what does
-# not move with d.  A crossing search needs one y-moment entry, `figure fig4`
-# four (one per pass's levels) and `validate`, the widest user, 25 y-moment
-# and 4 shift-rule entries, so this keeps every frame of one command.
+# not move with d, one entry per (σ, pass of the ladder) or per y rule.  A
+# crossing search needs one y-moment entry, `figure fig4` four (one per
+# pass) and `validate`, the widest user, 25 y-moment and 4 shift-rule
+# entries, so this keeps every frame of one command.
 _FRAME_CACHE = 32
 # Branch-pair gathers kept in memory, each with its rotation table built in
 # (nothing else reads a table): a crossing search or a figure cell asks for
@@ -144,8 +150,9 @@ _GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
 class QuadratureConfig:
     """Resolution and tolerance knobs shared by all integration routines.
 
-    ``nodes_per_axis`` seeds the refinement ladders (refinement may double
-    it up to 200 nodes per axis), and estimates count as converged once the
+    ``nodes_per_axis`` (1 to 50) is the node count of the first
+    Gauss-Hermite rule of a narrow weight's ladder, which climbs to four
+    times it (see :func:`_ladder`); estimates count as converged once the
     refinement difference drops below ``rel_tol`` relative to max(|value|, 1).
     """
 
@@ -156,9 +163,9 @@ class QuadratureConfig:
         if isinstance(self.nodes_per_axis, bool) or not isinstance(self.nodes_per_axis,
                                                                     numbers.Integral):
             raise TypeError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}")
-        if not (1 <= self.nodes_per_axis <= _MAX_AXIS_NODES):
-            raise ValueError(
-                f"nodes_per_axis must lie in [1, {_MAX_AXIS_NODES}], got {self.nodes_per_axis}")
+        if not (1 <= self.nodes_per_axis <= _MAX_NODES_PER_AXIS):
+            raise ValueError(f"nodes_per_axis must lie in [1, {_MAX_NODES_PER_AXIS}], "
+                             f"got {self.nodes_per_axis}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
@@ -173,12 +180,16 @@ def _gl_rule(n: int):
     return leggauss(n)
 
 
-def _composite_axis(mu: float, sigma: float, order: int, smax: float, eta_min: float):
-    """Panelled Gauss-Legendre rule with the Gaussian weight folded in.
+@lru_cache(maxsize=_AXIS_RULE_CACHE)
+def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, order: int):
+    """Windowed composite rule of an axis, panelled Gauss-Legendre of
+    ``order`` with the Gaussian weight folded in, as read-only (nodes, weights).
 
     Fine panels cover the window around the origin where the erf and Dawson
     node functions vary on the 1/smax scale; panels of width sigma cover the
-    rest of the weight's support.
+    rest of the weight's support.  Rules are memoized: every term of a
+    functional, every refinement pass and every identical variable of a
+    state asks for the same ones.
     """
     lo = mu - _RANGE_SIGMAS * sigma
     hi = mu + _RANGE_SIGMAS * sigma
@@ -212,62 +223,47 @@ def _composite_axis(mu: float, sigma: float, order: int, smax: float, eta_min: f
         mid = 0.5 * (a + b)
         xs.append(mid + half * t)
         ws.append(half * w)
-    x = np.concatenate(xs)
-    weight = np.concatenate(ws)
-    density = np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    return x, weight * density
-
-
-def _shift_rule(sigma: float, level: int) -> bool:
-    """Whether the rule of an axis of spread ``sigma`` at ``level`` follows
-    its centre by a shift alone: the delta rule, or Gauss-Hermite below the
-    composite tail.  Only such rules are shared along a curve."""
-    return sigma == 0.0 or (sigma <= _GH_SIGMA_MAX and level <= 2)
-
-
-@lru_cache(maxsize=_FRAME_CACHE)
-def _shift_frame(sigma: float, levels: tuple, nodes_per_axis: int):
-    """What every pass of a shift rule at ``levels`` shares, read-only: per
-    level the x nodes' offsets from their centre (None for the delta rule,
-    whose one node is the centre) and the y nodes, and every level's x
-    weights followed by every level's y weights, as :func:`_engine_pass`
-    takes them.  A point's x nodes are its centre plus the offsets."""
-    offsets, ys, weights = [], [], []
-    for level in levels:
-        if sigma == 0.0:
-            offset, y, w = None, np.zeros(1), np.ones(1)
-        else:
-            t, w = _gh_rule(min(nodes_per_axis << level, _MAX_AXIS_NODES))
-            offset = _SQRT2 * sigma * t
-            y = 0.0 + offset
-            w = w / _SQRT_PI
-        offsets.append(offset)
-        ys.append(y)
-        weights.append(w)
-    w = np.concatenate(weights + weights)
-    for array in ys + [w] + [o for o in offsets if o is not None]:
-        array.flags.writeable = False
-    return tuple(offsets), tuple(ys), w
-
-
-@lru_cache(maxsize=_AXIS_RULE_CACHE)
-def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, level: int):
-    """Composite rule of an axis at ``level``, as read-only (nodes, weights).
-
-    Narrow weights climb three Gauss-Hermite node doublings (shift rules,
-    see :func:`_shift_frame`) and then switch to the windowed composite
-    rule, which handles integrands the Hermite polynomials resolve slowly;
-    wide weights use the composite rule from the start with panel-order
-    doubling.  Rules are memoized: every term of a functional, every
-    refinement pass and every identical variable of a state asks for the
-    same ones.
-    """
-    doublings = min(level, 2) if sigma > _GH_SIGMA_MAX else level - 3
-    nodes, weights = _composite_axis(mu, sigma, _COMPOSITE_BASE_ORDER << doublings,
-                                     smax, eta_min)
+    nodes = np.concatenate(xs)
+    density = np.exp(-0.5 * ((nodes - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    weights = np.concatenate(ws) * density
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _ladder(sigma: float, nodes_per_axis: int) -> tuple:
+    """The refinement passes of an axis of spread ``sigma``, in order, each
+    as (shift, sizes): with ``shift``, ``sizes`` holds the node counts of
+    Gauss-Hermite rules, whose nodes follow the centre by a shift alone and
+    are shared along a curve; otherwise the Gauss-Legendre orders of
+    windowed composite rules, which handle integrands the Hermite
+    polynomials resolve slowly.  The delta rule at σ = 0 is the one-node
+    Hermite rule.  No rule appears twice."""
+    n = nodes_per_axis
+    if sigma == 0.0:
+        return ((True, (1,)),)
+    if sigma <= _GH_SIGMA_MAX:
+        return ((True, (n, 2 * n)), (True, (4 * n,)), (False, (12,)), (False, (24,)))
+    return ((False, (12, 24)), (False, (48,)))
+
+
+@lru_cache(maxsize=_FRAME_CACHE)
+def _shift_frame(sigma: float, sizes: tuple):
+    """What every pass of the Gauss-Hermite rules of ``sizes`` nodes shares,
+    read-only: per rule the x nodes' offsets from their centre and the y
+    nodes, and every rule's x weights followed by every rule's y weights,
+    as :func:`_engine_pass` takes them.  A point's x nodes are its centre
+    plus the offsets."""
+    offsets, weights = [], []
+    for size in sizes:
+        t, w = _gh_rule(size)
+        offsets.append(_SQRT2 * sigma * t)
+        weights.append(w / _SQRT_PI)
+    ys = [0.0 + offset for offset in offsets]
+    w = np.concatenate(weights + weights)
+    for array in offsets + ys + [w]:
+        array.flags.writeable = False
+    return tuple(offsets), tuple(ys), w
 
 
 def _variable_sigma(V: float) -> float:
@@ -276,8 +272,9 @@ def _variable_sigma(V: float) -> float:
 
 def curve_shares_pass(V: float) -> bool:
     """Whether the points of a curve at ``V`` share an estimate's first
-    engine pass (levels 0 and 1), or each takes its own on the composite rule."""
-    return _shift_rule(_variable_sigma(V), 1)
+    engine pass, which is on shift rules up to σ = 1.55 (see :func:`_ladder`),
+    or each takes its own on the composite rule."""
+    return _variable_sigma(V) <= _GH_SIGMA_MAX
 
 
 @lru_cache(maxsize=None)
@@ -299,8 +296,8 @@ class _Moments(NamedTuple):
     mode m's row of each branch (0 where the branch has +α, 1 where it has
     −α); ``variables`` holds each mixture variable's modes.
     ``moments`` holds one array per variable, shaped
-    (2,)*k + (levels, points, 2·patterns): for each refinement level of the
-    pass, each point of the curve and each pattern of unmeasured modes
+    (2,)*k + (rules, points, 2·patterns): for each axis rule of the pass,
+    each point of the curve and each pattern of unmeasured modes
     (True per mode a term leaves out), in the order the pass was given
     them, the 2^k Gram moments, then for each pattern in the same order the
     2^k numerator moments.  A contraction of a pattern's Gram moments with
@@ -366,13 +363,13 @@ def _y_factors(y, scale: float, eta, dawson: bool):
 @lru_cache(maxsize=_FRAME_CACHE)
 def _y_moments(y: tuple, wy: tuple, per_mode: tuple, local: tuple) -> tuple:
     """Memoized y moments of a variable, read-only: for each local pattern
-    of ``local``, in order, each level's moments, shaped (2,)*(k + 1) for
+    of ``local``, in order, each rule's moments, shaped (2,)*(k + 1) for
     the numerator or Gram part and the 2^k moments of the k modes.
 
-    ``y`` holds the :func:`_array_key` of each level's y nodes and ``wy``
-    that of every level's y weights, joined; ``per_mode`` is as
+    ``y`` holds the :func:`_array_key` of each rule's y nodes and ``wy``
+    that of every rule's y weights, joined; ``per_mode`` is as
     :func:`_variable_moments` takes it.  The y factors are formed once on
-    every level's nodes joined, and shared by the patterns that ask for
+    every rule's nodes joined, and shared by the patterns that ask for
     equal ones.
     """
     ys = [_keyed_array(key) for key in y]
@@ -393,20 +390,20 @@ def _y_moments(y: tuple, wy: tuple, per_mode: tuple, local: tuple) -> tuple:
             if key not in factors:
                 factors[key] = _y_factors(y, *key)
             y_factors.append(factors[key])
-        per_level = []
+        per_rule = []
         for a, b in zip(ends[:-1], ends[1:]):
             moments = np.einsum(y_sum, *(f[..., a:b] for f in y_factors), wy[a:b])
             if dawson:
                 moments[0][_odd_dawson(offs)] = 0.0
             moments.flags.writeable = False
-            per_level.append(moments)
-        per_pattern.append(tuple(per_level))
+            per_rule.append(moments)
+        per_pattern.append(tuple(per_rule))
     return tuple(per_pattern)
 
 
 def _variable_moments(x, y, w, per_mode, local, factors: dict):
     """One variable's moments, as :class:`_Moments` holds them, for each
-    level, each point and each of its local patterns, in the order of
+    rule, each point and each of its local patterns, in the order of
     ``local``.
 
     ``per_mode`` holds each mode's (scale, η), η None where no pattern
@@ -429,7 +426,7 @@ def _variable_moments(x, y, w, per_mode, local, factors: dict):
     x_key = x.tobytes()
     x_sum = _moment_subscripts(len(per_mode), True)
     by_local = {}
-    for offs, y_levels in zip(distinct, y_moments):
+    for offs, y_rules in zip(distinct, y_moments):
         x_factors = []
         for (scale, eta), off in zip(per_mode, offs):
             eta = None if off else eta
@@ -439,9 +436,9 @@ def _variable_moments(x, y, w, per_mode, local, factors: dict):
             x_factors.append(factors[key])
         by_local[offs] = [np.einsum(x_sum, *(f[..., a:b] for f in x_factors), wx[a:b])
                           * moments[..., None]
-                          for a, b, moments in zip(ends[:-1], ends[1:], y_levels)]
-    # (patterns, levels, u, 2^k moments, points), u reversed to put Gram
-    # first -> (2^k moments, levels, points, u, patterns), u and patterns joined
+                          for a, b, moments in zip(ends[:-1], ends[1:], y_rules)]
+    # (patterns, rules, u, 2^k moments, points), u reversed to put Gram
+    # first -> (2^k moments, rules, points, u, patterns), u and patterns joined
     stacked = np.array([by_local[offs] for offs in local])[:, :, ::-1]
     k = len(per_mode)
     stacked = np.ascontiguousarray(stacked.transpose(*range(3, 3 + k), 1, 3 + k, 2, 0))
@@ -454,10 +451,10 @@ def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
                  grids) -> _Moments:
     """Per-variable Gram and numerator moments of every pattern in ``patterns``.
 
-    ``grids`` supplies (x, y, w) per variable: per level, the x nodes of
+    ``grids`` supplies (x, y, w) per variable: per rule, the x nodes of
     every point of the curve, shaped (points, n), and the y nodes, which the
     points share; and ``w``, all x weights followed by all y weights, which
-    enter as each level's product measure of the two axes.  Every per-mode
+    enter as each rule's product measure of the two axes.  Every per-mode
     block is a sum of two separable terms, so each variable needs only the
     2^k products of per-mode axis factors (k modes), summed over x and over
     y separately.  A mode that a term leaves unmeasured takes the Gram
@@ -549,7 +546,7 @@ def _contract(weights, variables, moments, pairs) -> np.ndarray:
 
 def _terms(moments: _Moments, angles: tuple, layout):
     """Unnormalized correlation and state trace of every term of ``layout``,
-    each shaped like the moments' level axes + (terms,).
+    each shaped like the moments' (rules, points) axes + (terms,).
 
     ``angles`` keys the rotation table, as :func:`_angle_pairs` takes it.
     One contraction serves the whole of ``layout.stack``: its leading
@@ -695,40 +692,41 @@ def _curve_structure(curve):
                                 for (V, _centre, scales), unit in zip(variables, units))
 
 
-def _deterministic_grids(variables, detector: DetectorModel, levels: tuple,
-                         nodes_per_axis: int):
-    """(x, y, w) per variable of a curve at ``levels``, as :func:`_engine_pass` takes them.
+def _deterministic_grids(variables, detector: DetectorModel, rules: tuple):
+    """(x, y, w) per variable of a curve on ``rules``, one (shift, sizes)
+    pass of :func:`_ladder`, as :func:`_engine_pass` takes them.
 
-    The points of a curve share a shift rule, whose x nodes are formed for
-    all of them at once from its memoized frame; the composite rule serves
-    one point at a time.  A pass's levels are all of one kind.
+    The points of a curve share shift rules, whose x nodes are formed for
+    all of them at once from their memoized frame; the composite rule serves
+    one point at a time.
     """
+    shift, sizes = rules
     grids = []
     for V, centres, scales in variables:
         sigma = _variable_sigma(V)
-        if _shift_rule(sigma, levels[-1]):
-            offsets, ys, w = _shift_frame(sigma, levels, nodes_per_axis)
+        if shift:
+            offsets, ys, w = _shift_frame(sigma, sizes)
             centres = np.array(centres)[:, None]
-            grids.append((tuple(centres if o is None else centres + o for o in offsets), ys, w))
+            grids.append((tuple(centres + offset for offset in offsets), ys, w))
             continue
         (centre,) = centres
         smax = max(abs(s) for s in scales.values())
         eta_min = min(detector.eta_for(m) for m in scales)
-        rules = [(*_axis_rule(centre, sigma, smax, eta_min, level),
-                  *_axis_rule(0.0, sigma, smax, eta_min, level)) for level in levels]
-        xs, wxs, ys, wys = zip(*rules)
+        axes = [(*_axis_rule(centre, sigma, smax, eta_min, order),
+                 *_axis_rule(0.0, sigma, smax, eta_min, order)) for order in sizes]
+        xs, wxs, ys, wys = zip(*axes)
         grids.append((tuple(x[None] for x in xs), ys, np.concatenate(wxs + wys)))
     return grids
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
-def _deterministic_moments(curve: tuple, detector: DetectorModel, levels: tuple,
-                           nodes_per_axis: int, patterns: tuple) -> _Moments:
-    """Memoized moments of a curve's points at the refinement ``levels`` of
-    one engine pass.  An optimizer's evaluations of one state share them.
+def _deterministic_moments(curve: tuple, detector: DetectorModel, rules: tuple,
+                           patterns: tuple) -> _Moments:
+    """Memoized moments of a curve's points on one pass of :func:`_ladder`.
+    An optimizer's evaluations of one state share them.
     """
     coeffs, signs, variables = _curve_structure(curve)
-    grids = _deterministic_grids(variables, detector, levels, nodes_per_axis)
+    grids = _deterministic_grids(variables, detector, rules)
     return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
 
 
@@ -759,31 +757,26 @@ def estimate_curve(
             f"family has {modes} modes but the detector gives "
             f"{len(detector.eta)} per-mode efficiencies")
     angles = (_array_key(theta), _array_key(phase), layout.owners.size > 0)
-    # Every variable of a family carries its V.  Wide weights are on the
-    # composite rule from level 0 and have no levels past 2; narrow ones may
-    # still need the composite tail.
-    sigma = _variable_sigma(first.V)
-    passes = ((0, 1), (2,), (3,), (4,)) if 0.0 < sigma <= _GH_SIGMA_MAX else ((0, 1), (2,))
     terms = len(layout.index) - len(layout.owners)
     found = [[None] * terms for _family in curve]
     derivatives = [None] * len(curve)
     pending = list(range(len(curve)))
     previous = None
-    for levels in passes:
-        # A shift rule serves every climbing point in one pass; the
-        # composite rule's panels move with the centre, so there each
-        # point is alone.
+    # Every variable of a family carries its V, and so its σ.
+    for rules in _ladder(_variable_sigma(first.V), config.nodes_per_axis):
+        # Shift rules serve every climbing point in one pass; the composite
+        # rule's panels move with the centre, so there each point is alone.
         points = tuple(curve[p] for p in pending)
-        groups = [points] if _shift_rule(sigma, levels[-1]) else [(family,) for family in points]
+        shift, _sizes = rules
+        groups = [points] if shift else [(family,) for family in points]
         parts = []
         for group in groups:
-            moments = _deterministic_moments(group, detector, levels, config.nodes_per_axis,
-                                             layout.patterns)
+            moments = _deterministic_moments(group, detector, rules, layout.patterns)
             num, den = _terms(moments, angles, layout)
             parts.append(num / den)
         values = np.concatenate(parts, axis=1)
-        # The first pass's last level is checked against its first, a later
-        # pass's against the previous pass.
+        # The first pass's last rule is checked against its first (a lone
+        # rule against itself), a later pass's against the previous pass.
         if previous is None:
             previous = values[0]
         values = values[-1]
@@ -792,8 +785,8 @@ def estimate_curve(
         for i, (p, point_values, point_errs) in enumerate(zip(
                 pending, values[:, :terms].tolist(), errs[:, :terms].tolist())):
             point = found[p]
-            # A derivative row takes each level's value while its term is
-            # open, so it keeps the one of the level where the term stops.
+            # A derivative row takes each pass's value while its term is
+            # open, so it keeps the one of the pass where the term stops.
             if derivatives[p] is None:
                 derivatives[p] = values[i, terms:]
             elif layout.owners.size:
@@ -842,10 +835,10 @@ def estimate_terms(
     all rows share one pass per refinement step.  Each term stops at its
     own first step that meets ``rel_tol`` (relative, floored at one, since
     correlations are order one), and its derivative rows are read at that
-    step.  Each step refines the per-axis resolution and reports the change
-    from the previous level.  Raises :class:`NonconvergenceError` for the
-    first term whose ladder is exhausted.  This is the curve of one point of
-    :func:`estimate_curve`.
+    step.  Each step refines the per-axis rule and reports the change from
+    the previous rule (see :func:`_ladder`).  Raises
+    :class:`NonconvergenceError` for the first term whose ladder is
+    exhausted.  This is the curve of one point of :func:`estimate_curve`.
     """
     return point_result(*estimate_curve((family,), theta, phase, layout, detector, config))
 

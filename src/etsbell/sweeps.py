@@ -222,8 +222,17 @@ def sign_change_bracket(f: Callable[[tuple[float, ...]], Sequence[float]], lo: f
     nearest the bracket, so a smooth profile closes on the pair.  Every
     round leaves a bracket within ITP's budget, so there are at most
     ⌈log₂((up − lo)/width)⌉ + 1 rounds, bisection's count plus one, and only
-    a few on a smooth profile.
+    a few on a smooth profile.  Raises :class:`ValueError` for ends or
+    knobs that break those terms, before any call of ``f``.
     """
+    if round_points < 1:
+        raise ValueError(f"round_points must be at least 1, got {round_points}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"width must be finite and positive, got {width}")
+    if not -math.inf < lo < up < math.inf:
+        raise ValueError(f"the bracket needs finite lo < up, got [{lo}, {up}]")
+    if not f_lo <= 0.0 < f_up:
+        raise ValueError(f"the ends need f_lo <= 0 < f_up, got {f_lo} and {f_up}")
     # each round's bracket fits in budget, 1% under width so rounding costs no round
     budget = 0.99 * width * 2.0 ** math.ceil(math.log2((up - lo) / width))
     kappa = 0.5 / (up - lo)

@@ -68,16 +68,29 @@ def check_ghz_oracle_agreement() -> CheckResult:
         detail=f"max relative deviation {worst:.3e} (tolerance 1e-6)")
 
 
-def check_svetlichny3_plateau() -> CheckResult:
-    spec = INEQUALITIES["svetlichny3"]
-    angles = canonical_angles(spec, FamilyKind.GHZ3_CONDITIONAL).angles
-    value = evaluate(spec, StateFamily(FamilyKind.GHZ3_CONDITIONAL, V=10.0, d=50.0),
-                     angles, DetectorModel(0.1))
-    diff = abs(value - GHZ3_SVETLICHNY_MAX)
-    return CheckResult(
-        name="svetlichny3-plateau",
-        passed=diff <= 1e-3,
-        detail=f"value {value:.9f} vs 4√2, deviation {diff:.3e} (tolerance 1e-3)")
+def _plateau(name: str, inequality: str, kind: FamilyKind, eta: float, target: float,
+             label: str) -> Callable[[], CheckResult]:
+    """The check ``name``: with canonical angles, ``inequality`` on ``kind``
+    at V = 10, d = 50 and efficiency ``eta`` reads ``target`` (written
+    ``label``) within 1e-3."""
+    def check() -> CheckResult:
+        spec = INEQUALITIES[inequality]
+        angles = canonical_angles(spec, kind).angles
+        value = evaluate(spec, StateFamily(kind, V=10.0, d=50.0), angles, DetectorModel(eta))
+        diff = abs(value - target)
+        return CheckResult(
+            name=name,
+            passed=diff <= 1e-3,
+            detail=f"value {value:.9f} vs {label}, deviation {diff:.3e} (tolerance 1e-3)")
+    return check
+
+
+check_svetlichny3_plateau = _plateau("svetlichny3-plateau", "svetlichny3",
+                                     FamilyKind.GHZ3_CONDITIONAL, 0.1, GHZ3_SVETLICHNY_MAX, "4√2")
+check_svetlichny4_plateau = _plateau("svetlichny4-plateau", "svetlichny4",
+                                     FamilyKind.GHZ4_CONDITIONAL, 0.1, GHZ4_SVETLICHNY_MAX, "8√2")
+check_wwzb_plateau = _plateau("wwzb-plateau", "wwzb4", FamilyKind.CLUSTER4_CONDITIONAL, 1.0,
+                              4.0 * math.sqrt(2.0), "4√2")
 
 
 def check_w_plateau() -> CheckResult:
@@ -88,18 +101,6 @@ def check_w_plateau() -> CheckResult:
         name="w-plateau",
         passed=4.35 <= value <= 4.36,
         detail=f"value {value:.9f} expected inside [4.35, 4.36]")
-
-
-def check_svetlichny4_plateau() -> CheckResult:
-    spec = INEQUALITIES["svetlichny4"]
-    angles = canonical_angles(spec, FamilyKind.GHZ4_CONDITIONAL).angles
-    value = evaluate(spec, StateFamily(FamilyKind.GHZ4_CONDITIONAL, V=10.0, d=50.0),
-                     angles, DetectorModel(0.1))
-    diff = abs(value - GHZ4_SVETLICHNY_MAX)
-    return CheckResult(
-        name="svetlichny4-plateau",
-        passed=diff <= 1e-3,
-        detail=f"value {value:.9f} vs 8√2, deviation {diff:.3e} (tolerance 1e-3)")
 
 
 def check_sasa_exactness() -> CheckResult:
@@ -131,45 +132,31 @@ def check_sasa_exactness() -> CheckResult:
                 f"V=1e3 crossing {crossing_d:.2f} < 50 < saturation {saturation_d:.2f}: {ordered}"))
 
 
-def check_wwzb_plateau() -> CheckResult:
-    spec = INEQUALITIES["wwzb4"]
-    angles = canonical_angles(spec, FamilyKind.CLUSTER4_CONDITIONAL).angles
-    value = evaluate(spec, StateFamily(FamilyKind.CLUSTER4_CONDITIONAL, V=10.0, d=50.0), angles)
-    diff = abs(value - 4.0 * math.sqrt(2.0))
-    return CheckResult(
-        name="wwzb-plateau",
-        passed=diff <= 1e-3,
-        detail=f"value {value:.9f} vs 4√2, deviation {diff:.3e} (tolerance 1e-3)")
+def _scheme_ordering(name: str, inequality: str, scheme: FamilyKind,
+                     conditional: FamilyKind, eta: float,
+                     label: str) -> Callable[[], CheckResult]:
+    """The check ``name``: at V = 5 and 10 and efficiency ``eta``,
+    ``inequality`` crosses its bound at a smaller displacement on
+    ``scheme`` (written ``label``) than on ``conditional``."""
+    def check() -> CheckResult:
+        spec = INEQUALITIES[inequality]
+        parts = []
+        ok = True
+        for V in (5.0, 10.0):
+            first = crossing_displacement(scheme, spec, V, eta)
+            cond = crossing_displacement(conditional, spec, V, eta)
+            ok = ok and first < cond
+            parts.append(f"V={V:g}: {label} {first:.4f} vs conditional {cond:.4f}")
+        return CheckResult(name=name, passed=ok, detail="; ".join(parts))
+    return check
 
 
-def check_tripartite_ordering() -> CheckResult:
-    spec = INEQUALITIES["svetlichny3"]
-    parts = []
-    ok = True
-    for V in (5.0, 10.0):
-        split = crossing_displacement(FamilyKind.GHZ3_BEAM_SPLITTER, spec, V, 0.3)
-        cond = crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, spec, V, 0.3)
-        ok = ok and split < cond
-        parts.append(f"V={V:g}: splitter {split:.4f} vs conditional {cond:.4f}")
-    return CheckResult(
-        name="tripartite-scheme-ordering",
-        passed=ok,
-        detail="; ".join(parts))
-
-
-def check_cluster_ordering() -> CheckResult:
-    spec = INEQUALITIES["sasa"]
-    parts = []
-    ok = True
-    for V in (5.0, 10.0):
-        kerr = crossing_displacement(FamilyKind.CLUSTER4_CROSS_KERR, spec, V, 1.0)
-        cond = crossing_displacement(FamilyKind.CLUSTER4_CONDITIONAL, spec, V, 1.0)
-        ok = ok and kerr < cond
-        parts.append(f"V={V:g}: cross-Kerr {kerr:.4f} vs conditional {cond:.4f}")
-    return CheckResult(
-        name="cluster-scheme-ordering",
-        passed=ok,
-        detail="; ".join(parts))
+check_tripartite_ordering = _scheme_ordering(
+    "tripartite-scheme-ordering", "svetlichny3", FamilyKind.GHZ3_BEAM_SPLITTER,
+    FamilyKind.GHZ3_CONDITIONAL, 0.3, "splitter")
+check_cluster_ordering = _scheme_ordering(
+    "cluster-scheme-ordering", "sasa", FamilyKind.CLUSTER4_CROSS_KERR,
+    FamilyKind.CLUSTER4_CONDITIONAL, 1.0, "cross-Kerr")
 
 
 def check_inefficiency_substitution() -> CheckResult:

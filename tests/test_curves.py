@@ -77,28 +77,30 @@ def test_optimized_sweep_rows_equal_lone_points(kind):
 
 
 def test_points_that_stop_at_different_levels(monkeypatch):
-    # at rel_tol 1e-13 some points of a V = 5 curve stop at level 1 and the
-    # rest climb to level 2 as a shorter curve; at V = 8 some climb on to the
-    # composite tail at level 3, where each point is alone
+    # at rel_tol 1e-13 some points of a V = 5 curve stop on the ladder's
+    # first pass (Hermite rules of 40 and 80 nodes) and the rest climb to
+    # the second (160 nodes) as a shorter curve; at V = 8 some climb on to
+    # the composite tail, the third pass, where each point is alone
     calls = []
     memo = integration._deterministic_moments
 
-    def spy(curve, detector, levels, nodes_per_axis, patterns):
-        calls.append((levels, len(curve)))
-        return memo(curve, detector, levels, nodes_per_axis, patterns)
+    def spy(curve, detector, rules, patterns):
+        calls.append((rules, len(curve)))
+        return memo(curve, detector, rules, patterns)
 
     monkeypatch.setattr(integration, "_deterministic_moments", spy)
     spec = INEQUALITIES["svetlichny3"]
     d_grid = tuple(np.linspace(0.2, 4.0, 12))
-    for V, climbs_to in ((5.0, 2), (8.0, 3)):
+    for V, climbs_to in ((5.0, 1), (8.0, 2)):
+        ladder = integration._ladder(integration._variable_sigma(V), 40)
         memo.cache_clear()
         calls.clear()
         plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(V,), d_grid=d_grid,
                          eta_grid=(0.7,), cfg=QuadratureConfig(rel_tol=1e-13))
         result = run_sweep(plan)
-        assert ((0, 1), len(d_grid)) in calls
-        assert 0 < sum(size for levels, size in calls if levels == (climbs_to,)) < len(d_grid)
-        assert all(size == 1 for levels, size in calls if levels[-1] >= 3)
+        assert ((True, (40, 80)), len(d_grid)) in calls
+        assert 0 < sum(size for rules, size in calls if rules == ladder[climbs_to]) < len(d_grid)
+        assert all(size == 1 for (shift, _sizes), size in calls if not shift)
         for row in result.rows:
             assert not row.failed
             assert (row.value, row.err) == _alone(plan, row), (V, row.d)

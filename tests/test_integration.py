@@ -33,6 +33,11 @@ def test_config_validation():
         QuadratureConfig(nodes_per_axis=0)
     with pytest.raises(ValueError):
         QuadratureConfig(nodes_per_axis=500)
+    # the ladder climbs to 4·nodes_per_axis Hermite nodes, and hermgauss
+    # stays sound up to 200 of them
+    assert QuadratureConfig(nodes_per_axis=50).nodes_per_axis == 50
+    with pytest.raises(ValueError, match=r"nodes_per_axis must lie in \[1, 50\], got 51"):
+        QuadratureConfig(nodes_per_axis=51)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
 
@@ -172,7 +177,7 @@ def test_node_doubling_stability():
     coarse = converged_correlation(fam, EQUATORIAL,
                                    config=QuadratureConfig(nodes_per_axis=40))
     fine = converged_correlation(fam, EQUATORIAL,
-                                 config=QuadratureConfig(nodes_per_axis=60))
+                                 config=QuadratureConfig(nodes_per_axis=50))
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -203,16 +208,17 @@ def tensor_grids(monkeypatch):
     outlive the test.
     """
 
-    def tensor_axes(variables, detector, levels, nodes_per_axis):
+    def tensor_axes(variables, detector, rules):
         # a variable carries its curve's centres; x holds one row per point,
-        # and every level of the pass takes the same axes
+        # and every rule of the pass takes the same axes
+        _shift, sizes = rules
         grids = []
         for V, centres, _scales in variables:
             x = np.array([dense_reference.axis(c, V, DENSE_NODES)[0] for c in centres])
             _x, wx = dense_reference.axis(centres[0], V, DENSE_NODES)
             y, wy = dense_reference.axis(0.0, V, DENSE_NODES)
-            grids.append(((x,) * len(levels), (y,) * len(levels),
-                          np.concatenate((wx,) * len(levels) + (wy,) * len(levels))))
+            grids.append(((x,) * len(sizes), (y,) * len(sizes),
+                          np.concatenate((wx,) * len(sizes) + (wy,) * len(sizes))))
         return grids
 
     monkeypatch.setattr(integration, "_deterministic_grids", tensor_axes)
@@ -355,8 +361,8 @@ def test_stacked_call_equals_one_term_calls(config):
 
 def _lone_level_ladder(family, detector, layout, theta, phase, rel_tol):
     """Each term's (value, err) and level, from one engine pass and one
-    contraction per level of every row of ``layout``; and every level's
-    row values, and the last level's errors."""
+    contraction per rule of the ladder (a level) of every row of
+    ``layout``; and every level's row values, and the last level's errors."""
     terms = len(layout.index) - len(layout.owners)
     table_key = (integration._array_key(theta), integration._array_key(phase),
                  layout.owners.size > 0)
@@ -365,9 +371,11 @@ def _lone_level_ladder(family, detector, layout, theta, phase, rel_tol):
     variables = tuple((V, (centre,), scales) for V, centre, scales in variables)
     found = [None] * terms
     levels = []
-    for level in range(5):
-        grids = integration._deterministic_grids(variables, detector, (level,),
-                                                 QuadratureConfig().nodes_per_axis)
+    ladder = integration._ladder(integration._variable_sigma(family.V),
+                                 QuadratureConfig().nodes_per_axis)
+    lone_rules = [(shift, (size,)) for shift, sizes in ladder for size in sizes]
+    for level, rules in enumerate(lone_rules):
+        grids = integration._deterministic_grids(variables, detector, rules)
         moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
                                            detector, grids)
         num, den = integration._terms(moments, table_key, layout)
@@ -425,8 +433,8 @@ def test_stacked_levels_equal_lone_level_contractions():
 
 
 def _spy_engine_passes(monkeypatch):
-    """Record the ``grids`` of every engine pass, and the levels of every
-    grid set, from here on."""
+    """Record the ``grids`` of every engine pass, and the ladder pass,
+    (shift, sizes), of every grid set, from here on."""
     passes = []
     levels = []
     engine_pass = integration._engine_pass
@@ -436,9 +444,9 @@ def _spy_engine_passes(monkeypatch):
         passes.append(grids)
         return engine_pass(coeffs, signs, variables, patterns, detector, grids)
 
-    def grids_spy(variables, detector, grid_levels, nodes_per_axis):
-        levels.append(grid_levels)
-        return deterministic_grids(variables, detector, grid_levels, nodes_per_axis)
+    def grids_spy(variables, detector, rules):
+        levels.append(rules)
+        return deterministic_grids(variables, detector, rules)
 
     monkeypatch.setattr(integration, "_engine_pass", pass_spy)
     monkeypatch.setattr(integration, "_deterministic_grids", grids_spy)
@@ -454,18 +462,48 @@ def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
     family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
     detector = DetectorModel(0.7)
     estimate_correlation(family, EQUATORIAL, detector)
-    assert levels == [(0, 1)]
-    (grids,) = passes
     n = QuadratureConfig().nodes_per_axis
+    assert levels == [(True, (n, 2 * n))]
+    (grids,) = passes
     _coeffs, _signs, variables = family_structure(family)
     for (x, y, w), (V, centre, scales) in zip(grids, variables):
         assert [part.shape for part in x] == [(1, n), (1, 2 * n)]
         assert [part.shape for part in y] == [(n,), (2 * n,)]
         ((_x0, _y0, lone0),), ((_x1, _y1, lone1),) = (
-            integration._deterministic_grids(((V, (centre,), scales),), detector, (level,), n)
-            for level in (0, 1))
+            integration._deterministic_grids(((V, (centre,), scales),), detector, (True, (size,)))
+            for size in (n, 2 * n))
         want = np.concatenate((lone0[:n], lone1[:2 * n], lone0[n:], lone1[2 * n:]))
         assert w.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 1.6])
+def test_the_ladder_never_repeats_a_rule(sigma):
+    # a rule checked against itself would report err 0 having checked nothing
+    for n in range(1, 51):
+        ladder = integration._ladder(sigma, n)
+        for kind in (True, False):
+            sizes = [size for shift, rules in ladder if shift is kind for size in rules]
+            assert sizes == sorted(set(sizes)), (n, sizes)
+        # every Hermite rule is one that hermgauss gives finite weights for
+        hermite = [size for shift, rules in ladder if shift for size in rules]
+        assert max(hermite, default=0) <= 200
+    assert np.isfinite(np.polynomial.hermite.hermgauss(200)[1]).all()
+
+
+def test_a_delta_estimate_is_one_pass_of_one_node(monkeypatch):
+    # at V = 1 the delta rule is the one-node Hermite rule: one pass of one
+    # rule, whose node is the centre and whose weights are exactly 1, and
+    # which reports err 0 since nothing finer exists
+    passes, levels = _spy_engine_passes(monkeypatch)
+    family = StateFamily(FamilyKind.W3, 1.0, 1.2)
+    value, err = estimate_correlation(family, EQUATORIAL, DetectorModel(0.7))
+    assert levels == [(True, (1,))]
+    (grids,) = passes
+    for (x, y, w), (_V, centre, _scales) in zip(grids, family_structure(family)[2]):
+        assert [part.tolist() for part in x] == [[[centre]]]
+        assert [part.tolist() for part in y] == [[0.0]]
+        assert w.tolist() == [1.0, 1.0]
+    assert err == 0.0 and math.isfinite(value)
 
 
 def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
@@ -475,11 +513,12 @@ def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
     spec = INEQUALITIES["svetlichny3"]
     angles = canonical_angles(spec, FamilyKind.W3).angles
     evaluate_with_error(spec, StateFamily(FamilyKind.W3, 10.0, 1.0), angles)
-    assert levels == [(0, 1), (2,), (3,), (4,)]
+    n = QuadratureConfig().nodes_per_axis
+    assert levels == [(True, (n, 2 * n)), (True, (4 * n,)), (False, (12,)), (False, (24,))]
     assert len(passes) == len(levels)
-    for grids, grid_levels in zip(passes, levels):
+    for grids, (_shift, sizes) in zip(passes, levels):
         for x, y, _w in grids:
-            assert len(x) == len(y) == len(grid_levels)
+            assert len(x) == len(y) == len(sizes)
 
 
 def _clear_memos():
@@ -515,7 +554,8 @@ def test_fig4_forms_its_y_factors_once_per_level(monkeypatch, tmp_path):
     counts = _count_calls(monkeypatch, "_y_factors", "_contract", "_engine_pass")
     _passes, levels = _spy_engine_passes(monkeypatch)
     assert cli.main(["figure", "fig4"]) == 0
-    assert set(levels) == {(0, 1), (2,), (3,), (4,)}
+    assert set(levels) == set(integration._ladder(integration._variable_sigma(10.0), 40))
+    assert len(set(levels)) == 4
     assert counts["_y_factors"] <= len(set(levels))
     assert counts["_engine_pass"] == len(levels) > 60
     assert counts["_contract"] == counts["_engine_pass"]
@@ -592,8 +632,8 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
                 (integration._keyed_array(rows_key), rows)]
     sigma = integration._variable_sigma(family.V)
     n = QuadratureConfig().nodes_per_axis
-    offsets, ys, w = integration._shift_frame(sigma, (0, 1), n)
-    nodes = [np.polynomial.hermite.hermgauss(n << level) for level in (0, 1)]
+    offsets, ys, w = integration._shift_frame(sigma, (n, 2 * n))
+    nodes = [np.polynomial.hermite.hermgauss(size) for size in (n, 2 * n)]
     for (t, _w), offset, y in zip(nodes, offsets, ys):
         entries += [(offset, math.sqrt(2.0) * sigma * t), (y, 0.0 + math.sqrt(2.0) * sigma * t)]
     level_weights = [w / math.sqrt(math.pi) for _t, w in nodes]
@@ -617,7 +657,7 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
         with pytest.raises(ValueError):
             entry.flat[0] = 0
     assert integration._angle_pairs(angles, layout.stack, key(rows)) is entries[0][0]
-    assert integration._shift_frame(sigma, (0, 1), n)[2] is w
+    assert integration._shift_frame(sigma, (n, 2 * n))[2] is w
 
 
 def _scalar_theta_derivative(rotation):

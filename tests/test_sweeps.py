@@ -214,6 +214,35 @@ def test_sign_change_bracket_keeps_bisections_worst_case(name):
         assert all(len(xs) == 1 for xs in rounds) == (round_points == 1)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((0.0, 1.0, -1.0, 1.0), dict(round_points=0), "round_points must be at least 1, got 0"),
+    ((0.0, 1.0, -1.0, 1.0), dict(width=0.0), "width must be finite and positive, got 0.0"),
+    ((0.0, 1.0, -1.0, 1.0), dict(width=-1e-3), "width must be finite and positive"),
+    ((0.0, 1.0, -1.0, 1.0), dict(width=math.inf), "width must be finite and positive"),
+    ((0.0, 1.0, -1.0, 1.0), dict(width=math.nan), "width must be finite and positive"),
+    ((1.0, 1.0, -1.0, 1.0), {}, r"lo < up, got \[1.0, 1.0\]"),
+    ((1.0, 0.0, -1.0, 1.0), {}, r"lo < up, got \[1.0, 0.0\]"),
+    ((0.0, math.inf, -1.0, 1.0), {}, r"finite lo < up, got \[0.0, inf\]"),
+    ((0.0, 1.0, 0.2, 1.0), {}, "f_lo <= 0 < f_up, got 0.2 and 1.0"),
+    ((0.0, 1.0, -1.0, 0.0), {}, "f_lo <= 0 < f_up, got -1.0 and 0.0"),
+    ((0.0, 1.0, math.nan, 1.0), {}, "f_lo <= 0 < f_up, got nan and 1.0"),
+])
+def test_sign_change_bracket_rejects_bad_input_before_any_round(args, kwargs, message):
+    # round_points=0 used to loop for ever, and f_lo = 0.2 to return a
+    # bracket whose lower end does not keep its sign
+    def never(xs):
+        raise AssertionError("f was called")
+
+    with pytest.raises(ValueError, match=message):
+        sign_change_bracket(never, *args, **kwargs)
+
+
+def test_sign_change_bracket_accepts_a_root_at_its_lower_end():
+    # f_lo = 0 is inside the terms: the root itself may be the lower end
+    a, b = sign_change_bracket(lambda xs: [x - 0.25 for x in xs], 0.25, 1.0, 0.0, 0.75)
+    assert a == 0.25 and b - a <= 1e-3
+
+
 def _curve_spy(seen, rounds):
     """``evaluate_curve_with_error`` that records every (d, value) it
     returns in ``seen`` and each call's displacements in ``rounds``."""

@@ -3,8 +3,10 @@
     python3 tools/bench_pairs.py --number N [--out PATH]
 
 The parent, ``HEAD``, is exported with ``git archive`` into a
-temporary directory outside the repository, which is removed afterwards; the
-change is the working tree as it stands, uncommitted edits included.  For
+temporary directory outside the repository, and the change, the working tree
+as it stands (uncommitted edits and untracked files that git does not ignore
+included), is copied into another; both are removed afterwards.  So both
+sides run from fresh directories alike.  For each
 workload of ``BENCHMARK.json``, ``perfbench/run.py --trace 0 --seed 5``
 runs for the benchmark's ``run_seconds`` on both sides in ten alternating
 pairs (pair k runs the parent first when k is even), each from a
@@ -69,6 +71,19 @@ def _export(revision: str, into: Path) -> str:
                              check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return commit
+
+
+def _copy_worktree(into: Path) -> None:
+    """Copy the working tree's files that git tracks or does not ignore, as
+    they are on disk, into ``into``; a tracked file deleted on disk is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, capture_output=True,
+                            check=True).stdout.decode().split("\0")
+    for name in dict.fromkeys(filter(None, listed)):
+        source = ROOT / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def _bench(checkout: Path, cwd: Path, workload: str, trace: int) -> tuple[dict, dict]:
@@ -150,9 +165,12 @@ def main(argv=None) -> int:
         parent_dir = scratch / "parent"
         parent_dir.mkdir()
         commit = _export(PARENT, parent_dir)
+        change_dir = scratch / "change"
+        change_dir.mkdir()
+        _copy_worktree(change_dir)
         cwd = scratch / "cwd"
         cwd.mkdir()
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        checkouts = {"parent": parent_dir, "change": change_dir}
         runs = {w: {side: [] for side in SIDES} for w in workloads}
         reports = {}
         for workload in workloads:
@@ -189,6 +207,7 @@ def main(argv=None) -> int:
     document = {
         "description": (
             f"perfbench end-to-end runs at the parent commit ({commit[:7]}) and at this change, "
+            "each exported or copied into a fresh directory, "
             f"each entry the final JSON line of `python3 perfbench/run.py --workload W --seed "
             f"{SEED} --seconds {BENCHMARK['run_seconds']} --trace 0` run from a working directory "
             f"outside both checkouts, {PAIRS} pairs per workload alternating which side "

@@ -11,7 +11,11 @@ trees compute, each in fresh interpreters:
   20, 1000} and η in {0.3, 1, per mode}, each with random angles as a curve
   of three displacements and as a single point; then crossing displacements,
   ``evaluate_with_gradient`` at random angles and one ``optimize_angles``
-  run.  Every number of an output is kept as its ``repr``.
+  run; then the refinement ladder's cases: w3 svetlichny3 at η = 0.7 with
+  canonical angles, as a curve and as a point, at every ``nodes_per_axis``,
+  ``rel_tol`` and V of ``LADDER``, which walk the delta rule, both Hermite
+  passes, the composite tail, the wide ladder and nonconvergence.  Every
+  number of an output is kept as its ``repr``.
 - the CLI outputs of ``figure fig2`` to ``fig7`` (``fig3`` also as JSON),
   ``validate``, the w3 ``scan --angles optimize`` and a canonical ghz3-bs
   ``scan --format json``, split into fields on commas and whitespace.
@@ -25,6 +29,7 @@ runs itself that way, once per tree).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -59,6 +64,8 @@ PAIRS = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
 V_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 1000.0)
 CROSSINGS = (("ghz3-cond", "svetlichny3"), ("ghz3-bs", "svetlichny3"),
              ("ghz4-cond", "svetlichny4"))
+# (nodes_per_axis, rel_tol, V) of the ladder cases
+LADDER = ((1, 24, 50), (1e-7, 1e-12, 1e-16), (1.0, 5.0, 10.0, 1e6))
 DEFAULT_SEED = 22
 
 
@@ -86,7 +93,8 @@ def _cases(seed: int) -> list:
     import numpy as np
 
     from etsbell import (INEQUALITIES, DetectorModel, EffectiveRotation, FamilyKind,
-                         StateFamily, crossing_displacement, evaluate_curve_with_error,
+                         QuadratureConfig, StateFamily, canonical_angles,
+                         crossing_displacement, evaluate_curve_with_error,
                          evaluate_with_error, evaluate_with_gradient, optimize_angles)
 
     rng = np.random.default_rng(seed)
@@ -128,6 +136,17 @@ def _cases(seed: int) -> list:
                   lambda: optimize_angles(INEQUALITIES["svetlichny3"],
                                           StateFamily(FamilyKind.GHZ3_KERR, 5.0, 2.0),
                                           DetectorModel(0.9), restarts=2)))
+    spec = INEQUALITIES["svetlichny3"]
+    angles = canonical_angles(spec, FamilyKind.W3).angles
+    detector = DetectorModel(0.7)
+    for nodes, rel_tol, V in itertools.product(*LADDER):
+        config = QuadratureConfig(nodes_per_axis=nodes, rel_tol=rel_tol)
+        curve = tuple(StateFamily(FamilyKind.W3, V, d * math.sqrt(V)) for d in (0.5, 1.0, 2.0))
+        label = f"ladder/w3/svetlichny3/nodes={nodes}/rel_tol={rel_tol:g}/V={V:g}"
+        cases.append((f"{label}/curve", lambda c=curve, q=config:
+                      evaluate_curve_with_error(spec, c, angles, detector, q)))
+        cases.append((f"{label}/point", lambda p=curve[1], q=config:
+                      evaluate_with_error(spec, p, angles, detector, q)))
     return cases
 
 
