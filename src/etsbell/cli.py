@@ -96,7 +96,8 @@ def _field(value, fmt: str):
     return _jsonable(value) if fmt == "json" else _fmt(value)
 
 
-def _write_output(rows: list[dict], metadata: dict, out: str | None, fmt: str) -> None:
+def _write_output(rows: list[dict], metadata, out: str | None, fmt: str) -> None:
+    """Write ``rows`` as CSV, or as JSON with the dict ``metadata()`` returns."""
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -108,7 +109,7 @@ def _write_output(rows: list[dict], metadata: dict, out: str | None, fmt: str) -
         import json
 
         rows = [{column: _field(row[column], fmt) for column in _COLUMNS} for row in rows]
-        text = json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n"
+        text = json.dumps({"metadata": metadata(), "rows": rows}, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -156,16 +157,15 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    provenances = sorted({row.provenance for row in result.rows})
     rows = [_row(kind, spec, row.V, row.d, row.eta, row.value, row.err, row.violated)
             for row in result.rows]
-    metadata = {
-        "version": __version__,
-        "family": kind.value,
-        "inequality": spec.name,
-        "config": dataclasses.asdict(cfg),
-        "angles": {"mode": args.angles, "provenance": provenances},
-    }
+
+    def metadata() -> dict:
+        provenances = sorted({row.provenance for row in result.rows})
+        return {"version": __version__, "family": kind.value, "inequality": spec.name,
+                "config": dataclasses.asdict(cfg),
+                "angles": {"mode": args.angles, "provenance": provenances}}
+
     _write_output(rows, metadata, args.out, args.format)
     failed = [row for row in result.rows if row.failed]
     for row in failed:
@@ -247,7 +247,7 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "grid": "60 d-points log-spaced on [0.1, 10√V] per V",
     }
     out = args.out if args.out is not None else f"{args.name}.{args.format}"
-    _write_output(rows, metadata, out, args.format)
+    _write_output(rows, lambda: metadata, out, args.format)
     return 0
 
 

@@ -54,34 +54,35 @@ A curve is a set of points of one family kind and one V that differ only
 in d and share the detector, the angles and the config: the d axis of a
 figure, or a crossing search's probe profile and each round of its search.
 Along it only the centre c·d of each mixture variable moves; the branch
-structure, the y rule, the y moments and the x weights do not.  So each
-pass splits into a frame that does not depend on d and an x half that
-does.  The frame is built once and memoized by value: the y moments of
-each (y nodes and weights, per-mode scale and η, local pattern), the node
-offsets and weights of a pass's shift rules, and a family's branch weights
-and rows.  On shift rules, whose nodes follow the centre by a shift alone
-(Gauss-Hermite), a pass forms only the x nodes of every point (centre plus
-offsets), their x factors as one (points × nodes) array and the x moments,
-and the contraction runs over a stacked (points × terms) axis.  Each point
-stops at its own first converged pass and only the rest climb.  The
-composite rule's panels move with the centre, so there each point is a
-curve of its own, though its y moments still come from the frame; a single
-estimate is a curve of one point.  The points axis meets only elementwise arithmetic
-and einsum sums that run over each point's own nodes, so a point carries
-the bits it has alone (the tests check this).
+structure, the y rule, the y moments and the x weights do not.  The rest
+of a pass is its plan (:func:`_pass_plan`), built once per (family kind,
+V, detector, ladder pass, layout) and memoized by value: branch weights
+and rows, which variables share moments, the distinct x factors, the y
+moments, the einsum subscripts and an index that puts each rule's moments
+straight into the contraction's stack rows.  A pass is then straight-line
+array work: each point's x nodes (on shift rules, which follow the centre
+by a shift alone, the centre plus the memoized Gauss-Hermite offsets),
+each distinct x factor once, one einsum per rule and local pattern, one
+multiply by the y moments, one gather and one contraction over a stacked
+(points × stack rows) axis.  Each point stops at its own first converged
+pass and only the rest climb.  The composite rule's panels move with the
+centre, so there each point is a curve of its own on the same plan; a
+single estimate is a curve of one point.  The points axis meets only
+elementwise arithmetic and einsum sums over each point's own nodes, so a
+point carries the bits it has alone (the tests check this).
 
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
 no estimate imports scipy.  Those kernels cost a fixed number of array
 operations per call, so a pass calls them as rarely as it can.  x factors
-are formed once per distinct (axis, scale, η) in a pass, y factors once
-per frame, and moments once per distinct variable: the modes of a splitter
+are formed once per distinct (nodes, scale, η) in a pass, y factors once
+per plan, and moments once per distinct variable: the modes of a splitter
 or Kerr state share one scale, the variables of a conditional state are
-equal, and a per-mode η that differs splits them.  Sharing is keyed on
+equal, and a per-mode η that differs splits them.  Sharing is decided by
 values, so it moves no bit.  Dawson's integral enters a y moment once per
 measured mode whose second part the moment takes.  It is odd and the y
 weight is symmetric about 0, so a moment with an odd number of such factors
-integrates to zero; the frame sets it to zero instead of summing roundoff,
+integrates to zero; the plan sets it to zero instead of summing roundoff,
 and a variable with at most one measured mode needs no Dawson values at
 all.
 """
@@ -116,21 +117,25 @@ _FINE_ERF_HALFWIDTH = 4.5
 _FINE_DAWSON_HALFWIDTH = 5.0
 _FINE_PANEL_FRACTION = 0.4
 # The ladder's finest Hermite rule has 4·nodes_per_axis nodes, and hermgauss
-# loses its weights past about 360 nodes (at 400 they are NaN).
+# loses its weights past about 360 nodes (at 400 they are NaN).  With fewer
+# than 10 the first pass's rules of n and 2n nodes often agree by chance far
+# from the integral, which leaves err far below the true error.
+_MIN_NODES_PER_AXIS = 10
 _MAX_NODES_PER_AXIS = 50
 # Axis rules kept in memory: a few per state, so this spans many states.
 _AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement passes, which an
 # optimizer revisits at every evaluation.  A sweep or a crossing search moves
 # to new points at every curve, so it finds nothing here; what its passes
-# share, it finds in the frame memos below.
+# share, it finds in the frame and plan memos below.
 _MOMENT_CACHE = 4
-# Frame entries kept in memory (see _shift_frame and _y_moments): what does
-# not move with d, one entry per (σ, pass of the ladder) or per y rule.  A
-# crossing search needs one y-moment entry, `figure fig4` four (one per
-# pass) and `validate`, the widest user, 25 y-moment and 4 shift-rule
-# entries, so this keeps every frame of one command.
-_FRAME_CACHE = 32
+# Shift-rule frames kept in memory (see _shift_frame): one per (σ, shift
+# pass of the ladder).  `figure fig4` makes 2 and `validate` 4.
+_FRAME_CACHE = 8
+# Pass plans kept in memory (see _pass_plan).  A crossing search makes one
+# or two, `figure fig4` 4 (one per pass) and `validate`, the widest user,
+# 25, so this keeps every plan of one command.
+_PLAN_CACHE = 32
 # Branch-pair gathers kept in memory, each with its rotation table built in
 # (nothing else reads a table): a crossing search or a figure cell asks for
 # a few angle sets many times; an optimizer moves to new angles at every
@@ -150,7 +155,7 @@ _GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
 class QuadratureConfig:
     """Resolution and tolerance knobs shared by all integration routines.
 
-    ``nodes_per_axis`` (1 to 50) is the node count of the first
+    ``nodes_per_axis`` (10 to 50) is the node count of the first
     Gauss-Hermite rule of a narrow weight's ladder, which climbs to four
     times it (see :func:`_ladder`); estimates count as converged once the
     refinement difference drops below ``rel_tol`` relative to max(|value|, 1).
@@ -163,9 +168,9 @@ class QuadratureConfig:
         if isinstance(self.nodes_per_axis, bool) or not isinstance(self.nodes_per_axis,
                                                                     numbers.Integral):
             raise TypeError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}")
-        if not (1 <= self.nodes_per_axis <= _MAX_NODES_PER_AXIS):
-            raise ValueError(f"nodes_per_axis must lie in [1, {_MAX_NODES_PER_AXIS}], "
-                             f"got {self.nodes_per_axis}")
+        if not (_MIN_NODES_PER_AXIS <= self.nodes_per_axis <= _MAX_NODES_PER_AXIS):
+            raise ValueError(f"nodes_per_axis must lie in [{_MIN_NODES_PER_AXIS}, "
+                             f"{_MAX_NODES_PER_AXIS}], got {self.nodes_per_axis}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
@@ -288,51 +293,6 @@ def _moment_subscripts(k: int, points: bool) -> str:
     return ",".join(f"u{t}{p}x" for t in terms) + f",x->u{terms}{p}"
 
 
-class _Moments(NamedTuple):
-    """The angle-independent half of a pass over one state.
-
-    ``weights`` holds the branch-pair coefficients conj(c_j)·c_i, and
-    ``rows`` the :func:`_array_key` of the branch rows, whose row m holds
-    mode m's row of each branch (0 where the branch has +α, 1 where it has
-    −α); ``variables`` holds each mixture variable's modes.
-    ``moments`` holds one array per variable, shaped
-    (2,)*k + (rules, points, 2·patterns): for each axis rule of the pass,
-    each point of the curve and each pattern of unmeasured modes
-    (True per mode a term leaves out), in the order the pass was given
-    them, the 2^k Gram moments, then for each pattern in the same order the
-    2^k numerator moments.  A contraction of a pattern's Gram moments with
-    the Gram blocks on every mode is its state trace, the denominator of
-    every term with that pattern (see :class:`TermLayout`).
-    """
-
-    weights: np.ndarray
-    rows: tuple
-    variables: tuple
-    moments: tuple
-
-
-@lru_cache(maxsize=8)
-def _branches(coeffs: tuple, signs: tuple):
-    """Memoized read-only branch-pair weights and key of the branch rows (as
-    :class:`_Moments` holds them) of a family's ``coeffs`` and ``signs``:
-    one entry per family kind, of which there are seven."""
-    coeffs = np.array(coeffs)
-    weights = np.multiply.outer(coeffs.conj(), coeffs)
-    weights.flags.writeable = False
-    return weights, _array_key((1 - np.array(signs).T) // 2)
-
-
-@lru_cache(maxsize=None)
-def _odd_dawson(offs: tuple) -> np.ndarray:
-    """Entries of a y moment, shaped (2,)*k over the k modes of ``offs``,
-    that carry an odd number of Dawson factors: the second separable part
-    of an odd number of measured modes."""
-    parts = np.indices((2,) * len(offs))
-    odd = sum(parts[m] for m, off in enumerate(offs) if not off) % 2 == 1
-    odd.flags.writeable = False
-    return odd
-
-
 def _x_factors(x, scale: float, eta):
     """A mode's x factors, numerator then Gram, each (part 0, part 1) per
     point and node; ``eta`` is None for an unmeasured mode, which takes the
@@ -360,126 +320,157 @@ def _y_factors(y, scale: float, eta, dawson: bool):
     return np.array(((ones, part), gram))
 
 
-@lru_cache(maxsize=_FRAME_CACHE)
-def _y_moments(y: tuple, wy: tuple, per_mode: tuple, local: tuple) -> tuple:
-    """Memoized y moments of a variable, read-only: for each local pattern
-    of ``local``, in order, each rule's moments, shaped (2,)*(k + 1) for
-    the numerator or Gram part and the 2^k moments of the k modes.
+class _Plan(NamedTuple):
+    """What a pass takes from the family kind, V, the detector, the ladder
+    pass and the layout; nothing in it depends on d.
 
-    ``y`` holds the :func:`_array_key` of each rule's y nodes and ``wy``
-    that of every rule's y weights, joined; ``per_mode`` is as
-    :func:`_variable_moments` takes it.  The y factors are formed once on
-    every rule's nodes joined, and shared by the patterns that ask for
-    equal ones.
+    ``weights`` holds the branch-pair coefficients conj(c_j)·c_i, and
+    ``rows`` the :func:`_array_key` of the branch rows, whose row m holds
+    mode m's row of each branch (0 where the branch has +α, 1 where it has
+    −α); ``variables`` holds each mixture variable's modes.  ``factors``
+    lists each distinct x factor as (source, scale, η or None where
+    unmeasured), a source being the first variable with the same x nodes.
+    ``groups`` holds per distinct variable (source, per local pattern each
+    mode's index in ``factors``, the read-only y moments shaped (rules,
+    local patterns, 2 parts, (2,)*k, 1), each stack row's entry 2·pattern +
+    part), and ``members`` each variable's group.  ``axes`` takes the
+    gathered (rules, stack rows, (2,)*k, points) to (2,)*k + (rules,
+    points, stack rows).
     """
-    ys = [_keyed_array(key) for key in y]
-    ends = np.cumsum([0] + [len(part) for part in ys])
+
+    weights: np.ndarray
+    rows: tuple
+    variables: tuple
+    factors: tuple
+    groups: tuple
+    members: tuple
+    subscripts: str
+    axes: tuple
+
+
+@lru_cache(maxsize=_PLAN_CACHE)
+def _pass_plan(kind, V: float, detector: DetectorModel, rules: tuple, patterns: tuple,
+               stack_rows: tuple) -> _Plan:
+    """The memoized :class:`_Plan` of a pass on ``rules`` over points of
+    ``kind`` at ``V``, for a layout's ``patterns`` and ``stack_rows``.
+
+    A variable's x nodes follow from its centre per unit d, and on the
+    composite rule, whose panels depend on them, from its largest scale and
+    smallest η too; variables equal in these, their scales, η and local
+    patterns share one group.
+    """
+    coeffs, signs, variables = family_structure(StateFamily(kind, V, 0.0))
+    weights = np.multiply.outer(np.conj(coeffs), coeffs)
+    weights.flags.writeable = False
+    shift, sizes = rules
+    sigma = _variable_sigma(V)
+    measured = {m for p in patterns for m, off in enumerate(p) if not off}
+    # each stack row's (pattern, part): the leading rows' Gram (1), then numerators (0)
+    row_parts = [(e % len(patterns), int(e < len(patterns))) for e in stack_rows]
+    sources, factors, y_factors, groups, members = {}, {}, {}, {}, []
+    for v, ((_V, _centre, scales), unit) in enumerate(zip(variables, centre_units(kind))):
+        modes = tuple(sorted(scales))
+        per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
+                         for m in modes)
+        local = tuple(tuple(p[m] for m in modes) for p in patterns)
+        if shift:
+            nodes = (unit,)
+            _offsets, ys, w = _shift_frame(sigma, sizes)
+            wy = w[len(w) // 2:]
+        else:
+            smax = max(abs(s) for s in scales.values())
+            eta_min = min(detector.eta_for(m) for m in scales)
+            nodes = (unit, smax, eta_min)
+            ys, wys = zip(*(_axis_rule(0.0, sigma, smax, eta_min, order) for order in sizes))
+            wy = np.concatenate(wys)
+        key = (nodes, per_mode, local)
+        if key not in groups:
+            groups[key] = _plan_group(sources.setdefault(nodes, v), per_mode, local, ys, wy,
+                                      row_parts, factors, y_factors)
+        members.append(list(groups).index(key))
+    k = len(per_mode)
+    return _Plan(weights, _array_key((1 - np.array(signs).T) // 2),
+                 tuple(tuple(sorted(scales)) for _V, _centre, scales in variables),
+                 tuple(factors), tuple(groups.values()), tuple(members),
+                 _moment_subscripts(k, True), (*range(2, 2 + k), 0, 2 + k, 1))
+
+
+def _plan_group(source: int, per_mode: tuple, local: tuple, ys: tuple, wy, row_parts,
+                factors: dict, y_factors: dict) -> tuple:
+    """One group of :func:`_pass_plan`.  ``factors`` numbers the plan's x
+    factors and ``y_factors`` keeps its y factors, formed once on every
+    rule's y nodes joined; each rule's moments are a sum over its slice."""
     y = np.concatenate(ys)
-    wy = _keyed_array(wy)
+    ends = list(itertools.accumulate((len(part) for part in ys), initial=0))
     y_sum = _moment_subscripts(len(per_mode), False)
-    factors = {}
-    per_pattern = []
-    for offs in local:
-        # Dawson's integral is odd and the y weight symmetric, so a y moment
-        # with an odd number of Dawson factors is zero; with at most one
-        # measured mode every Dawson factor enters such a moment.
-        dawson = sum(not off for off in offs) > 1
-        y_factors = []
-        for (scale, eta), off in zip(per_mode, offs):
-            key = (scale, None if off else eta, dawson)
-            if key not in factors:
-                factors[key] = _y_factors(y, *key)
-            y_factors.append(factors[key])
-        per_rule = []
-        for a, b in zip(ends[:-1], ends[1:]):
-            moments = np.einsum(y_sum, *(f[..., a:b] for f in y_factors), wy[a:b])
-            if dawson:
-                moments[0][_odd_dawson(offs)] = 0.0
-            moments.flags.writeable = False
-            per_rule.append(moments)
-        per_pattern.append(tuple(per_rule))
-    return tuple(per_pattern)
-
-
-def _variable_moments(x, y, w, per_mode, local, factors: dict):
-    """One variable's moments, as :class:`_Moments` holds them, for each
-    rule, each point and each of its local patterns, in the order of
-    ``local``.
-
-    ``per_mode`` holds each mode's (scale, η), η None where no pattern
-    measures the mode.  The y moments come from :func:`_y_moments`, which
-    every point and every pass with equal y nodes, weights, scales and η
-    share.  ``factors`` memoizes x factors by value across the pass, so
-    modes and variables with equal nodes, scales and η share them; the x
-    factors of all points are one array, and their moments one sum.
-    """
-    ends = np.cumsum([0] + [part.shape[-1] for part in x])
-    x = np.concatenate(x, axis=-1)
-    wx = w[:ends[-1]]
     # Patterns that agree on the variable's own modes share one sum.  Each
     # pattern's Gram moments come from the sum that carries its numerator,
     # and may differ from another pattern's in the last bit, so each
     # pattern keeps its own denominator.
     distinct = tuple(dict.fromkeys(local))
-    y_moments = _y_moments(tuple(_array_key(part) for part in y), _array_key(w[ends[-1]:]),
-                           per_mode, distinct)
-    x_key = x.tobytes()
-    x_sum = _moment_subscripts(len(per_mode), True)
-    by_local = {}
-    for offs, y_rules in zip(distinct, y_moments):
-        x_factors = []
+    x_factors, y_moments = [], []
+    for offs in distinct:
+        # Dawson's integral is odd and the y weight symmetric, so a y moment
+        # with an odd number of Dawson factors (the second part of an odd
+        # number of measured modes) is zero; with at most one measured mode
+        # every Dawson factor enters such a moment.
+        dawson = sum(not off for off in offs) > 1
+        measured = [m for m, off in enumerate(offs) if not off]
+        odd = np.indices((2,) * len(offs))[measured].sum(axis=0) % 2 == 1
+        y_parts, x_parts = [], []
         for (scale, eta), off in zip(per_mode, offs):
             eta = None if off else eta
-            key = (x_key, scale, eta)
-            if key not in factors:
-                factors[key] = _x_factors(x, scale, eta)
-            x_factors.append(factors[key])
-        by_local[offs] = [np.einsum(x_sum, *(f[..., a:b] for f in x_factors), wx[a:b])
-                          * moments[..., None]
-                          for a, b, moments in zip(ends[:-1], ends[1:], y_rules)]
-    # (patterns, rules, u, 2^k moments, points), u reversed to put Gram
-    # first -> (2^k moments, rules, points, u, patterns), u and patterns joined
-    stacked = np.array([by_local[offs] for offs in local])[:, :, ::-1]
-    k = len(per_mode)
-    stacked = np.ascontiguousarray(stacked.transpose(*range(3, 3 + k), 1, 3 + k, 2, 0))
-    moments = stacked.reshape(stacked.shape[:-2] + (-1,))
-    moments.flags.writeable = False
-    return moments
+            if (source, scale, eta, dawson) not in y_factors:
+                y_factors[source, scale, eta, dawson] = _y_factors(y, scale, eta, dawson)
+            y_parts.append(y_factors[source, scale, eta, dawson])
+            x_parts.append(factors.setdefault((source, scale, eta), len(factors)))
+        x_factors.append(tuple(x_parts))
+        per_rule = [np.einsum(y_sum, *(f[..., a:b] for f in y_parts), wy[a:b])
+                    for a, b in zip(ends, ends[1:])]
+        if dawson:
+            for moments in per_rule:
+                moments[0][odd] = 0.0
+        y_moments.append(per_rule)
+    y_moments = np.array([list(rule) for rule in zip(*y_moments)])[..., None]
+    gather = np.array([2 * distinct.index(local[p]) + part for p, part in row_parts])
+    y_moments.flags.writeable = gather.flags.writeable = False
+    return source, tuple(x_factors), y_moments, gather
 
 
-def _engine_pass(coeffs, signs, variables, patterns, detector: DetectorModel,
-                 grids) -> _Moments:
-    """Per-variable Gram and numerator moments of every pattern in ``patterns``.
-
-    ``grids`` supplies (x, y, w) per variable: per rule, the x nodes of
-    every point of the curve, shaped (points, n), and the y nodes, which the
-    points share; and ``w``, all x weights followed by all y weights, which
-    enter as each rule's product measure of the two axes.  Every per-mode
-    block is a sum of two separable terms, so each variable needs only the
-    2^k products of per-mode axis factors (k modes), summed over x and over
-    y separately.  A mode that a term leaves unmeasured takes the Gram
-    factors in place of the detector's, so the numerator moments are formed
-    once per pattern, each with the Gram moments its denominator takes.
-    Variables equal in value (grid, scales, η and patterns) share one set of
-    moments.  Nothing here depends on the measurement angles.
+def _engine_pass(curve, detector: DetectorModel, rules: tuple, patterns: tuple,
+                 stack_rows: tuple, grids) -> tuple:
+    """The angle-independent half of a pass of :func:`_ladder` over a
+    curve's points: its :func:`_pass_plan` and one array of moments per
+    variable, shaped (2,)*k + (rules, points, stack rows), which holds the
+    2^k moments each row of a layout's stack takes (see :class:`TermLayout`)
+    at each rule and point.  A pattern's leading row takes its Gram moments,
+    whose contraction with the Gram blocks is its state trace; every other
+    row its pattern's numerator moments.  ``grids`` supplies (x, y, w) per
+    variable, as :func:`_deterministic_grids` forms them.
     """
-    measured = {m for p in patterns for m, off in enumerate(p) if not off}
-    factors = {}
-    shared = {}
-    variable_modes = []
+    first = curve[0]
+    plan = _pass_plan(first.kind, first.V, detector, rules, patterns, stack_rows)
+    joined = {}
+    factors = []
+    for source, scale, eta in plan.factors:
+        if source not in joined:
+            x, _y, w = grids[source]
+            ends = list(itertools.accumulate((part.shape[-1] for part in x), initial=0))
+            joined[source] = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1),
+                              w[:ends[-1]], ends)
+        factors.append(_x_factors(joined[source][0], scale, eta))
     moments = []
-    for (_V, _centres, scales), (x, y, w) in zip(variables, grids):
-        modes = tuple(sorted(scales))
-        variable_modes.append(modes)
-        per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
-                         for m in modes)
-        local = tuple(tuple(p[m] for m in modes) for p in patterns)
-        key = (tuple(part.tobytes() for part in x + y), w.tobytes(), per_mode, local)
-        if key not in shared:
-            shared[key] = _variable_moments(x, y, w, per_mode, local, factors)
-        moments.append(shared[key])
-    weights, rows = _branches(coeffs, signs)
-    return _Moments(weights, rows, tuple(variable_modes), tuple(moments))
+    for source, pattern_factors, y_moments, gather in plan.groups:
+        _x, wx, ends = joined[source]
+        stacked = np.array([[np.einsum(plan.subscripts, *(factors[f][..., a:b] for f in local),
+                                       wx[a:b])
+                             for local in pattern_factors]
+                            for a, b in zip(ends, ends[1:])]) * y_moments
+        gathered = stacked.reshape(stacked.shape[:1] + (-1,) + stacked.shape[3:])
+        moment = gathered[:, gather].transpose(plan.axes)
+        moment.flags.writeable = False
+        moments.append(moment)
+    return plan, tuple(moments[g] for g in plan.members)
 
 
 def _branch_pairs(table, index, rows) -> np.ndarray:
@@ -544,18 +535,19 @@ def _contract(weights, variables, moments, pairs) -> np.ndarray:
     return total.real
 
 
-def _terms(moments: _Moments, angles: tuple, layout):
-    """Unnormalized correlation and state trace of every term of ``layout``,
-    each shaped like the moments' (rules, points) axes + (terms,).
+def _terms(moments: tuple, angles: tuple, layout):
+    """Unnormalized correlation and state trace of every term of ``layout``
+    from the (plan, moments) of :func:`_engine_pass`, each shaped like the
+    moments' (rules, points) axes + (terms,).
 
     ``angles`` keys the rotation table, as :func:`_angle_pairs` takes it.
     One contraction serves the whole of ``layout.stack``: its leading
     all-unmeasured rows read the table's Gram row and give each pattern's
     denominator, which the terms then gather through ``layout.pattern_rows``.
     """
-    pairs = _angle_pairs(angles, layout.stack, moments.rows)
-    values = _contract(moments.weights, moments.variables,
-                       [m[..., layout.stack_rows] for m in moments.moments], pairs)
+    plan, moments = moments
+    pairs = _angle_pairs(angles, layout.stack, plan.rows)
+    values = _contract(plan.weights, plan.variables, moments, pairs)
     return values[..., len(layout.patterns):], values[..., layout.pattern_rows]
 
 
@@ -612,10 +604,11 @@ class TermLayout(NamedTuple):
     angle vector (2k for θ and 2k + 1 for γ of rotation k).  ``stack`` is
     the :func:`_array_key` of the index as one contraction takes it: first
     one all-unmeasured row per pattern, whose value is that pattern's Gram
-    denominator, then ``index``; ``stack_rows`` gives each stack row's entry
-    in a pass's moments, which hold every pattern's Gram moments and then
-    its numerator moments.  A functional's layouts do not depend on its
-    angles, so each is built once per functional.
+    denominator, then ``index``; ``stack_rows`` gives each stack row's
+    entry among every pattern's Gram moments and then every pattern's
+    numerator moments, as a tuple, which with ``patterns`` keys the pass
+    plan (see :func:`_pass_plan`).  A functional's layouts do not depend on
+    its angles, so each is built once per functional.
     """
 
     index: np.ndarray
@@ -624,7 +617,7 @@ class TermLayout(NamedTuple):
     owners: np.ndarray
     slots: np.ndarray
     stack: tuple
-    stack_rows: np.ndarray
+    stack_rows: tuple
 
 
 def rotation_angles(rotations: Sequence[EffectiveRotation]) -> tuple[np.ndarray, np.ndarray]:
@@ -643,9 +636,9 @@ def _stacked_layout(index, patterns, pattern_rows, owners, slots) -> TermLayout:
     """A :class:`TermLayout`, with its stack built once (see the class)."""
     count = len(patterns)
     stack = np.concatenate((np.full((count, index.shape[1]), -1), index))
-    stack_rows = np.concatenate((np.arange(count), count + np.asarray(pattern_rows, dtype=int)))
+    stack_rows = tuple(range(count)) + tuple(count + int(r) for r in pattern_rows)
     return TermLayout(_frozen(index), patterns, _frozen(pattern_rows), _frozen(owners),
-                      _frozen(slots), _array_key(stack), _frozen(stack_rows))
+                      _frozen(slots), _array_key(stack), stack_rows)
 
 
 def term_layout(index: Sequence[Sequence[int]]) -> TermLayout:
@@ -683,51 +676,48 @@ def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
                            np.concatenate(pattern_rows), owners, slots)
 
 
-def _curve_structure(curve):
-    """:func:`family_structure` of a curve: its first point's, with each
-    variable's centre replaced by the tuple of every point's centre."""
-    coeffs, signs, variables = family_structure(curve[0])
-    units = centre_units(curve[0].kind)
-    return coeffs, signs, tuple((V, tuple(unit * family.d for family in curve), scales)
-                                for (V, _centre, scales), unit in zip(variables, units))
-
-
-def _deterministic_grids(variables, detector: DetectorModel, rules: tuple):
-    """(x, y, w) per variable of a curve on ``rules``, one (shift, sizes)
-    pass of :func:`_ladder`, as :func:`_engine_pass` takes them.
-
-    The points of a curve share shift rules, whose x nodes are formed for
-    all of them at once from their memoized frame; the composite rule serves
-    one point at a time.
+def _deterministic_grids(curve, detector: DetectorModel, rules: tuple):
+    """(x, y, w) per variable of a curve's points on ``rules``, one (shift,
+    sizes) pass of :func:`_ladder`: per rule, the x nodes of every point,
+    shaped (points, n), and the y nodes; and ``w``, all x weights, then all
+    y weights.  Shift rules serve every point, each point's x nodes its
+    centre plus the memoized frame's offsets; the composite rule serves one
+    point.  Variables with equal nodes share a grid.
     """
+    first = curve[0]
+    _coeffs, _signs, variables = family_structure(first)
     shift, sizes = rules
-    grids = []
-    for V, centres, scales in variables:
-        sigma = _variable_sigma(V)
+    grids, out = {}, []
+    for (V, centre, scales), unit in zip(variables, centre_units(first.kind)):
         if shift:
-            offsets, ys, w = _shift_frame(sigma, sizes)
-            centres = np.array(centres)[:, None]
-            grids.append((tuple(centres + offset for offset in offsets), ys, w))
-            continue
-        (centre,) = centres
-        smax = max(abs(s) for s in scales.values())
-        eta_min = min(detector.eta_for(m) for m in scales)
-        axes = [(*_axis_rule(centre, sigma, smax, eta_min, order),
-                 *_axis_rule(0.0, sigma, smax, eta_min, order)) for order in sizes]
-        xs, wxs, ys, wys = zip(*axes)
-        grids.append((tuple(x[None] for x in xs), ys, np.concatenate(wxs + wys)))
-    return grids
+            key = unit
+            if key not in grids:
+                offsets, ys, w = _shift_frame(_variable_sigma(V), sizes)
+                centres = unit * np.array([family.d for family in curve])[:, None]
+                grids[key] = (tuple(centres + offset for offset in offsets), ys, w)
+        else:
+            smax = max(abs(s) for s in scales.values())
+            eta_min = min(detector.eta_for(m) for m in scales)
+            key = (centre, smax, eta_min)
+            if key not in grids:
+                sigma = _variable_sigma(V)
+                axes = [(*_axis_rule(centre, sigma, smax, eta_min, order),
+                         *_axis_rule(0.0, sigma, smax, eta_min, order)) for order in sizes]
+                xs, wxs, ys, wys = zip(*axes)
+                grids[key] = (tuple(x[None] for x in xs), ys, np.concatenate(wxs + wys))
+        out.append(grids[key])
+    return out
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
 def _deterministic_moments(curve: tuple, detector: DetectorModel, rules: tuple,
-                           patterns: tuple) -> _Moments:
-    """Memoized moments of a curve's points on one pass of :func:`_ladder`.
+                           patterns: tuple, stack_rows: tuple) -> tuple:
+    """Memoized moments of a curve's points on one pass of :func:`_ladder`,
+    in the stack order of a layout with ``patterns`` and ``stack_rows``.
     An optimizer's evaluations of one state share them.
     """
-    coeffs, signs, variables = _curve_structure(curve)
-    grids = _deterministic_grids(variables, detector, rules)
-    return _engine_pass(coeffs, signs, variables, patterns, detector, grids)
+    grids = _deterministic_grids(curve, detector, rules)
+    return _engine_pass(curve, detector, rules, patterns, stack_rows, grids)
 
 
 def estimate_curve(
@@ -758,7 +748,8 @@ def estimate_curve(
             f"{len(detector.eta)} per-mode efficiencies")
     angles = (_array_key(theta), _array_key(phase), layout.owners.size > 0)
     terms = len(layout.index) - len(layout.owners)
-    found = [[None] * terms for _family in curve]
+    # per point: None while every term is open, then each term's pair or None
+    found = [None] * len(curve)
     derivatives = [None] * len(curve)
     pending = list(range(len(curve)))
     previous = None
@@ -771,24 +762,33 @@ def estimate_curve(
         groups = [points] if shift else [(family,) for family in points]
         parts = []
         for group in groups:
-            moments = _deterministic_moments(group, detector, rules, layout.patterns)
+            moments = _deterministic_moments(group, detector, rules, layout.patterns,
+                                             layout.stack_rows)
             num, den = _terms(moments, angles, layout)
             parts.append(num / den)
-        values = np.concatenate(parts, axis=1)
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         # The first pass's last rule is checked against its first (a lone
         # rule against itself), a later pass's against the previous pass.
         if previous is None:
             previous = values[0]
         values = values[-1]
         errs = np.abs(values - previous)
+        head_values, head_errs = values[:, :terms], errs[:, :terms]
+        # One comparison finds the points whose every term meets rel_tol;
+        # the others test term by term, as a term that stopped stays put.
+        met = (head_errs <= config.rel_tol * np.maximum(np.abs(head_values), 1.0)).all(axis=1)
         climbing = []
-        for i, (p, point_values, point_errs) in enumerate(zip(
-                pending, values[:, :terms].tolist(), errs[:, :terms].tolist())):
+        for i, (p, point_values, point_errs, all_met) in enumerate(zip(
+                pending, head_values.tolist(), head_errs.tolist(), met.tolist())):
             point = found[p]
             # A derivative row takes each pass's value while its term is
             # open, so it keeps the one of the pass where the term stops.
-            if derivatives[p] is None:
+            if point is None:
                 derivatives[p] = values[i, terms:]
+                if all_met:
+                    found[p] = list(zip(point_values, point_errs))
+                    continue
+                point = found[p] = [None] * terms
             elif layout.owners.size:
                 still = np.array([result is None for result in point])[layout.owners]
                 derivatives[p] = np.where(still, values[i, terms:], derivatives[p])

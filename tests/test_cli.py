@@ -75,6 +75,19 @@ def test_scan_json_mirrors_csv(tmp_path, capsys):
         assert (text_row["violated"] == "true") == json_row["violated"]
 
 
+def test_only_json_scans_build_metadata(capsys, monkeypatch):
+    # the metadata (the config as a dict, the sorted provenances) goes only
+    # into JSON, so a CSV scan never builds it
+    built = []
+    asdict = cli.dataclasses.asdict
+    monkeypatch.setattr(cli.dataclasses, "asdict", lambda cfg: built.append(cfg) or asdict(cfg))
+    assert run(capsys, SCAN)[0] == 0
+    assert built == []
+    code, out, _err = run(capsys, SCAN + ["--format", "json"])
+    assert code == 0 and len(built) == 1
+    assert json.loads(out)["metadata"]["config"] == {"nodes_per_axis": 40, "rel_tol": 1e-7}
+
+
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
 def test_scan_has_no_sampling_flags(capsys, flag):
     # scan always integrates deterministically, so sampling knobs are refused
@@ -130,12 +143,12 @@ def test_scan_rejects_malformed_grid(capsys):
     assert "usage" in err
 
 
-@pytest.mark.parametrize("nodes", ["0", "51"])
+@pytest.mark.parametrize("nodes", ["0", "9", "51"])
 def test_scan_rejects_nodes_out_of_range(capsys, nodes):
     code, out, err = run(capsys, SCAN + ["--nodes", nodes])
     assert code == 1
     assert out == ""
-    assert f"nodes_per_axis must lie in [1, 50], got {nodes}" in err
+    assert f"nodes_per_axis must lie in [10, 50], got {nodes}" in err
     assert "Traceback" not in err
 
 

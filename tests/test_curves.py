@@ -84,9 +84,9 @@ def test_points_that_stop_at_different_levels(monkeypatch):
     calls = []
     memo = integration._deterministic_moments
 
-    def spy(curve, detector, rules, patterns):
+    def spy(curve, detector, rules, *layout):
         calls.append((rules, len(curve)))
-        return memo(curve, detector, rules, patterns)
+        return memo(curve, detector, rules, *layout)
 
     monkeypatch.setattr(integration, "_deterministic_moments", spy)
     spec = INEQUALITIES["svetlichny3"]

@@ -14,7 +14,8 @@ import pure_state_oracle
 import qubit_oracle
 from etsbell import integration
 from etsbell.errors import NonconvergenceError
-from etsbell.inequalities import INEQUALITIES, canonical_angles, evaluate_with_error
+from etsbell.inequalities import (INEQUALITIES, canonical_angles, evaluate_curve_with_error,
+                                  evaluate_with_error)
 from etsbell.integration import (
     QuadratureConfig,
     converged_correlation,
@@ -36,8 +37,12 @@ def test_config_validation():
     # the ladder climbs to 4·nodes_per_axis Hermite nodes, and hermgauss
     # stays sound up to 200 of them
     assert QuadratureConfig(nodes_per_axis=50).nodes_per_axis == 50
-    with pytest.raises(ValueError, match=r"nodes_per_axis must lie in \[1, 50\], got 51"):
+    with pytest.raises(ValueError, match=r"nodes_per_axis must lie in \[10, 50\], got 51"):
         QuadratureConfig(nodes_per_axis=51)
+    # below 10 the first pass's rules can agree by chance far from the integral
+    assert QuadratureConfig(nodes_per_axis=10).nodes_per_axis == 10
+    with pytest.raises(ValueError, match=r"nodes_per_axis must lie in \[10, 50\], got 9"):
+        QuadratureConfig(nodes_per_axis=9)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
 
@@ -181,6 +186,38 @@ def test_node_doubling_stability():
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
+def test_err_at_the_fewest_nodes_rarely_understates_the_deviation():
+    # At nodes_per_axis = 10, the fewest allowed, the reported err should
+    # bound the deviation from a fine reference (50 nodes, rel_tol 1e-13)
+    # within 10x plus roundoff.  It is no guarantee: the first pass's rules
+    # of n and 2n nodes can still agree by chance, and about 1 in 1,000
+    # seeded estimates strays past that bound, by up to a few hundred
+    # times; the 300 drawn here hold 2.  At n = 1, which the bound on
+    # nodes_per_axis now refuses, about 1 in 3 did.
+    rng = np.random.default_rng(61)
+    pairs = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
+             ("ghz3-kerr", "svetlichny3"), ("w3", "svetlichny3"), ("w3", "mermin3"),
+             ("ghz4-cond", "svetlichny4"), ("cluster4-cond", "wwzb4"),
+             ("cluster4-cond", "sasa"), ("cluster4-xkerr", "sasa"))
+    cases = 300
+    strays = []
+    for _ in range(cases):
+        family, name = pairs[rng.integers(len(pairs))]
+        spec = INEQUALITIES[name]
+        V = float(rng.uniform(1.0, 10.6))
+        point = StateFamily(FamilyKind(family), V, float(rng.uniform(0.0, 4.0 * math.sqrt(V))))
+        detector = DetectorModel(float(rng.uniform(0.3, 1.0)))
+        rel_tol = float(rng.choice([1e-5, 1e-7, 1e-9]))
+        angles = _random_angles(rng, spec)
+        reference, _err = evaluate_with_error(spec, point, angles, detector,
+                                              QuadratureConfig(50, 1e-13))
+        value, err = evaluate_with_error(spec, point, angles, detector,
+                                         QuadratureConfig(10, rel_tol))
+        if abs(value - reference) > 10.0 * err + 1e-12:
+            strays.append((family, name, point, rel_tol, value - reference, err))
+    assert len(strays) <= cases // 100, strays
+
+
 def test_uniform_detector_tuple_matches_scalar():
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
     a = converged_correlation(fam, EQUATORIAL, DetectorModel(0.55))
@@ -202,29 +239,33 @@ DENSE_NODES = 24
 def tensor_grids(monkeypatch):
     """Route the engine through the dense reference's Gauss-Hermite axes.
 
-    Both sides then sum over the same tensor nodes and must agree to
-    rounding.  The moment memo is cleared on entry and on exit, so no
-    moments formed on other grids are served here and none formed here
-    outlive the test.
+    Every rule of every pass, shift rule or composite, becomes the dense
+    reference's rule: its nodes around the centre, its weights, and one
+    node at σ = 0.  Both sides then sum over the same tensor nodes and must
+    agree to rounding.  Every bounded engine memo is cleared on entry and on
+    exit, so no plan or moments formed on other nodes are served here and
+    none formed here outlive the test.
     """
 
-    def tensor_axes(variables, detector, rules):
-        # a variable carries its curve's centres; x holds one row per point,
-        # and every rule of the pass takes the same axes
-        _shift, sizes = rules
-        grids = []
-        for V, centres, _scales in variables:
-            x = np.array([dense_reference.axis(c, V, DENSE_NODES)[0] for c in centres])
-            _x, wx = dense_reference.axis(centres[0], V, DENSE_NODES)
-            y, wy = dense_reference.axis(0.0, V, DENSE_NODES)
-            grids.append(((x,) * len(sizes), (y,) * len(sizes),
-                          np.concatenate((wx,) * len(sizes) + (wy,) * len(sizes))))
-        return grids
+    def dense_rule(sigma):
+        if sigma == 0.0:
+            return np.array([0.0]), np.array([1.0])
+        t, w = np.polynomial.hermite.hermgauss(DENSE_NODES)
+        return math.sqrt(2.0) * sigma * t, w / math.sqrt(math.pi)
 
-    monkeypatch.setattr(integration, "_deterministic_grids", tensor_axes)
-    integration._deterministic_moments.cache_clear()
+    def tensor_frame(sigma, sizes):
+        offsets, w = dense_rule(sigma)
+        return (offsets,) * len(sizes), (0.0 + offsets,) * len(sizes), np.tile(w, 2 * len(sizes))
+
+    def tensor_axis(mu, sigma, smax, eta_min, order):
+        offsets, w = dense_rule(sigma)
+        return mu + offsets, w
+
+    _clear_memos()
+    monkeypatch.setattr(integration, "_shift_frame", tensor_frame)
+    monkeypatch.setattr(integration, "_axis_rule", tensor_axis)
     yield DENSE_NODES
-    integration._deterministic_moments.cache_clear()
+    _clear_memos()
 
 
 def _detector_cases(modes: int):
@@ -366,18 +407,16 @@ def _lone_level_ladder(family, detector, layout, theta, phase, rel_tol):
     terms = len(layout.index) - len(layout.owners)
     table_key = (integration._array_key(theta), integration._array_key(phase),
                  layout.owners.size > 0)
-    # the curve of one point: each variable carries a tuple of one centre
-    coeffs, signs, variables = family_structure(family)
-    variables = tuple((V, (centre,), scales) for V, centre, scales in variables)
+    curve = (family,)
     found = [None] * terms
     levels = []
     ladder = integration._ladder(integration._variable_sigma(family.V),
                                  QuadratureConfig().nodes_per_axis)
     lone_rules = [(shift, (size,)) for shift, sizes in ladder for size in sizes]
     for level, rules in enumerate(lone_rules):
-        grids = integration._deterministic_grids(variables, detector, rules)
-        moments = integration._engine_pass(coeffs, signs, variables, layout.patterns,
-                                           detector, grids)
+        grids = integration._deterministic_grids(curve, detector, rules)
+        moments = integration._engine_pass(curve, detector, rules, layout.patterns,
+                                           layout.stack_rows, grids)
         num, den = integration._terms(moments, table_key, layout)
         ((values,),) = num / den
         errs = np.full(values.shape, math.inf) if not levels else np.abs(values - levels[-1])
@@ -440,13 +479,13 @@ def _spy_engine_passes(monkeypatch):
     engine_pass = integration._engine_pass
     deterministic_grids = integration._deterministic_grids
 
-    def pass_spy(coeffs, signs, variables, patterns, detector, grids):
+    def pass_spy(curve, detector, rules, patterns, stack_rows, grids):
         passes.append(grids)
-        return engine_pass(coeffs, signs, variables, patterns, detector, grids)
+        return engine_pass(curve, detector, rules, patterns, stack_rows, grids)
 
-    def grids_spy(variables, detector, rules):
+    def grids_spy(curve, detector, rules):
         levels.append(rules)
-        return deterministic_grids(variables, detector, rules)
+        return deterministic_grids(curve, detector, rules)
 
     monkeypatch.setattr(integration, "_engine_pass", pass_spy)
     monkeypatch.setattr(integration, "_deterministic_grids", grids_spy)
@@ -465,13 +504,12 @@ def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
     n = QuadratureConfig().nodes_per_axis
     assert levels == [(True, (n, 2 * n))]
     (grids,) = passes
-    _coeffs, _signs, variables = family_structure(family)
-    for (x, y, w), (V, centre, scales) in zip(grids, variables):
+    lone = [integration._deterministic_grids((family,), detector, (True, (size,)))
+            for size in (n, 2 * n)]
+    assert len(grids) == family.num_modes
+    for (x, y, w), (_x0, _y0, lone0), (_x1, _y1, lone1) in zip(grids, *lone):
         assert [part.shape for part in x] == [(1, n), (1, 2 * n)]
         assert [part.shape for part in y] == [(n,), (2 * n,)]
-        ((_x0, _y0, lone0),), ((_x1, _y1, lone1),) = (
-            integration._deterministic_grids(((V, (centre,), scales),), detector, (True, (size,)))
-            for size in (n, 2 * n))
         want = np.concatenate((lone0[:n], lone1[:2 * n], lone0[n:], lone1[2 * n:]))
         assert w.tobytes() == want.tobytes()
 
@@ -479,7 +517,7 @@ def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 1.6])
 def test_the_ladder_never_repeats_a_rule(sigma):
     # a rule checked against itself would report err 0 having checked nothing
-    for n in range(1, 51):
+    for n in range(10, 51):
         ladder = integration._ladder(sigma, n)
         for kind in (True, False):
             sizes = [size for shift, rules in ladder if shift is kind for size in rules]
@@ -609,9 +647,10 @@ def test_rotation_table_matches_scalar_matrices():
 
 
 def test_angle_memo_entries_are_read_only_and_fresh_bits():
-    # a memoized gather of a rotation table, and every frame entry (y moments, shift
-    # rule offsets and weights, branch weights and rows), is what a fresh
-    # build gives, bit for bit, and no caller can write into it
+    # a memoized gather of a rotation table, every shift frame entry (rule
+    # offsets and weights) and every pass plan entry (branch weights and rows,
+    # y moments, stack gather) is what a fresh build gives, bit for bit, and
+    # no caller can write into it
     spec = INEQUALITIES["svetlichny3"]
     family = StateFamily(FamilyKind.W3, 5.0, 1.2)
     coeffs, signs, _variables = family_structure(family)
@@ -625,31 +664,33 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
     entries = [(integration._angle_pairs(angles, layout.stack, key(rows)),
                 integration._branch_pairs(table, integration._keyed_array(layout.stack),
                                           rows))]
-    weights, rows_key = integration._branches(coeffs, signs)
-    assert rows_key == key(rows)
-    coeff_array = np.array(coeffs)
-    entries += [(weights, np.multiply.outer(coeff_array.conj(), coeff_array)),
-                (integration._keyed_array(rows_key), rows)]
-    sigma = integration._variable_sigma(family.V)
     n = QuadratureConfig().nodes_per_axis
+    plan = integration._pass_plan(FamilyKind.W3, 5.0, DetectorModel(0.7), (True, (n, 2 * n)),
+                                  layout.patterns, layout.stack_rows)
+    assert plan.rows == key(rows)
+    coeff_array = np.array(coeffs)
+    entries += [(plan.weights, np.multiply.outer(coeff_array.conj(), coeff_array)),
+                (integration._keyed_array(plan.rows), rows)]
+    sigma = integration._variable_sigma(family.V)
     offsets, ys, w = integration._shift_frame(sigma, (n, 2 * n))
     nodes = [np.polynomial.hermite.hermgauss(size) for size in (n, 2 * n)]
     for (t, _w), offset, y in zip(nodes, offsets, ys):
         entries += [(offset, math.sqrt(2.0) * sigma * t), (y, 0.0 + math.sqrt(2.0) * sigma * t)]
     level_weights = [w / math.sqrt(math.pi) for _t, w in nodes]
     entries.append((w, np.concatenate(level_weights + level_weights)))
-    # the y moments of w3's one variable, fully measured at η = 0.7, at both
-    # levels, as fresh arrays give them, Dawson's odd moments zeroed
-    per_mode = ((1.0, 0.7),) * 3
-    frame = integration._y_moments(tuple(key(y) for y in ys), key(w[len(w) // 2:]),
-                                   per_mode, ((False,) * 3,))
+    # the plan's y moments of w3's one variable, fully measured at η = 0.7,
+    # at both levels, as fresh arrays give them, Dawson's odd moments zeroed;
+    # and its gather, the Gram part on the pattern's row and the numerator
+    # part on every term and derivative row
+    ((_source, _factors, y_moments, gather),) = plan.groups
     y = np.concatenate(ys)
     factors = integration._y_factors(y, 1.0, 0.7, True)
-    for (a, b), moments in zip(((0, n), (n, 3 * n)), frame[0]):
+    for level, (a, b) in enumerate(((0, n), (n, 3 * n))):
         fresh = np.einsum("uax,ubx,ucx,x->uabc", *(factors[..., a:b],) * 3,
                           w[len(w) // 2:][a:b])
-        fresh[0][integration._odd_dawson((False,) * 3)] = 0.0
-        entries.append((moments, fresh))
+        fresh[0][np.indices((2, 2, 2)).sum(axis=0) % 2 == 1] = 0.0
+        entries.append((y_moments[level, 0, ..., 0], fresh))
+    entries.append((gather, np.array([1] + [0] * len(layout.index))))
     for entry, fresh in entries:
         assert entry.shape == fresh.shape
         assert entry.tobytes() == fresh.tobytes()
@@ -672,6 +713,52 @@ def _scalar_phase_derivative(rotation):
     c = math.cos(rotation.theta / 2.0)
     ph = cmath.exp(1j * rotation.phase)
     return np.array([[0.0, 1j * ph * c], [-1j * ph.conjugate() * c, 0.0]], dtype=complex)
+
+
+def test_pass_plan_memo_is_keyed_by_value_and_never_by_d():
+    # one plan per (kind, V, detector, ladder pass, layout), found by value;
+    # the moment memo is cleared before each evaluation so that every pass
+    # asks for its plan
+    spec = INEQUALITIES["svetlichny3"]
+    angles = canonical_angles(spec, FamilyKind.GHZ3_CONDITIONAL).angles
+    plans = integration._pass_plan
+
+    def curve_values(ds, V=5.0, eta=(0.7, 0.7, 0.7), config=None, functional=spec):
+        integration._deterministic_moments.cache_clear()
+        curve = [StateFamily(FamilyKind.GHZ3_CONDITIONAL, V, d) for d in ds]
+        return evaluate_curve_with_error(functional, curve, angles, DetectorModel(eta), config)
+
+    _clear_memos()
+    first = curve_values((0.5, 1.5))
+    made = plans.cache_info().currsize
+    assert made >= 1
+    # an equal-valued family and detector, built anew, find the same plans,
+    # and so do other displacements, each point keeping its bits
+    assert curve_values((0.5, 1.5)) == first
+    other = curve_values((0.3, 2.5, 4.0))
+    assert plans.cache_info().currsize == made
+    for d, result in zip((0.3, 2.5, 4.0), other):
+        _clear_memos()
+        alone = evaluate_with_error(spec, StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, d),
+                                    angles, DetectorModel((0.7, 0.7, 0.7)))
+        assert result == alone, d
+    # another V, η on one mode, ladder pass or layout makes plans of its own
+    variants = {"V": dict(V=6.0), "eta on one mode": dict(eta=(0.7, 0.7, 0.5)),
+                "ladder pass": dict(config=QuadratureConfig(nodes_per_axis=24)),
+                "layout": dict(functional=INEQUALITIES["mermin3"])}
+    for name, variant in variants.items():
+        before = plans.cache_info().currsize
+        curve_values((0.5, 1.5), **variant)
+        assert plans.cache_info().currsize > before, name
+    # and no caller can write into a plan
+    plan = integration._pass_plan(FamilyKind.GHZ3_CONDITIONAL, 5.0, DetectorModel(0.7),
+                                  (True, (40, 80)), spec._layout.patterns,
+                                  spec._layout.stack_rows)
+    for array in [plan.weights] + [a for group in plan.groups for a in group[2:]]:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+    _clear_memos()
 
 
 def test_moment_memo_never_serves_a_stale_entry():

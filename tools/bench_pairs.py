@@ -13,7 +13,9 @@ pairs (pair k runs the parent first when k is even), each from a
 working directory outside both checkouts.  Then each side makes one
 ``--trace 1`` run per workload, runs the tier-1 suite once, and times
 ``validate``, the w3 optimize scan and ``figure fig3``, ``fig4`` and ``fig7``
-in seven fresh interpreters each, alternating.
+in seven fresh interpreters each, alternating.  Last it runs
+``tools/compare_outputs.py``, which compares the same two sides value by
+value, and keeps its summary line.
 
 The file holds, per workload and end-to-end metric, both sides' medians,
 quartiles and the pairs the change won, every run's final JSON line, the
@@ -125,6 +127,14 @@ def _wall(checkout: Path, cwd: Path, command: list[str]) -> float:
     return round(time.perf_counter() - start, 3)
 
 
+def _compare_outputs() -> dict:
+    """The summary line and exit status of ``tools/compare_outputs.py``."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py")],
+                          cwd=ROOT, capture_output=True, text=True)
+    summary = [line for line in done.stdout.splitlines() if line.startswith("summary: ")]
+    return {"summary": summary[-1] if summary else None, "exit_status": done.returncode}
+
+
 def _quartiles(values: list[float]) -> tuple[float, float]:
     q1, _median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
@@ -201,6 +211,7 @@ def main(argv=None) -> int:
                                               for side in SIDES}}
     finally:
         shutil.rmtree(scratch)
+    outputs = _compare_outputs()
 
     medians, summary = _summaries(runs)
     host = reports["change"]
@@ -219,7 +230,9 @@ def main(argv=None) -> int:
             "its result and every metric. `wall` holds fresh-interpreter wall times of "
             "`python -m etsbell.cli validate`, of `scan --family w3 --inequality "
             "svetlichny3 --V 5 --d 1,3 --angles optimize` and of `figure fig3`, `fig4` and "
-            f"`fig7`, {WALL_RUNS} alternating runs per side. Written by tools/bench_pairs.py."),
+            f"`fig7`, {WALL_RUNS} alternating runs per side. `outputs` holds the summary line "
+            "and exit status of `python3 tools/compare_outputs.py`, which compares the two "
+            "sides' outputs value by value. Written by tools/bench_pairs.py."),
         "host": {key: host[key] for key in ("nproc", "python", "numpy", "scipy")},
         "src_lines": {side: reports[side]["src_lines"] for side in SIDES},
         "tier1": tier1,
@@ -228,6 +241,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "trace": trace,
         "wall": wall,
+        "outputs": outputs,
     }
     out.write_text(json.dumps(document, indent=2) + "\n")
     print(f"wrote {out}")

@@ -9,7 +9,8 @@ trees compute, each in fresh interpreters:
 
 - a seeded case set: nine (family, functional) pairs at V in {1, 2, 5, 10,
   20, 1000} and η in {0.3, 1, per mode}, each with random angles as a curve
-  of three displacements and as a single point; then crossing displacements,
+  of three displacements and as a single point, at the default tolerance
+  and at each ``rel_tol`` of ``REL_TOLS``; then crossing displacements,
   ``evaluate_with_gradient`` at random angles and one ``optimize_angles``
   run; then the refinement ladder's cases: w3 svetlichny3 at η = 0.7 with
   canonical angles, as a curve and as a point, at every ``nodes_per_axis``,
@@ -17,8 +18,9 @@ trees compute, each in fresh interpreters:
   passes, the composite tail, the wide ladder and nonconvergence.  Every
   number of an output is kept as its ``repr``.
 - the CLI outputs of ``figure fig2`` to ``fig7`` (``fig3`` also as JSON),
-  ``validate``, the w3 ``scan --angles optimize`` and a canonical ghz3-bs
-  ``scan --format json``, split into fields on commas and whitespace.
+  ``validate``, the w3 ``scan --angles optimize`` and a canonical
+  ``scan --format json`` of every (family, functional) pair with stored
+  angles, split into fields on commas and whitespace.
 
 For each output it prints ``identical``, or each value that moved with its
 ``repr`` before and after; then a summary line.  It exits 1 when anything
@@ -57,6 +59,17 @@ CLI_COMMANDS = {
                                    "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
                                    "--eta", "0.3,1", "--format", "json"],
 }
+# Every other (family, functional) pair with canonical angles, scanned on the
+# ghz3-bs grid and at V = 10⁶.
+CLI_COMMANDS.update({
+    f"{family} {name} scan --format json": [
+        "scan", "--family", family, "--inequality", name, "--V", "1,5,100,1000000",
+        "--d", "0.5,2,4", "--eta", "0.3,1", "--format", "json"]
+    for family, name in (("ghz3-bs", "mermin3"), ("ghz3-cond", "svetlichny3"),
+                         ("ghz3-cond", "mermin3"), ("ghz3-kerr", "svetlichny3"),
+                         ("w3", "svetlichny3"), ("ghz4-cond", "svetlichny4"),
+                         ("cluster4-cond", "wwzb4"), ("cluster4-xkerr", "wwzb4"),
+                         ("cluster4-cond", "sasa"), ("cluster4-xkerr", "sasa"))})
 PAIRS = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
          ("ghz3-kerr", "svetlichny3"), ("w3", "svetlichny3"), ("w3", "mermin3"),
          ("ghz4-cond", "svetlichny4"), ("cluster4-cond", "wwzb4"),
@@ -64,8 +77,10 @@ PAIRS = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
 V_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 1000.0)
 CROSSINGS = (("ghz3-cond", "svetlichny3"), ("ghz3-bs", "svetlichny3"),
              ("ghz4-cond", "svetlichny4"))
+# Tolerances of the seeded curves and points, None for the default
+REL_TOLS = (None, 1e-5, 1e-10)
 # (nodes_per_axis, rel_tol, V) of the ladder cases
-LADDER = ((1, 24, 50), (1e-7, 1e-12, 1e-16), (1.0, 5.0, 10.0, 1e6))
+LADDER = ((10, 24, 50), (1e-7, 1e-12, 1e-16), (1.0, 5.0, 10.0, 1e6))
 DEFAULT_SEED = 22
 
 
@@ -113,11 +128,17 @@ def _cases(seed: int) -> list:
                 curve = tuple(StateFamily(kind, V, float(d)) for d in np.sort(ds[:3]))
                 point = StateFamily(kind, V, float(ds[3]))
                 detector = DetectorModel(eta)
-                label = f"{family}/{name}/V={V:g}/eta={eta_label}"
-                cases.append((f"{label}/curve", lambda s=spec, c=curve, a=angles, t=detector:
-                              evaluate_curve_with_error(s, c, a, t)))
-                cases.append((f"{label}/point", lambda s=spec, p=point, a=angles, t=detector:
-                              evaluate_with_error(s, p, a, t)))
+                for rel_tol in REL_TOLS:
+                    config = None if rel_tol is None else QuadratureConfig(rel_tol=rel_tol)
+                    label = f"{family}/{name}/V={V:g}/eta={eta_label}"
+                    if rel_tol is not None:
+                        label += f"/rel_tol={rel_tol:g}"
+                    cases.append((f"{label}/curve",
+                                  lambda s=spec, c=curve, a=angles, t=detector, q=config:
+                                  evaluate_curve_with_error(s, c, a, t, q)))
+                    cases.append((f"{label}/point",
+                                  lambda s=spec, p=point, a=angles, t=detector, q=config:
+                                  evaluate_with_error(s, p, a, t, q)))
     for family, name in CROSSINGS:
         for V in (1.0, 5.0, 100.0):
             for eta in (0.8, 1.0):
