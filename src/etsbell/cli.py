@@ -174,76 +174,50 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 2 if failed else 0
 
 
-def _figure_d_grid(V: float, points: int = 60) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.geomspace(0.1, 10.0 * math.sqrt(V), points))
-
-
-def _closed_form_rows(kind: FamilyKind, spec: InequalitySpec, eta: float,
-                      V_values: Sequence[float], formula) -> list[dict]:
-    rows = []
-    for V in V_values:
-        for d in _figure_d_grid(V):
-            value = formula(V, d, eta)
-            rows.append(_row(kind, spec, V, d, eta, value, 0.0, value > spec.lr_bound))
-    return rows
-
-
-def _sweep_rows(kind: FamilyKind, spec: InequalitySpec, eta: float,
-                V_values: Sequence[float]) -> list[dict]:
-    rows = []
-    for V in V_values:
-        plan = SweepPlan(family=kind, spec=spec, V_grid=(V,),
-                         d_grid=_figure_d_grid(V), eta_grid=(eta,))
-        rows.extend(_row(kind, spec, row.V, row.d, row.eta, row.value, row.err, row.violated)
-                    for row in run_sweep(plan).rows)
-    return rows
-
-
-_FIGURE_HELP = {
-    "fig2": "three-party GHZ-type Svetlichny surface, closed form, η=0.1",
-    "fig3": "splitter vs conditional three-party crossing curves, η=0.3, V∈{5,10}",
-    "fig4": "W-type Svetlichny curve, η=1, V=10",
-    "fig5": "four-party GHZ-type Svetlichny surface, closed form, η=0.1",
-    "fig6": "stabilizer-functional surface on the cluster type, closed form, η=1",
-    "fig7": "WWZB curves on the cluster type, η=1, V∈{1,10}",
-}
-
 _SURFACE_V = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
-
-def _figure_rows(name: str) -> list[dict]:
-    if name == "fig2":
-        return _closed_form_rows(
-            FamilyKind.GHZ3_CONDITIONAL, INEQUALITIES["svetlichny3"], 0.1,
-            _SURFACE_V, lambda V, d, eta: svetlichny_ghz_closed(V, d, eta))
-    if name == "fig3":
-        rows = []
-        for kind in (FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_CONDITIONAL):
-            rows.extend(_sweep_rows(kind, INEQUALITIES["svetlichny3"], 0.3, (5.0, 10.0)))
-        return rows
-    if name == "fig4":
-        return _sweep_rows(FamilyKind.W3, INEQUALITIES["svetlichny3"], 1.0, (10.0,))
-    if name == "fig5":
-        return _closed_form_rows(
-            FamilyKind.GHZ4_CONDITIONAL, INEQUALITIES["svetlichny4"], 0.1,
-            _SURFACE_V, lambda V, d, eta: svetlichny_ghz4_closed(V, d, eta))
-    if name == "fig6":
-        return _closed_form_rows(
-            FamilyKind.CLUSTER4_CONDITIONAL, INEQUALITIES["sasa"], 1.0,
-            (1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0),
-            lambda V, d, eta: sasa_closed(V, d, eta))
-    if name == "fig7":
-        return _sweep_rows(FamilyKind.CLUSTER4_CONDITIONAL, INEQUALITIES["wwzb4"], 1.0,
-                           (1.0, 10.0))
-    raise ValueError(f"unknown figure {name!r}")
+# name -> (help text, curves); a curve is (family, functional, η, V values,
+# closed form, or None for the engine), emitted over the d grid of each V.
+_FIGURES = {
+    "fig2": ("three-party GHZ-type Svetlichny surface, closed form, η=0.1",
+             ((FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", 0.1, _SURFACE_V,
+               svetlichny_ghz_closed),)),
+    "fig3": ("splitter vs conditional three-party crossing curves, η=0.3, V∈{5,10}",
+             ((FamilyKind.GHZ3_BEAM_SPLITTER, "svetlichny3", 0.3, (5.0, 10.0), None),
+              (FamilyKind.GHZ3_CONDITIONAL, "svetlichny3", 0.3, (5.0, 10.0), None))),
+    "fig4": ("W-type Svetlichny curve, η=1, V=10",
+             ((FamilyKind.W3, "svetlichny3", 1.0, (10.0,), None),)),
+    "fig5": ("four-party GHZ-type Svetlichny surface, closed form, η=0.1",
+             ((FamilyKind.GHZ4_CONDITIONAL, "svetlichny4", 0.1, _SURFACE_V,
+               svetlichny_ghz4_closed),)),
+    "fig6": ("stabilizer-functional surface on the cluster type, closed form, η=1",
+             ((FamilyKind.CLUSTER4_CONDITIONAL, "sasa", 1.0,
+               (1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0), sasa_closed),)),
+    "fig7": ("WWZB curves on the cluster type, η=1, V∈{1,10}",
+             ((FamilyKind.CLUSTER4_CONDITIONAL, "wwzb4", 1.0, (1.0, 10.0), None),)),
+}
 
 
 def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    rows = _figure_rows(args.name)
+    description, curves = _FIGURES[args.name]
+    rows = []
+    for kind, name, eta, V_values, closed_form in curves:
+        spec = INEQUALITIES[name]
+        for V in V_values:
+            d_grid = tuple(float(v) for v in np.geomspace(0.1, 10.0 * math.sqrt(V), 60))
+            if closed_form is None:
+                plan = SweepPlan(family=kind, spec=spec, V_grid=(V,), d_grid=d_grid,
+                                 eta_grid=(eta,))
+                rows.extend(_row(kind, spec, row.V, row.d, row.eta, row.value, row.err,
+                                 row.violated) for row in run_sweep(plan).rows)
+            else:
+                for d in d_grid:
+                    value = closed_form(V, d, eta)
+                    rows.append(_row(kind, spec, V, d, eta, value, 0.0, value > spec.lr_bound))
     metadata = {
         "version": __version__,
         "figure": args.name,
-        "description": _FIGURE_HELP[args.name],
+        "description": description,
         "grid": "60 d-points log-spaced on [0.1, 10√V] per V",
     }
     out = args.out if args.out is not None else f"{args.name}.{args.format}"
@@ -308,7 +282,7 @@ def build_parser() -> _Parser:
     scan.add_argument("--format", default="csv", choices=("csv", "json"))
 
     figure = sub.add_parser("figure", help="emit the grid behind a named figure")
-    figure.add_argument("name", choices=sorted(_FIGURE_HELP))
+    figure.add_argument("name", choices=sorted(_FIGURES))
     figure.add_argument("--out", default=None, help="output path (default: <name>.<format>)")
     figure.add_argument("--format", default="csv", choices=("csv", "json"))
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check that
+every constructor applies to its numeric fields."""
+
+import numbers
 
 
 class EtsError(Exception):
@@ -25,3 +28,11 @@ class UnsupportedAngleSetError(EtsError, KeyError):
 
 class NoCrossingError(EtsError, RuntimeError):
     """A functional never reaches its local-realistic bound on the search interval."""
+
+
+def require_number(name: str, value, kind=numbers.Real) -> None:
+    """Raise :class:`TypeError`, naming the field, unless ``value`` is a
+    number of ``kind``; a bool is not, though Python counts it as one."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")

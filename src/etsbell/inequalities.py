@@ -3,8 +3,8 @@
 Each inequality is a signed sum of correlation terms.  A term assigns every
 party one of its setting indices, or leaves the party out entirely (the
 stabilizer-derived four-party functional does this with its second party).
-Evaluation plugs any correlator in, so the same tables drive the thermal-state
-engine, closed forms and spin-model cross-checks.
+Evaluation sums the terms as the thermal-state engine estimates them;
+:func:`partition_bound` enumerates the local and the bipartite bounds.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .errors import NonconvergenceError, RotationError, UnsupportedAngleSetError
 # perfbench wraps the two single-term estimators by their names here.
 from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
                           converged_correlation, estimate_correlation, estimate_curve,
-                          estimate_terms, gradient_layout, point_result, rotation_angles,
-                          term_layout)
+                          gradient_layout, point_result, rotation_angles, term_layout)
 from .measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation, zx_rotation
 from .states import FamilyKind, StateFamily
 
@@ -38,6 +37,9 @@ OPTIMIZER_REL_TOL = 1e-5
 #: the optimizer 3.9e-6 below the optimum of ghz3-kerr at V = 5, d = 3,
 #: η = 0.8, where the gradient was 2.4e-6.
 _GRADIENT_TOL = 1e-8
+
+#: Seed of the angle optimizer's random restarts, so that a run repeats.
+_RESTART_SEED = 20260815
 
 #: BFGS iterations per angle before a restart counts as stalled, the strong
 #: Wolfe constants c₁ and c₂, and the trials each line search phase may take.
@@ -174,12 +176,6 @@ def get_inequality(name: str) -> InequalitySpec:
             f"unknown inequality {name!r}; choose from {sorted(INEQUALITIES)}") from None
 
 
-def functional_value(spec: InequalitySpec,
-                     correlator: Callable[[TermIndices], float]) -> float:
-    """Signed sum Σ sign·correlator(indices) without the closing modulus."""
-    return math.fsum(sign * correlator(indices) for sign, indices in spec.terms)
-
-
 def evaluate(
     spec: InequalitySpec,
     family: StateFamily,
@@ -265,7 +261,8 @@ def evaluate_with_gradient(
     theta = np.ascontiguousarray(x[0::2])
     phase = x[1::2] % _TWO_PI
     layout = spec._gradient_layout
-    results, derivatives = estimate_terms(family, theta, phase, layout, detector, config)
+    results, derivatives = point_result(
+        *estimate_curve((family,), theta, phase, layout, detector, config))
     total = math.fsum(sign * value
                       for (sign, _indices), (value, _err) in zip(spec.terms, results))
     gradient = np.bincount(layout.slots, weights=spec._derivative_signs * derivatives,
@@ -486,7 +483,6 @@ def optimize_angles(
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
     restarts: int = 20,
-    seed: int = 20260815,
 ) -> OptimizationResult:
     """Maximize |functional| over all measurement angles with BFGS.
 
@@ -503,7 +499,7 @@ def optimize_angles(
     if config is None:
         config = QuadratureConfig(rel_tol=OPTIMIZER_REL_TOL)
     nparams = 2 * sum(spec.settings_per_party)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RESTART_SEED)
     starts = [rng.uniform(0.0, 2.0 * math.pi, size=nparams) for _ in range(restarts)]
     try:
         canonical = canonical_angles(spec, family.kind)
@@ -532,66 +528,37 @@ def optimize_angles(
     )
 
 
-def deterministic_bound(spec: InequalitySpec,
-                        terms: Sequence[tuple[int, TermIndices]] | None = None) -> float:
-    """Exhaustive maximum of |functional| over local deterministic models.
+def partition_bound(spec: InequalitySpec, partitions: Sequence[Sequence[Sequence[int]]],
+                    terms: Sequence[tuple[int, TermIndices]] | None = None) -> float:
+    """Exhaustive maximum of |functional| over the models in which the
+    parties split into the groups of one of ``partitions``.
 
-    Every party assigns a fixed ±1 outcome to each of its settings; parties a
-    term leaves unmeasured contribute a factor of one.
+    A partition is a sequence of groups, each a sequence of parties.  Each
+    group answers jointly: its outcome is any ±1 function of its members'
+    joint settings.  A party a term leaves unmeasured contributes a factor
+    of one, which only a group of one party can give.  Every party alone is
+    the fully local model; every split into two is the model a genuine
+    multipartite test must beat (Svetlichny, Phys. Rev. D 35, 3066 (1987)).
     """
     terms = tuple(terms) if terms is not None else spec.terms
-    per_party = [
-        list(itertools.product((1, -1), repeat=count))
-        for count in spec.settings_per_party
-    ]
-    best = 0.0
-    for assignment in itertools.product(*per_party):
-        total = 0
-        for sign, indices in terms:
-            prod = sign
-            for p, idx in enumerate(indices):
-                if idx is not UNMEASURED:
-                    prod *= assignment[p][idx]
-            total += prod
-        best = max(best, abs(total))
-    return float(best)
-
-
-def hybrid_partition_bound(spec: InequalitySpec,
-                           terms: Sequence[tuple[int, TermIndices]] | None = None) -> float:
-    """Exhaustive maximum over two-group models with arbitrary in-group strategies.
-
-    Parties split into two nonempty groups; each group's joint outcome is an
-    arbitrary ±1 function of the group's joint settings.  This is the bound a
-    genuine-multipartite test must beat.  Terms must measure every party.
-    """
-    terms = tuple(terms) if terms is not None else spec.terms
-    for _sign, indices in terms:
-        if UNMEASURED in indices:
-            raise ValueError("partition bounds need every party measured in every term")
-    n = spec.parties
-    best = 0.0
-    for mask in range(1, 1 << n):
-        if not mask & 1 or mask == (1 << n) - 1:
-            continue
-        group_a = [p for p in range(n) if mask >> p & 1]
-        group_b = [p for p in range(n) if not mask >> p & 1]
-        combos_a = list(itertools.product(*(range(spec.settings_per_party[p]) for p in group_a)))
-        combos_b = list(itertools.product(*(range(spec.settings_per_party[p]) for p in group_b)))
-        index_a = {c: k for k, c in enumerate(combos_a)}
-        index_b = {c: k for k, c in enumerate(combos_b)}
-        term_keys = [
-            (sign,
-             index_a[tuple(indices[p] for p in group_a)],
-             index_b[tuple(indices[p] for p in group_b)])
-            for sign, indices in terms
-        ]
-        for f_a in itertools.product((1, -1), repeat=len(combos_a)):
-            for f_b in itertools.product((1, -1), repeat=len(combos_b)):
-                total = 0
-                for sign, ka, kb in term_keys:
-                    total += sign * f_a[ka] * f_b[kb]
-                best = max(best, abs(total))
+    best = 0
+    for partition in partitions:
+        # the signed product of every answer assignment so far, per term
+        totals = np.array([[sign for sign, _indices in terms]])
+        for group in partition:
+            shape = [spec.settings_per_party[p] for p in group]
+            joints = [[indices[p] for p in group] for _sign, indices in terms]
+            if len(group) > 1 and any(UNMEASURED in joint for joint in joints):
+                raise ValueError("partition bounds need every party measured in every term")
+            # one row per ±1 function of the group's joint settings, and a
+            # last column of ones that an unmeasured party reads
+            size = math.prod(shape)
+            answers = np.ones((1 << size, size + 1), dtype=int)
+            answers[:, :size] -= 2 * (np.arange(1 << size)[:, None] >> np.arange(size) & 1)
+            keys = [-1 if UNMEASURED in joint else np.ravel_multi_index(joint, shape)
+                    for joint in joints]
+            totals = (totals[:, None, :] * answers[None, :, keys]).reshape(-1, len(terms))
+        best = max(best, int(np.abs(totals.sum(axis=1)).max()))
     return float(best)
 
 
@@ -609,8 +576,12 @@ def verify_lr_bound(spec: InequalitySpec, flip_term: int | None = None) -> bool:
                 f"flip_term must lie in [0, {len(terms)}) for {spec.name}, got {flip_term}")
         sign, indices = terms[flip_term]
         terms[flip_term] = (-sign, indices)
+    n = spec.parties
     if spec.name.startswith("svetlichny"):
-        bound = hybrid_partition_bound(spec, terms)
+        # every split into two nonempty groups, once each: party 0 in the first
+        partitions = [[[p for p in range(n) if mask >> p & 1],
+                       [p for p in range(n) if not mask >> p & 1]]
+                      for mask in range(1, (1 << n) - 1, 2)]
     else:
-        bound = deterministic_bound(spec, terms)
-    return bound == spec.lr_bound
+        partitions = [[(p,) for p in range(n)]]
+    return partition_bound(spec, partitions, terms) == spec.lr_bound

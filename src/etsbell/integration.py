@@ -101,7 +101,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from ._special import dawsn, erf
-from .errors import NonconvergenceError
+from .errors import NonconvergenceError, require_number
 from .measurement import DetectorModel, EffectiveRotation
 from .states import StateFamily, centre_units, family_structure
 
@@ -165,9 +165,8 @@ class QuadratureConfig:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if isinstance(self.nodes_per_axis, bool) or not isinstance(self.nodes_per_axis,
-                                                                    numbers.Integral):
-            raise TypeError(f"nodes_per_axis must be an integer, got {self.nodes_per_axis!r}")
+        require_number("nodes_per_axis", self.nodes_per_axis, numbers.Integral)
+        require_number("rel_tol", self.rel_tol)
         if not (_MIN_NODES_PER_AXIS <= self.nodes_per_axis <= _MAX_NODES_PER_AXIS):
             raise ValueError(f"nodes_per_axis must lie in [{_MIN_NODES_PER_AXIS}, "
                              f"{_MAX_NODES_PER_AXIS}], got {self.nodes_per_axis}")
@@ -621,7 +620,7 @@ class TermLayout(NamedTuple):
 
 
 def rotation_angles(rotations: Sequence[EffectiveRotation]) -> tuple[np.ndarray, np.ndarray]:
-    """The θ and γ arrays of ``rotations``, as :func:`estimate_terms` takes them."""
+    """The θ and γ arrays of ``rotations``, as :func:`estimate_curve` takes them."""
     return (np.array([r.theta for r in rotations], dtype=float),
             np.array([r.phase for r in rotations], dtype=float))
 
@@ -728,9 +727,20 @@ def estimate_curve(
     detector: DetectorModel | None = None,
     config: QuadratureConfig | None = None,
 ) -> list:
-    """:func:`estimate_terms` at every point of a curve (see the module
-    docstring): per point in order, the pair it returns, or the
-    :class:`NonconvergenceError` it raises."""
+    """Correlation of outcome signs for each term of ``layout``, with an error
+    estimate, at every point of a curve (see the module docstring): per
+    point in order, the pair (each term's (value, err), the values of the
+    layout's derivative rows), or the :class:`NonconvergenceError` of its
+    first term whose ladder runs out.
+
+    Row r measures mode m with rotation ``layout.index[r, m]`` of the
+    ``theta`` and ``phase`` arrays (phases already reduced to [0, 2π)).
+    Each term stops at its own first pass of :func:`_ladder` whose change
+    from the previous rule meets ``rel_tol`` (relative, floored at one,
+    since correlations are order one), and its derivative rows are read at
+    that pass.  A single estimate is a curve of one point, which
+    :func:`point_result` reads.
+    """
     curve = tuple(curve)
     if not curve:
         raise ValueError("a curve needs at least one point")
@@ -819,30 +829,6 @@ def point_result(outcome):
     return outcome
 
 
-def estimate_terms(
-    family: StateFamily,
-    theta: np.ndarray,
-    phase: np.ndarray,
-    layout: TermLayout,
-    detector: DetectorModel | None = None,
-    config: QuadratureConfig | None = None,
-) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Correlation of outcome signs for each term of ``layout``, with an error
-    estimate, and the values of the layout's derivative rows.
-
-    Row r measures mode m with rotation ``layout.index[r, m]`` of the
-    ``theta`` and ``phase`` arrays (phases already reduced to [0, 2π));
-    all rows share one pass per refinement step.  Each term stops at its
-    own first step that meets ``rel_tol`` (relative, floored at one, since
-    correlations are order one), and its derivative rows are read at that
-    step.  Each step refines the per-axis rule and reports the change from
-    the previous rule (see :func:`_ladder`).  Raises
-    :class:`NonconvergenceError` for the first term whose ladder is
-    exhausted.  This is the curve of one point of :func:`estimate_curve`.
-    """
-    return point_result(*estimate_curve((family,), theta, phase, layout, detector, config))
-
-
 def estimate_correlation(
     family: StateFamily,
     rotations: Sequence[EffectiveRotation | None],
@@ -852,8 +838,8 @@ def estimate_correlation(
     """Correlation of outcome signs with an error estimate.
 
     ``rotations`` holds one entry per mode: its rotation, or None for a mode
-    the correlation leaves unmeasured.  This is the one-term case of
-    :func:`estimate_terms`.
+    the correlation leaves unmeasured.  This is the one-term, one-point
+    case of :func:`estimate_curve`.
     """
     modes = family.num_modes
     if len(rotations) != modes:
@@ -861,8 +847,8 @@ def estimate_correlation(
     position = itertools.count()
     index = [-1 if rotation is None else next(position) for rotation in rotations]
     measured = [rotation for rotation in rotations if rotation is not None]
-    (result,), _derivatives = estimate_terms(family, *rotation_angles(measured),
-                                             term_layout([index]), detector, config)
+    (result,), _derivatives = point_result(*estimate_curve(
+        (family,), *rotation_angles(measured), term_layout([index]), detector, config))
     return result
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RotationError
+from .errors import RotationError, require_number
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,6 +71,7 @@ class DetectorModel:
             raise ValueError("per-mode detector efficiencies need at least one mode")
         values = self.eta if isinstance(self.eta, tuple) else (self.eta,)
         for e in values:
+            require_number("eta", e)
             if not (0.0 < e <= 1.0):
                 raise ValueError(f"detector efficiency must lie in (0, 1], got {e}")
 

@@ -15,6 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .errors import require_number
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 
@@ -75,6 +77,8 @@ class StateFamily:
     def __post_init__(self):
         if not isinstance(self.kind, FamilyKind):
             raise TypeError(f"kind must be a FamilyKind, got {self.kind!r}")
+        require_number("V", self.V)
+        require_number("d", self.d)
         if not 1.0 <= self.V < math.inf:
             raise ValueError(f"V must be finite and >= 1, got {self.V}")
         if not 0.0 <= self.d < math.inf:

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import inspect
 import json
 import math
 import os
@@ -399,3 +400,11 @@ def test_no_package_module_imports_scipy():
                       if name.split(".")[0] == "scipy"]
     assert len(list(package.glob("*.py"))) > 5
     assert found == []
+
+
+def test_public_names_hold_no_module():
+    # importing a name from a submodule binds the submodule in the package
+    # too; the public surface lists the names, not the modules
+    assert not [name for name in etsbell.__all__
+                if inspect.ismodule(getattr(etsbell, name))]
+    assert "partition_bound" in etsbell.__all__

@@ -50,3 +50,10 @@ def test_a_cli_field_that_moves_is_reported(tool):
     after = {"cli scan": tool.split_output("family,V,value\nw3,5,2.21820803368\n")}
     assert tool.differences(before, after) == {
         "cli scan": ["line 2 field 3: 2.21820803367 -> 2.21820803368"]}
+
+
+def test_every_flippable_term_is_compared(tool):
+    # the tool keeps its own copy of the count, so that it imports without etsbell
+    from etsbell.validation import FLIPPABLE_TERMS
+
+    assert tool.FLIPPABLE_TERMS == FLIPPABLE_TERMS

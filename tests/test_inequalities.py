@@ -1,7 +1,9 @@
 """Functional definitions, canonical angles, and local-realistic bounds."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -17,13 +19,11 @@ from etsbell.inequalities import (
     WWZB4,
     InequalitySpec,
     canonical_angles,
-    deterministic_bound,
     evaluate,
     evaluate_with_error,
-    functional_value,
     get_inequality,
-    hybrid_partition_bound,
     optimize_angles,
+    partition_bound,
     verify_lr_bound,
 )
 from etsbell.integration import QuadratureConfig
@@ -53,7 +53,7 @@ def spin_functional(spec, kind):
                 pairs.append((rot.theta, rot.phase))
         return qubit_oracle.correlation(state, pairs)
 
-    return functional_value(spec, corr)
+    return math.fsum(sign * corr(indices) for sign, indices in spec.terms)
 
 
 def test_registry_contents():
@@ -174,21 +174,81 @@ def test_layout_marks_unmeasured_parties():
     assert index[0, 0] >= 0
 
 
+def _singletons(parties):
+    return [[(p,) for p in range(parties)]]
+
+
+def _bipartitions(parties):
+    """Every split into two nonempty groups, party 0 in the first."""
+    rest = range(1, parties)
+    return [[(0, *first), tuple(p for p in rest if p not in first)]
+            for size in range(parties - 1) for first in itertools.combinations(rest, size)]
+
+
 def test_deterministic_bounds():
-    assert deterministic_bound(MERMIN3) == pytest.approx(2.0)
-    assert deterministic_bound(SVETLICHNY3) == pytest.approx(4.0)
+    assert partition_bound(MERMIN3, _singletons(3)) == pytest.approx(2.0)
+    assert partition_bound(SVETLICHNY3, _singletons(3)) == pytest.approx(4.0)
     # the hybrid bipartition bound 8 is what the registry quotes here;
     # unrestricted product strategies only reach 4
-    assert deterministic_bound(SVETLICHNY4) == pytest.approx(4.0)
-    assert deterministic_bound(WWZB4) == pytest.approx(4.0)
-    assert deterministic_bound(SASA) == pytest.approx(2.0)
+    assert partition_bound(SVETLICHNY4, _singletons(4)) == pytest.approx(4.0)
+    assert partition_bound(WWZB4, _singletons(4)) == pytest.approx(4.0)
+    assert partition_bound(SASA, _singletons(4)) == pytest.approx(2.0)
 
 
 def test_hybrid_partition_bounds():
-    assert hybrid_partition_bound(SVETLICHNY3) == pytest.approx(4.0)
-    assert hybrid_partition_bound(SVETLICHNY4) == pytest.approx(8.0)
+    assert partition_bound(SVETLICHNY3, _bipartitions(3)) == pytest.approx(4.0)
+    assert partition_bound(SVETLICHNY4, _bipartitions(4)) == pytest.approx(8.0)
     with pytest.raises(ValueError):
-        hybrid_partition_bound(SASA)
+        partition_bound(SASA, _bipartitions(4))
+
+
+def _brute_bound(per_party, terms, partition):
+    """max |Σ sign·Π_g f_g(joint settings of g)| over every choice of ±1
+    functions f_g, by listing each group's functions as dicts."""
+    tables = []
+    for group in partition:
+        joints = list(itertools.product(*(range(per_party[p]) for p in group)))
+        tables.append([dict(zip(joints, outcomes))
+                       for outcomes in itertools.product((1, -1), repeat=len(joints))])
+    best = 0
+    for functions in itertools.product(*tables):
+        total = 0
+        for sign, indices in terms:
+            product = sign
+            for group, f in zip(partition, functions):
+                joint = tuple(indices[p] for p in group)
+                product *= 1 if None in joint else f[joint]
+            total += product
+        best = max(best, abs(total))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partition_bound_equals_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    parties = 3 + seed % 2
+    per_party = tuple(int(s) for s in rng.integers(1, 3, parties))
+    count = int(rng.integers(1, 9))
+
+    def table(unmeasured):
+        return tuple(
+            (int(rng.choice((-1, 1))),
+             tuple(None if unmeasured and rng.random() < 0.25 else int(rng.integers(s))
+                   for s in per_party))
+            for _ in range(count))
+
+    spec = InequalitySpec("random", parties, per_party, table(False), 0.0, 0.0)
+    local = partition_bound(spec, _singletons(parties))
+    bipartite = partition_bound(spec, _bipartitions(parties))
+    for partition in _bipartitions(parties):
+        assert partition_bound(spec, [partition]) == _brute_bound(per_party, spec.terms,
+                                                                  partition)
+    assert local == _brute_bound(per_party, spec.terms, _singletons(parties)[0])
+    assert local <= bipartite <= count
+    # a party a term leaves out counts one, alone in its group
+    terms = table(True)
+    assert partition_bound(spec, _singletons(parties), terms) == _brute_bound(
+        per_party, terms, _singletons(parties)[0]) <= count
 
 
 def test_verify_lr_bound_and_mutations():
@@ -221,7 +281,7 @@ def test_deterministic_strategies_respect_lr_bound(bits):
             out *= assignments[(party, idx)]
         return out
 
-    value = abs(functional_value(SVETLICHNY3, corr))
+    value = abs(math.fsum(sign * corr(indices) for sign, indices in SVETLICHNY3.terms))
     assert value <= SVETLICHNY3.lr_bound + 1e-12
 
 

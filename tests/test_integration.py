@@ -20,7 +20,8 @@ from etsbell.integration import (
     QuadratureConfig,
     converged_correlation,
     estimate_correlation,
-    estimate_terms,
+    estimate_curve,
+    point_result,
 )
 from etsbell.measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation
 from etsbell.oracles import ghz_correlation_closed
@@ -45,6 +46,9 @@ def test_config_validation():
         QuadratureConfig(nodes_per_axis=9)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    # True used to run as a tolerance of 1
+    with pytest.raises(TypeError, match="rel_tol must be a real number, got True"):
+        QuadratureConfig(rel_tol=True)
 
 
 @pytest.mark.parametrize("nodes", [40.5, True, "40"])
@@ -293,8 +297,9 @@ def _estimate_stack(family, stack, detector=None, config=None):
     position = itertools.count()
     index = [[-1 if r is None else next(position) for r in term] for term in stack]
     rotations = [r for term in stack for r in term if r is not None]
-    results, _derivatives = estimate_terms(family, *integration.rotation_angles(rotations),
-                                           integration.term_layout(index), detector, config)
+    results, _derivatives = point_result(*estimate_curve(
+        (family,), *integration.rotation_angles(rotations), integration.term_layout(index),
+        detector, config))
     return results
 
 
@@ -384,8 +389,8 @@ def test_stacked_call_equals_one_term_calls(config):
         # nor on the index it is gathered through: the functional's own
         # layout shares each party setting's rotation among its terms
         rotations = [r for party in angles for r in party]
-        results, derivatives = estimate_terms(family, *integration.rotation_angles(rotations),
-                                              spec._layout, detector, config)
+        results, derivatives = point_result(*estimate_curve(
+            (family,), *integration.rotation_angles(rotations), spec._layout, detector, config))
         assert results == stacked
         assert derivatives.size == 0
         # nor on where it sits: the stack reversed, and one term repeated at
@@ -463,8 +468,8 @@ def test_stacked_levels_equal_lone_level_contractions():
     found, levels, _errs = _lone_level_ladder(family, detector, layout, theta, phase, 1e-13)
     stops = [level for _result, level in found]
     assert len(set(stops)) > 1
-    results, derivatives = estimate_terms(family, theta, phase, layout, detector,
-                                          QuadratureConfig(rel_tol=1e-13))
+    results, derivatives = point_result(*estimate_curve(
+        (family,), theta, phase, layout, detector, QuadratureConfig(rel_tol=1e-13)))
     assert results == [result for result, _level in found]
     terms = len(found)
     want = [levels[stops[owner]][terms + j] for j, owner in enumerate(layout.owners)]

@@ -71,6 +71,10 @@ def test_detector_model_validation():
         DetectorModel(1.2)
     with pytest.raises(ValueError):
         DetectorModel((0.5, -0.1, 0.9))
+    # a bool or a string is no efficiency, alone or per mode
+    for eta in (True, "0.5", (0.5, True, 1, 1)):
+        with pytest.raises(TypeError, match="eta must be a real number"):
+            DetectorModel(eta)
     det = DetectorModel((0.4, 0.7, 1.0))
     assert det.eta_for(1) == 0.7
 

@@ -89,6 +89,13 @@ def test_family_validation():
         StateFamily(FamilyKind.W3, V=0.5, d=1.0)
     with pytest.raises(ValueError):
         StateFamily(FamilyKind.W3, V=2.0, d=-1.0)
+    # a bool or a string is no parameter, though True == 1 and False == 0
+    with pytest.raises(TypeError, match="V must be a real number, got True"):
+        StateFamily(FamilyKind.W3, V=True, d=1.0)
+    with pytest.raises(TypeError, match="V must be a real number, got '5'"):
+        StateFamily(FamilyKind.W3, V="5", d=1.0)
+    with pytest.raises(TypeError, match="d must be a real number, got False"):
+        StateFamily(FamilyKind.W3, V=2.0, d=False)
 
 
 def test_family_rejects_a_kind_given_by_name():

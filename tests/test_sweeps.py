@@ -103,7 +103,7 @@ def test_optimized_cells_name_their_stalled_restarts(monkeypatch):
     # provenance; one with stalled restarts says how many of how many
     stalled = {1.0: 0, 5.0: 1}
 
-    def fake_optimize_angles(spec, family, detector=None, config=None, restarts=4, seed=0):
+    def fake_optimize_angles(spec, family, detector=None, config=None, restarts=4):
         angles = canonical_angles(spec, family.kind).angles
         return OptimizationResult(value=0.0, angles=angles, start_index=0,
                                   restarts=restarts, stalled=stalled[family.V])

@@ -17,10 +17,11 @@ trees compute, each in fresh interpreters:
   ``rel_tol`` and V of ``LADDER``, which walk the delta rule, both Hermite
   passes, the composite tail, the wide ladder and nonconvergence.  Every
   number of an output is kept as its ``repr``.
-- the CLI outputs of ``figure fig2`` to ``fig7`` (``fig3`` also as JSON),
-  ``validate``, the w3 ``scan --angles optimize`` and a canonical
-  ``scan --format json`` of every (family, functional) pair with stored
-  angles, split into fields on commas and whitespace.
+- the CLI outputs of ``figure fig2`` to ``fig7`` as CSV and as JSON,
+  ``validate``, ``validate --checks lr-bounds --flip-sign k`` for every
+  term index k the flip accepts, the w3 ``scan --angles optimize`` and a
+  canonical ``scan --format json`` of every (family, functional) pair with
+  stored angles, split into fields on commas and whitespace.
 
 For each output it prints ``identical``, or each value that moved with its
 ``repr`` before and after; then a summary line.  It exits 1 when anything
@@ -44,21 +45,26 @@ from pathlib import Path
 
 from bench_pairs import PARENT, ROOT, _export
 
-CLI_COMMANDS = {
-    "figure fig2": ["figure", "fig2"],
-    "figure fig3": ["figure", "fig3"],
-    "figure fig3 --format json": ["figure", "fig3", "--format", "json"],
-    "figure fig4": ["figure", "fig4"],
-    "figure fig5": ["figure", "fig5"],
-    "figure fig6": ["figure", "fig6"],
-    "figure fig7": ["figure", "fig7"],
-    "validate": ["validate"],
+# The term indices ``validate --flip-sign`` accepts: etsbell.validation's
+# FLIPPABLE_TERMS, kept here so that importing the tool needs no etsbell.
+FLIPPABLE_TERMS = 4
+
+CLI_COMMANDS = {f"figure {name}{flags}": ["figure", name, *flags.split()]
+                for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+                for flags in ("", " --format json")}
+# validate, then each sign flip's mutation verdicts of the bound enumerator
+CLI_COMMANDS["validate"] = ["validate"]
+CLI_COMMANDS.update({
+    f"validate --checks lr-bounds --flip-sign {k}": [
+        "validate", "--checks", "lr-bounds", "--flip-sign", str(k)]
+    for k in range(FLIPPABLE_TERMS)})
+CLI_COMMANDS.update({
     "w3 scan --angles optimize": ["scan", "--family", "w3", "--inequality", "svetlichny3",
                                   "--V", "5", "--d", "1,3", "--angles", "optimize"],
     "ghz3-bs scan --format json": ["scan", "--family", "ghz3-bs", "--inequality",
                                    "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
                                    "--eta", "0.3,1", "--format", "json"],
-}
+})
 # Every other (family, functional) pair with canonical angles, scanned on the
 # ghz3-bs grid and at V = 10⁶.
 CLI_COMMANDS.update({
