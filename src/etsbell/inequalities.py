@@ -176,6 +176,24 @@ def get_inequality(name: str) -> InequalitySpec:
             f"unknown inequality {name!r}; choose from {sorted(INEQUALITIES)}") from None
 
 
+def checked_rotations(spec: InequalitySpec, angles: AngleSet) -> list:
+    """The rotations of ``angles`` that ``spec`` reads, party by party (a
+    surplus setting is never read); :class:`ValueError` for a missing party
+    or setting, :class:`TypeError` naming both for a non-rotation entry."""
+    if len(angles) != spec.parties:
+        raise ValueError(f"expected angle tuples for {spec.parties} parties")
+    rotations = []
+    for p, (party, count) in enumerate(zip(angles, spec.settings_per_party)):
+        if len(party) < count:
+            raise ValueError(f"party {p} angle set lacks setting {len(party)}")
+        for k, rotation in enumerate(party[:count]):
+            if not isinstance(rotation, EffectiveRotation):
+                raise TypeError(f"party {p} setting {k} must be an EffectiveRotation, "
+                                f"got {rotation!r}")
+            rotations.append(rotation)
+    return rotations
+
+
 def evaluate(
     spec: InequalitySpec,
     family: StateFamily,
@@ -201,17 +219,9 @@ def evaluate_curve_with_error(
     A point that does not converge gives its :class:`NonconvergenceError`
     in place of its pair; every other point keeps the bits it has alone.
     """
-    if len(angles) != spec.parties:
-        raise ValueError(f"expected angle tuples for {spec.parties} parties")
-    for p, (party, count) in enumerate(zip(angles, spec.settings_per_party)):
-        if len(party) < count:
-            raise ValueError(f"party {p} angle set lacks setting {len(party)}")
-    # A surplus setting is never read.
-    rotations = [rotation for party, count in zip(angles, spec.settings_per_party)
-                 for rotation in party[:count]]
     outcomes = []
-    for outcome in estimate_curve(curve, *rotation_angles(rotations), spec._layout,
-                                  detector, config):
+    for outcome in estimate_curve(curve, *rotation_angles(checked_rotations(spec, angles)),
+                                  spec._layout, detector, config):
         if isinstance(outcome, NonconvergenceError):
             outcomes.append(outcome)
             continue

@@ -50,41 +50,43 @@ layout appends one such row per (term, measured mode, angle) to the term
 axis, and the table appends the derivative pairs it gathers; every row is
 read at the rule its term converges on.
 
-A curve is a set of points of one family kind and one V that differ only
-in d and share the detector, the angles and the config: the d axis of a
-figure, or a crossing search's probe profile and each round of its search.
-Along it only the centre c·d of each mixture variable moves; the branch
-structure, the y rule, the y moments and the x weights do not.  The rest
-of a pass is its plan (:func:`_pass_plan`), built once per (family kind,
-V, detector, ladder pass, layout) and memoized by value: branch weights
-and rows, which variables share moments, the distinct x factors, the y
-moments, the einsum subscripts and an index that puts each rule's moments
-straight into the contraction's stack rows.  A pass is then straight-line
-array work: each point's x nodes (on shift rules, which follow the centre
-by a shift alone, the centre plus the memoized Gauss-Hermite offsets),
-each distinct x factor once, one einsum per rule and local pattern, one
-multiply by the y moments, one gather and one contraction over a stacked
-(points × stack rows) axis.  Each point stops at its own first converged
-pass and only the rest climb.  The composite rule's panels move with the
-centre, so there each point is a curve of its own on the same plan; a
-single estimate is a curve of one point.  The points axis meets only
+A curve is a set of points of one family kind and one V that differ only in
+d and share the detector, the angles and the config: the d axis of a figure,
+or a crossing search's probe profile and each round of its search.  Along it
+only the centre c·d of each mixture variable moves; the branch structure,
+the y rule, the y moments and the x weights do not.  The rest of a pass is
+its plan (:func:`_pass_plan`), built once per (family kind, V, detector,
+ladder pass, layout) and memoized by value, the one code that walks a
+family's variables: branch weights and rows, which variables share moments,
+the distinct x node sources and x factors, the y moments, the einsum
+subscripts and an index that puts each rule's moments straight into the
+contraction's stack rows; on shift rules also the frame, every rule's
+Gauss-Hermite offsets and weights joined, which are the y nodes too.  A pass
+is then straight-line array work: each node source's x nodes (on shift
+rules, which follow the centre by a shift alone, the centre plus the frame's
+offsets), each distinct x factor once, one einsum per rule and local
+pattern, one multiply by the y moments, one gather and one contraction over
+a stacked (points × stack rows) axis.  Each point stops at its own first
+converged pass and only the rest climb.  The composite rule's panels move
+with the centre, so there each point is a curve of its own on the same plan;
+a single estimate is a curve of one point.  The points axis meets only
 elementwise arithmetic and einsum sums over each point's own nodes, so a
 point carries the bits it has alone (the tests check this).
 
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
 no estimate imports scipy.  Those kernels cost a fixed number of array
-operations per call, so a pass calls them as rarely as it can.  x factors
-are formed once per distinct (nodes, scale, η) in a pass, y factors once
-per plan, and moments once per distinct variable: the modes of a splitter
-or Kerr state share one scale, the variables of a conditional state are
-equal, and a per-mode η that differs splits them.  Sharing is decided by
-values, so it moves no bit.  Dawson's integral enters a y moment once per
-measured mode whose second part the moment takes.  It is odd and the y
-weight is symmetric about 0, so a moment with an odd number of such factors
-integrates to zero; the plan sets it to zero instead of summing roundoff,
-and a variable with at most one measured mode needs no Dawson values at
-all.
+operations per call, so a pass calls them as rarely as it can.  x factors are
+formed once per distinct (node source, scale, η) in a pass, on every rule's
+nodes joined, y factors once per plan, and moments once per distinct
+variable: the modes of a splitter or Kerr state share one scale, the
+variables of a conditional state are equal, and a per-mode η that differs
+splits them.  Sharing is decided by values, so it moves no bit.  Dawson's
+integral enters a y moment once per measured mode whose second part the
+moment takes.  It is odd and the y weight is symmetric about 0, so a moment
+with an odd number of such factors integrates to zero; the plan sets it to
+zero instead of summing roundoff, and a variable with at most one measured
+mode needs no Dawson values at all.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ from numpy.polynomial.legendre import leggauss
 from ._special import dawsn, erf
 from .errors import NonconvergenceError, require_number
 from .measurement import DetectorModel, EffectiveRotation
-from .states import StateFamily, centre_units, family_structure
+from .states import StateFamily, family_structure
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -127,11 +129,8 @@ _AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement passes, which an
 # optimizer revisits at every evaluation.  A sweep or a crossing search moves
 # to new points at every curve, so it finds nothing here; what its passes
-# share, it finds in the frame and plan memos below.
+# share, it finds in the plan memo below.
 _MOMENT_CACHE = 4
-# Shift-rule frames kept in memory (see _shift_frame): one per (σ, shift
-# pass of the ladder).  `figure fig4` makes 2 and `validate` 4.
-_FRAME_CACHE = 8
 # Pass plans kept in memory (see _pass_plan).  A crossing search makes one
 # or two, `figure fig4` 4 (one per pass) and `validate`, the widest user,
 # 25, so this keeps every plan of one command.
@@ -251,23 +250,14 @@ def _ladder(sigma: float, nodes_per_axis: int) -> tuple:
     return ((False, (12, 24)), (False, (48,)))
 
 
-@lru_cache(maxsize=_FRAME_CACHE)
-def _shift_frame(sigma: float, sizes: tuple):
-    """What every pass of the Gauss-Hermite rules of ``sizes`` nodes shares,
-    read-only: per rule the x nodes' offsets from their centre and the y
-    nodes, and every rule's x weights followed by every rule's y weights,
-    as :func:`_engine_pass` takes them.  A point's x nodes are its centre
-    plus the offsets."""
-    offsets, weights = [], []
-    for size in sizes:
-        t, w = _gh_rule(size)
-        offsets.append(_SQRT2 * sigma * t)
-        weights.append(w / _SQRT_PI)
-    ys = [0.0 + offset for offset in offsets]
-    w = np.concatenate(weights + weights)
-    for array in offsets + ys + [w]:
-        array.flags.writeable = False
-    return tuple(offsets), tuple(ys), w
+def _join(rules) -> tuple:
+    """Axis rules given as (nodes, weights), joined: the read-only nodes,
+    each rule's end in them after a leading 0, and the read-only weights."""
+    nodes, weights = zip(*rules)
+    ends = tuple(itertools.accumulate(map(len, nodes), initial=0))
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, ends, weights
 
 
 def _variable_sigma(V: float) -> float:
@@ -326,20 +316,25 @@ class _Plan(NamedTuple):
     ``weights`` holds the branch-pair coefficients conj(c_j)·c_i, and
     ``rows`` the :func:`_array_key` of the branch rows, whose row m holds
     mode m's row of each branch (0 where the branch has +α, 1 where it has
-    −α); ``variables`` holds each mixture variable's modes.  ``factors``
-    lists each distinct x factor as (source, scale, η or None where
-    unmeasured), a source being the first variable with the same x nodes.
-    ``groups`` holds per distinct variable (source, per local pattern each
-    mode's index in ``factors``, the read-only y moments shaped (rules,
-    local patterns, 2 parts, (2,)*k, 1), each stack row's entry 2·pattern +
-    part), and ``members`` each variable's group.  ``axes`` takes the
-    gathered (rules, stack rows, (2,)*k, points) to (2,)*k + (rules,
-    points, stack rows).
+    −α); ``variables`` holds each mixture variable's modes.  ``nodes``
+    lists each distinct x node source as (centre per unit d, largest scale,
+    smallest η), the last two None on shift rules; there ``frame`` holds
+    every rule's offsets and weights as :func:`_join` gives them (None on
+    the composite rule).  ``factors`` lists each distinct x factor as
+    (source, scale, η or None where unmeasured), a source indexing
+    ``nodes``.  ``groups`` holds per distinct variable (source, per local
+    pattern each mode's index in ``factors``, the read-only y moments shaped
+    (rules, local patterns, 2 parts, (2,)*k, 1), each stack row's entry
+    2·pattern + part), and ``members`` each variable's group.  ``axes``
+    takes the gathered (rules, stack rows, (2,)*k, points) to (2,)*k +
+    (rules, points, stack rows).
     """
 
     weights: np.ndarray
     rows: tuple
     variables: tuple
+    nodes: tuple
+    frame: tuple | None
     factors: tuple
     groups: tuple
     members: tuple
@@ -355,52 +350,50 @@ def _pass_plan(kind, V: float, detector: DetectorModel, rules: tuple, patterns: 
 
     A variable's x nodes follow from its centre per unit d, and on the
     composite rule, whose panels depend on them, from its largest scale and
-    smallest η too; variables equal in these, their scales, η and local
-    patterns share one group.
+    smallest η too; variables equal in these share a node source, and
+    those equal in scales, η and local patterns as well share a group.  The
+    y nodes are the frame's offsets, or the composite rule centred at 0.
     """
-    coeffs, signs, variables = family_structure(StateFamily(kind, V, 0.0))
+    # A variable's centre at d = 1 is its centre per unit d.
+    coeffs, signs, variables = family_structure(StateFamily(kind, V, 1.0))
     weights = np.multiply.outer(np.conj(coeffs), coeffs)
     weights.flags.writeable = False
     shift, sizes = rules
     sigma = _variable_sigma(V)
+    frame = (_join((_SQRT2 * sigma * t, w / _SQRT_PI) for t, w in map(_gh_rule, sizes))
+             if shift else None)
     measured = {m for p in patterns for m, off in enumerate(p) if not off}
     # each stack row's (pattern, part): the leading rows' Gram (1), then numerators (0)
     row_parts = [(e % len(patterns), int(e < len(patterns))) for e in stack_rows]
     sources, factors, y_factors, groups, members = {}, {}, {}, {}, []
-    for v, ((_V, _centre, scales), unit) in enumerate(zip(variables, centre_units(kind))):
+    for _V, unit, scales in variables:
         modes = tuple(sorted(scales))
         per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
                          for m in modes)
         local = tuple(tuple(p[m] for m in modes) for p in patterns)
-        if shift:
-            nodes = (unit,)
-            _offsets, ys, w = _shift_frame(sigma, sizes)
-            wy = w[len(w) // 2:]
-        else:
-            smax = max(abs(s) for s in scales.values())
-            eta_min = min(detector.eta_for(m) for m in scales)
-            nodes = (unit, smax, eta_min)
-            ys, wys = zip(*(_axis_rule(0.0, sigma, smax, eta_min, order) for order in sizes))
-            wy = np.concatenate(wys)
-        key = (nodes, per_mode, local)
+        nodes, ys = (unit, None, None), frame
+        if not shift:
+            nodes = (unit, max(map(abs, scales.values())), min(map(detector.eta_for, scales)))
+            ys = _join(_axis_rule(0.0, sigma, *nodes[1:], order) for order in sizes)
+        key = (sources.setdefault(nodes, len(sources)), per_mode, local)
         if key not in groups:
-            groups[key] = _plan_group(sources.setdefault(nodes, v), per_mode, local, ys, wy,
-                                      row_parts, factors, y_factors)
+            groups[key] = _plan_group(key[0], per_mode, local, ys, row_parts, factors,
+                                      y_factors)
         members.append(list(groups).index(key))
     k = len(per_mode)
     return _Plan(weights, _array_key((1 - np.array(signs).T) // 2),
                  tuple(tuple(sorted(scales)) for _V, _centre, scales in variables),
-                 tuple(factors), tuple(groups.values()), tuple(members),
-                 _moment_subscripts(k, True), (*range(2, 2 + k), 0, 2 + k, 1))
+                 tuple(sources), frame, tuple(factors), tuple(groups.values()),
+                 tuple(members), _moment_subscripts(k, True), (*range(2, 2 + k), 0, 2 + k, 1))
 
 
-def _plan_group(source: int, per_mode: tuple, local: tuple, ys: tuple, wy, row_parts,
+def _plan_group(source: int, per_mode: tuple, local: tuple, ys: tuple, row_parts,
                 factors: dict, y_factors: dict) -> tuple:
-    """One group of :func:`_pass_plan`.  ``factors`` numbers the plan's x
-    factors and ``y_factors`` keeps its y factors, formed once on every
-    rule's y nodes joined; each rule's moments are a sum over its slice."""
-    y = np.concatenate(ys)
-    ends = list(itertools.accumulate((len(part) for part in ys), initial=0))
+    """One group of :func:`_pass_plan` on the y rules ``ys``, joined by
+    :func:`_join`.  ``factors`` numbers the plan's x factors and
+    ``y_factors`` keeps its y factors, formed once on every rule's y nodes
+    joined; each rule's moments are a sum over its slice."""
+    y, ends, wy = ys
     y_sum = _moment_subscripts(len(per_mode), False)
     # Patterns that agree on the variable's own modes share one sum.  Each
     # pattern's Gram moments come from the sum that carries its numerator,
@@ -444,23 +437,14 @@ def _engine_pass(curve, detector: DetectorModel, rules: tuple, patterns: tuple,
     2^k moments each row of a layout's stack takes (see :class:`TermLayout`)
     at each rule and point.  A pattern's leading row takes its Gram moments,
     whose contraction with the Gram blocks is its state trace; every other
-    row its pattern's numerator moments.  ``grids`` supplies (x, y, w) per
-    variable, as :func:`_deterministic_grids` forms them.
+    row its pattern's numerator moments.  ``grids`` supplies (x, ends, w)
+    per node source of the plan, as :func:`_deterministic_grids` forms them.
     """
-    first = curve[0]
-    plan = _pass_plan(first.kind, first.V, detector, rules, patterns, stack_rows)
-    joined = {}
-    factors = []
-    for source, scale, eta in plan.factors:
-        if source not in joined:
-            x, _y, w = grids[source]
-            ends = list(itertools.accumulate((part.shape[-1] for part in x), initial=0))
-            joined[source] = (x[0] if len(x) == 1 else np.concatenate(x, axis=-1),
-                              w[:ends[-1]], ends)
-        factors.append(_x_factors(joined[source][0], scale, eta))
+    plan = _pass_plan(curve[0].kind, curve[0].V, detector, rules, patterns, stack_rows)
+    factors = [_x_factors(grids[source][0], scale, eta) for source, scale, eta in plan.factors]
     moments = []
     for source, pattern_factors, y_moments, gather in plan.groups:
-        _x, wx, ends = joined[source]
+        _x, ends, wx = grids[source]
         stacked = np.array([[np.einsum(plan.subscripts, *(factors[f][..., a:b] for f in local),
                                        wx[a:b])
                              for local in pattern_factors]
@@ -675,37 +659,22 @@ def gradient_layout(layout: TermLayout, rotations: int) -> TermLayout:
                            np.concatenate(pattern_rows), owners, slots)
 
 
-def _deterministic_grids(curve, detector: DetectorModel, rules: tuple):
-    """(x, y, w) per variable of a curve's points on ``rules``, one (shift,
-    sizes) pass of :func:`_ladder`: per rule, the x nodes of every point,
-    shaped (points, n), and the y nodes; and ``w``, all x weights, then all
-    y weights.  Shift rules serve every point, each point's x nodes its
-    centre plus the memoized frame's offsets; the composite rule serves one
-    point.  Variables with equal nodes share a grid.
-    """
-    first = curve[0]
-    _coeffs, _signs, variables = family_structure(first)
+def _deterministic_grids(curve, plan: _Plan, rules: tuple) -> list:
+    """(x, ends, w) per node source of ``plan``, a curve's :func:`_pass_plan`
+    on ``rules``: every rule's x nodes joined, shaped (points, n), each
+    rule's end in them after a leading 0, and the x weights.  Shift rules
+    serve every point, each point's x nodes its centre plus the frame's
+    offsets; the composite rule serves one point."""
     shift, sizes = rules
-    grids, out = {}, []
-    for (V, centre, scales), unit in zip(variables, centre_units(first.kind)):
-        if shift:
-            key = unit
-            if key not in grids:
-                offsets, ys, w = _shift_frame(_variable_sigma(V), sizes)
-                centres = unit * np.array([family.d for family in curve])[:, None]
-                grids[key] = (tuple(centres + offset for offset in offsets), ys, w)
-        else:
-            smax = max(abs(s) for s in scales.values())
-            eta_min = min(detector.eta_for(m) for m in scales)
-            key = (centre, smax, eta_min)
-            if key not in grids:
-                sigma = _variable_sigma(V)
-                axes = [(*_axis_rule(centre, sigma, smax, eta_min, order),
-                         *_axis_rule(0.0, sigma, smax, eta_min, order)) for order in sizes]
-                xs, wxs, ys, wys = zip(*axes)
-                grids[key] = (tuple(x[None] for x in xs), ys, np.concatenate(wxs + wys))
-        out.append(grids[key])
-    return out
+    if shift:
+        offsets, ends, w = plan.frame
+        d = np.array([family.d for family in curve])[:, None]
+        return [(unit * d + offsets, ends, w) for unit, _smax, _eta_min in plan.nodes]
+    (family,) = curve
+    sigma = _variable_sigma(family.V)
+    joined = [_join(_axis_rule(unit * family.d, sigma, smax, eta_min, order) for order in sizes)
+              for unit, smax, eta_min in plan.nodes]
+    return [(x[None], ends, w) for x, ends, w in joined]
 
 
 @lru_cache(maxsize=_MOMENT_CACHE)
@@ -715,8 +684,9 @@ def _deterministic_moments(curve: tuple, detector: DetectorModel, rules: tuple,
     in the stack order of a layout with ``patterns`` and ``stack_rows``.
     An optimizer's evaluations of one state share them.
     """
-    grids = _deterministic_grids(curve, detector, rules)
-    return _engine_pass(curve, detector, rules, patterns, stack_rows, grids)
+    plan = _pass_plan(curve[0].kind, curve[0].V, detector, rules, patterns, stack_rows)
+    return _engine_pass(curve, detector, rules, patterns, stack_rows,
+                        _deterministic_grids(curve, plan, rules))
 
 
 def estimate_curve(

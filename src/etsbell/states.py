@@ -100,8 +100,3 @@ def family_structure(family: StateFamily):
     return (tuple(complex(c) for c in coeffs), signs,
             tuple((family.V, unit * family.d, dict(scales)) for unit, scales in variables))
 
-
-def centre_units(kind: FamilyKind) -> tuple:
-    """Each mixture variable's centre per unit displacement, in the order of
-    :func:`family_structure`'s variables; a variable's centre is this times d."""
-    return tuple(unit for unit, _scales in _FAMILIES[kind][2])

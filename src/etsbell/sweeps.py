@@ -9,14 +9,15 @@ alone.  A point that fails to converge is recorded and skipped, never fatal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .errors import NoCrossingError, NonconvergenceError
+from .errors import NoCrossingError, NonconvergenceError, require_number
 # perfbench wraps evaluate_with_error by its name here.
 from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec,  # noqa: F401
-                           canonical_angles, evaluate_curve_with_error, evaluate_with_error,
-                           optimize_angles)
+                           canonical_angles, checked_rotations, evaluate_curve_with_error,
+                           evaluate_with_error, optimize_angles)
 from .integration import QuadratureConfig, curve_shares_pass, point_result
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
@@ -49,17 +50,25 @@ class SweepPlan:
     optimizer_restarts: int = 4
 
     def __post_init__(self):
+        for name, kind in (("family", FamilyKind), ("spec", InequalitySpec),
+                           ("cfg", QuadratureConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
         object.__setattr__(self, "V_grid", _validated_grid("V", self.V_grid, 1.0))
         object.__setattr__(self, "d_grid", _validated_grid("d", self.d_grid, 0.0))
         object.__setattr__(self, "eta_grid", _validated_grid("eta", self.eta_grid, 0.0, 1.0))
         if any(eta <= 0.0 for eta in self.eta_grid):
             raise ValueError("eta values must be positive")
+        require_number("optimizer_restarts", self.optimizer_restarts, numbers.Integral)
         if self.optimizer_restarts < 1:
             raise ValueError(
                 f"optimizer_restarts must be at least 1, got {self.optimizer_restarts}")
         if isinstance(self.angles, str) and self.angles not in ("canonical", "optimize"):
             raise ValueError(
                 f"angles must be an angle set, 'canonical' or 'optimize', got {self.angles!r}")
+        if not isinstance(self.angles, str):
+            checked_rotations(self.spec, self.angles)
 
 
 @dataclass(frozen=True)

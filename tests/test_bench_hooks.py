@@ -50,7 +50,9 @@ def test_traced_scan_derives_every_metric(bench, tmp_path):
     layers, spans = bench
     tracer = spans.Tracer()
     layers.install(tracer)
+    # family_structure runs only where a pass plan is built
     integration._deterministic_moments.cache_clear()
+    integration._pass_plan.cache_clear()
     try:
         tracer.active = True
         for d in ("1.5,3", "2"):

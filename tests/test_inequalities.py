@@ -156,6 +156,11 @@ def test_evaluate_rejects_mismatched_angles_and_families():
     for args, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
             evaluate(*args)
+    # numbers in place of rotations used to fail with an AttributeError
+    numbers = angles[:1] + ((angles[1][0], 0.5),) + angles[2:]
+    with pytest.raises(TypeError, match="^party 1 setting 1 must be an EffectiveRotation, "
+                                        "got 0.5$"):
+        evaluate(SVETLICHNY3, fam, numbers)
 
 
 def test_canonical_angles_unknown_pairing():

@@ -245,10 +245,11 @@ def tensor_grids(monkeypatch):
 
     Every rule of every pass, shift rule or composite, becomes the dense
     reference's rule: its nodes around the centre, its weights, and one
-    node at σ = 0.  Both sides then sum over the same tensor nodes and must
-    agree to rounding.  Every bounded engine memo is cleared on entry and on
-    exit, so no plan or moments formed on other nodes are served here and
-    none formed here outlive the test.
+    node at σ = 0, where the one-node Hermite rule is the delta rule.  Both
+    sides then sum over the same tensor nodes and must agree to rounding.
+    Every bounded engine memo is cleared on entry and on exit, so no plan
+    or moments formed on other nodes are served here and none formed here
+    outlive the test.
     """
 
     def dense_rule(sigma):
@@ -257,16 +258,15 @@ def tensor_grids(monkeypatch):
         t, w = np.polynomial.hermite.hermgauss(DENSE_NODES)
         return math.sqrt(2.0) * sigma * t, w / math.sqrt(math.pi)
 
-    def tensor_frame(sigma, sizes):
-        offsets, w = dense_rule(sigma)
-        return (offsets,) * len(sizes), (0.0 + offsets,) * len(sizes), np.tile(w, 2 * len(sizes))
+    def dense_hermite(size):
+        return np.polynomial.hermite.hermgauss(1 if size == 1 else DENSE_NODES)
 
     def tensor_axis(mu, sigma, smax, eta_min, order):
         offsets, w = dense_rule(sigma)
         return mu + offsets, w
 
     _clear_memos()
-    monkeypatch.setattr(integration, "_shift_frame", tensor_frame)
+    monkeypatch.setattr(integration, "_gh_rule", dense_hermite)
     monkeypatch.setattr(integration, "_axis_rule", tensor_axis)
     yield DENSE_NODES
     _clear_memos()
@@ -419,7 +419,7 @@ def _lone_level_ladder(family, detector, layout, theta, phase, rel_tol):
                                  QuadratureConfig().nodes_per_axis)
     lone_rules = [(shift, (size,)) for shift, sizes in ladder for size in sizes]
     for level, rules in enumerate(lone_rules):
-        grids = integration._deterministic_grids(curve, detector, rules)
+        grids = _pass_grids(curve, detector, rules, layout)
         moments = integration._engine_pass(curve, detector, rules, layout.patterns,
                                            layout.stack_rows, grids)
         num, den = integration._terms(moments, table_key, layout)
@@ -476,6 +476,14 @@ def test_stacked_levels_equal_lone_level_contractions():
     assert derivatives.tobytes() == np.array(want).tobytes()
 
 
+def _pass_grids(curve, detector, rules, layout):
+    """The grids of a pass of ``curve`` on ``rules``, from its plan."""
+    first = curve[0]
+    plan = integration._pass_plan(first.kind, first.V, detector, rules, layout.patterns,
+                                  layout.stack_rows)
+    return integration._deterministic_grids(curve, plan, rules)
+
+
 def _spy_engine_passes(monkeypatch):
     """Record the ``grids`` of every engine pass, and the ladder pass,
     (shift, sizes), of every grid set, from here on."""
@@ -488,9 +496,9 @@ def _spy_engine_passes(monkeypatch):
         passes.append(grids)
         return engine_pass(curve, detector, rules, patterns, stack_rows, grids)
 
-    def grids_spy(curve, detector, rules):
+    def grids_spy(curve, plan, rules):
         levels.append(rules)
-        return deterministic_grids(curve, detector, rules)
+        return deterministic_grids(curve, plan, rules)
 
     monkeypatch.setattr(integration, "_engine_pass", pass_spy)
     monkeypatch.setattr(integration, "_deterministic_grids", grids_spy)
@@ -500,8 +508,8 @@ def _spy_engine_passes(monkeypatch):
 
 def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
     # an estimate that stops at level 1 on a shift rule forms both levels in
-    # one pass: per variable, both levels' nodes side by side, and w holding
-    # both levels' x weights, then both levels' y weights
+    # one pass: per node source, both levels' nodes side by side, each
+    # level's end, and w holding both levels' x weights
     passes, levels = _spy_engine_passes(monkeypatch)
     family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, 1.5)
     detector = DetectorModel(0.7)
@@ -509,14 +517,15 @@ def test_a_level_one_estimate_is_one_engine_pass(monkeypatch):
     n = QuadratureConfig().nodes_per_axis
     assert levels == [(True, (n, 2 * n))]
     (grids,) = passes
-    lone = [integration._deterministic_grids((family,), detector, (True, (size,)))
-            for size in (n, 2 * n)]
-    assert len(grids) == family.num_modes
-    for (x, y, w), (_x0, _y0, lone0), (_x1, _y1, lone1) in zip(grids, *lone):
-        assert [part.shape for part in x] == [(1, n), (1, 2 * n)]
-        assert [part.shape for part in y] == [(n,), (2 * n,)]
-        want = np.concatenate((lone0[:n], lone1[:2 * n], lone0[n:], lone1[2 * n:]))
-        assert w.tobytes() == want.tobytes()
+    layout = integration.term_layout([[0, 1, 2]])
+    lone = [_pass_grids((family,), detector, (True, (size,)), layout) for size in (n, 2 * n)]
+    # the three variables share one centre per unit d, and so one grid
+    assert len(grids) == 1
+    for (x, ends, w), (x0, ends0, lone0), (x1, ends1, lone1) in zip(grids, *lone):
+        assert x.shape == (1, 3 * n) and ends == (0, n, 3 * n)
+        assert (ends0, ends1) == ((0, n), (0, 2 * n))
+        assert x.tobytes() == np.concatenate((x0, x1), axis=-1).tobytes()
+        assert w.tobytes() == np.concatenate((lone0, lone1)).tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 1.6])
@@ -535,18 +544,54 @@ def test_the_ladder_never_repeats_a_rule(sigma):
 
 def test_a_delta_estimate_is_one_pass_of_one_node(monkeypatch):
     # at V = 1 the delta rule is the one-node Hermite rule: one pass of one
-    # rule, whose node is the centre and whose weights are exactly 1, and
+    # rule, whose node is the centre and whose weight is exactly 1, and
     # which reports err 0 since nothing finer exists
     passes, levels = _spy_engine_passes(monkeypatch)
     family = StateFamily(FamilyKind.W3, 1.0, 1.2)
     value, err = estimate_correlation(family, EQUATORIAL, DetectorModel(0.7))
     assert levels == [(True, (1,))]
     (grids,) = passes
-    for (x, y, w), (_V, centre, _scales) in zip(grids, family_structure(family)[2]):
-        assert [part.tolist() for part in x] == [[[centre]]]
-        assert [part.tolist() for part in y] == [[0.0]]
-        assert w.tolist() == [1.0, 1.0]
+    for (x, ends, w), (_V, centre, _scales) in zip(grids, family_structure(family)[2],
+                                                   strict=True):
+        assert x.tolist() == [[centre]]
+        assert ends == (0, 1)
+        assert w.tolist() == [1.0]
     assert err == 0.0 and math.isfinite(value)
+
+
+def test_a_pass_forms_one_grid_per_node_source():
+    # variables that share their x nodes share one grid: on a shift rule the
+    # nodes are each point's centre plus the frame's offsets, on the
+    # composite rule the joined windowed rules around the centre, whose
+    # panels follow the largest scale and the smallest η of the variable
+    n = QuadratureConfig().nodes_per_axis
+    sigma = integration._variable_sigma(5.0)
+    curve = tuple(StateFamily(FamilyKind.GHZ3_CONDITIONAL, 5.0, d) for d in (0.5, 1.5))
+    layout = INEQUALITIES["svetlichny3"]._layout
+    (grid,) = _pass_grids(curve, DetectorModel(0.7), (True, (n, 2 * n)), layout)
+    assert len(family_structure(curve[0])[2]) == 3
+    rules = [np.polynomial.hermite.hermgauss(size) for size in (n, 2 * n)]
+    offsets = np.concatenate([math.sqrt(2.0) * sigma * t for t, _w in rules])
+    centres = np.array([[family_structure(family)[2][0][1]] for family in curve])
+    assert grid[0].tobytes() == (centres + offsets).tobytes()
+    assert grid[1] == (0, n, 3 * n)
+    assert grid[2].tobytes() == np.concatenate([w / math.sqrt(math.pi)
+                                                for _t, w in rules]).tobytes()
+
+    family = StateFamily(FamilyKind.CLUSTER4_CROSS_KERR, 100.0, 1.2)
+    etas = (0.9, 0.3, 0.6, 1.0)
+    grids = _pass_grids((family,), DetectorModel(etas), (False, (12, 24)),
+                        INEQUALITIES["sasa"]._layout)
+    variables = family_structure(family)[2]
+    assert len(grids) == len(variables) == 2
+    for (x, ends, w), (V, centre, scales) in zip(grids, variables):
+        smax = max(scales.values())
+        eta_min = min(etas[m] for m in scales)
+        rules = [integration._axis_rule(centre, integration._variable_sigma(V), smax, eta_min,
+                                        order) for order in (12, 24)]
+        assert x.tobytes() == np.concatenate([nodes for nodes, _w in rules])[None].tobytes()
+        assert ends == (0, len(rules[0][0]), len(rules[0][0]) + len(rules[1][0]))
+        assert w.tobytes() == np.concatenate([weights for _x, weights in rules]).tobytes()
 
 
 def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
@@ -560,12 +605,13 @@ def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
     assert levels == [(True, (n, 2 * n)), (True, (4 * n,)), (False, (12,)), (False, (24,))]
     assert len(passes) == len(levels)
     for grids, (_shift, sizes) in zip(passes, levels):
-        for x, y, _w in grids:
-            assert len(x) == len(y) == len(sizes)
+        for x, ends, w in grids:
+            assert len(ends) == len(sizes) + 1
+            assert x.shape == (1, ends[-1]) and w.shape == (ends[-1],)
 
 
 def _clear_memos():
-    """Empty every bounded memo of the engine, frame and angle memos included."""
+    """Empty every bounded memo of the engine, plan and angle memos included."""
     for memo in vars(integration).values():
         if hasattr(memo, "cache_clear") and memo.cache_info().maxsize is not None:
             memo.cache_clear()
@@ -652,10 +698,10 @@ def test_rotation_table_matches_scalar_matrices():
 
 
 def test_angle_memo_entries_are_read_only_and_fresh_bits():
-    # a memoized gather of a rotation table, every shift frame entry (rule
-    # offsets and weights) and every pass plan entry (branch weights and rows,
-    # y moments, stack gather) is what a fresh build gives, bit for bit, and
-    # no caller can write into it
+    # a memoized gather of a rotation table and every pass plan entry (branch
+    # weights and rows, the shift frame's joined rule offsets and weights, y
+    # moments, stack gather) is what a fresh build gives, bit for bit, and no
+    # caller can write into it
     spec = INEQUALITIES["svetlichny3"]
     family = StateFamily(FamilyKind.W3, 5.0, 1.2)
     coeffs, signs, _variables = family_structure(family)
@@ -677,22 +723,19 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
     entries += [(plan.weights, np.multiply.outer(coeff_array.conj(), coeff_array)),
                 (integration._keyed_array(plan.rows), rows)]
     sigma = integration._variable_sigma(family.V)
-    offsets, ys, w = integration._shift_frame(sigma, (n, 2 * n))
+    offsets, ends, w = plan.frame
+    assert ends == (0, n, 3 * n)
     nodes = [np.polynomial.hermite.hermgauss(size) for size in (n, 2 * n)]
-    for (t, _w), offset, y in zip(nodes, offsets, ys):
-        entries += [(offset, math.sqrt(2.0) * sigma * t), (y, 0.0 + math.sqrt(2.0) * sigma * t)]
-    level_weights = [w / math.sqrt(math.pi) for _t, w in nodes]
-    entries.append((w, np.concatenate(level_weights + level_weights)))
+    entries += [(offsets, np.concatenate([math.sqrt(2.0) * sigma * t for t, _w in nodes])),
+                (w, np.concatenate([w / math.sqrt(math.pi) for _t, w in nodes]))]
     # the plan's y moments of w3's one variable, fully measured at η = 0.7,
     # at both levels, as fresh arrays give them, Dawson's odd moments zeroed;
     # and its gather, the Gram part on the pattern's row and the numerator
     # part on every term and derivative row
     ((_source, _factors, y_moments, gather),) = plan.groups
-    y = np.concatenate(ys)
-    factors = integration._y_factors(y, 1.0, 0.7, True)
+    factors = integration._y_factors(offsets, 1.0, 0.7, True)
     for level, (a, b) in enumerate(((0, n), (n, 3 * n))):
-        fresh = np.einsum("uax,ubx,ucx,x->uabc", *(factors[..., a:b],) * 3,
-                          w[len(w) // 2:][a:b])
+        fresh = np.einsum("uax,ubx,ucx,x->uabc", *(factors[..., a:b],) * 3, w[a:b])
         fresh[0][np.indices((2, 2, 2)).sum(axis=0) % 2 == 1] = 0.0
         entries.append((y_moments[level, 0, ..., 0], fresh))
     entries.append((gather, np.array([1] + [0] * len(layout.index))))
@@ -703,7 +746,8 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
         with pytest.raises(ValueError):
             entry.flat[0] = 0
     assert integration._angle_pairs(angles, layout.stack, key(rows)) is entries[0][0]
-    assert integration._shift_frame(sigma, (n, 2 * n))[2] is w
+    assert integration._pass_plan(FamilyKind.W3, 5.0, DetectorModel(0.7), (True, (n, 2 * n)),
+                                  layout.patterns, layout.stack_rows).frame[2] is w
 
 
 def _scalar_theta_derivative(rotation):

@@ -45,6 +45,29 @@ def test_plan_validation():
         message = f"optimizer_restarts must be at least 1, got {restarts}"
         with pytest.raises(ValueError, match=message):
             small_plan(optimizer_restarts=restarts)
+    # each used to build a plan and fail only inside run_sweep, with an
+    # AttributeError or a TypeError that named no field (True ran as 1 restart)
+    angles = canonical_angles(SV3, FamilyKind.GHZ3_CONDITIONAL).angles
+    numbers = tuple(tuple(0.5 for _rotation in party) for party in angles)
+    cases = [
+        (dict(family="ghz3-cond"), TypeError,
+         "family must be of type FamilyKind, got 'ghz3-cond'"),
+        (dict(spec="svetlichny3"), TypeError,
+         "spec must be of type InequalitySpec, got 'svetlichny3'"),
+        (dict(angles="optimize", cfg=None), TypeError,
+         "cfg must be of type QuadratureConfig, got None"),
+        (dict(angles="optimize", optimizer_restarts=2.5), TypeError,
+         "optimizer_restarts must be an integer, got 2.5"),
+        (dict(angles="optimize", optimizer_restarts=True), TypeError,
+         "optimizer_restarts must be an integer, got True"),
+        (dict(angles=numbers), TypeError,
+         "party 0 setting 0 must be an EffectiveRotation, got 0.5"),
+        (dict(angles=angles[:2] + (angles[2][:1],)), ValueError,
+         "party 2 angle set lacks setting 1"),
+    ]
+    for overrides, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            small_plan(**overrides)
 
 
 def test_sweep_rows_follow_grid_order():
@@ -152,6 +175,14 @@ def test_crossing_rejects_a_bad_d_max():
 def test_crossing_rejects_a_bad_V():
     with pytest.raises(ValueError, match=r"^V must be finite and >= 1, got -1\.0$"):
         crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=-1.0, eta=0.3)
+
+
+def test_crossing_rejects_angles_that_are_not_rotations():
+    angles = canonical_angles(SV3, FamilyKind.GHZ3_CONDITIONAL).angles
+    numbers = angles[:2] + ((0.1, angles[2][1]),)
+    with pytest.raises(TypeError, match="^party 2 setting 0 must be an EffectiveRotation, "
+                                        "got 0.1$"):
+        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3, angles=numbers)
 
 
 def test_crossing_refuses_a_falling_profile(monkeypatch):
@@ -312,3 +343,18 @@ def test_crossing_matches_closed_form_root_in_both_round_regimes(kind, name, clo
             want = brentq(lambda d: closed(V, d, eta) - spec.lr_bound,
                           1e-9, 20.0 * math.sqrt(V), xtol=1e-12)
             assert got == pytest.approx(want, abs=1e-3), (V, eta)
+
+
+@pytest.mark.parametrize("kind", [FamilyKind.GHZ3_BEAM_SPLITTER, FamilyKind.GHZ3_KERR,
+                                  FamilyKind.W3], ids=lambda kind: kind.value)
+def test_scaled_crossings_settle_decade_by_decade(kind):
+    # u = d*·η/√(1 + η²(V − 1)) scales the crossing by the argument of the
+    # sign contrast; on the large-V tail, which the composite rule alone
+    # computes, u moves one way with V and each decade moves it less than
+    # half as far as the decade before (about a tenth, measured)
+    for eta in (0.5, 1.0):
+        us = [crossing_displacement(kind, SV3, V=V, eta=eta) * eta
+              / math.sqrt(1.0 + eta * eta * (V - 1.0)) for V in 10.0 ** np.arange(1, 7)]
+        steps = np.diff(us)
+        assert (np.sign(steps) == np.sign(steps[0])).all(), (eta, us)
+        assert (np.abs(steps[1:]) < 0.5 * np.abs(steps[:-1])).all(), (eta, us)

@@ -9,11 +9,13 @@ trees compute, each in fresh interpreters:
 
 - a seeded case set: nine (family, functional) pairs at V in {1, 2, 5, 10,
   20, 1000} and η in {0.3, 1, per mode}, each with random angles as a curve
-  of three displacements and as a single point, at the default tolerance
-  and at each ``rel_tol`` of ``REL_TOLS``; then crossing displacements,
-  ``evaluate_with_gradient`` at random angles and one ``optimize_angles``
-  run; then the refinement ladder's cases: w3 svetlichny3 at η = 0.7 with
-  canonical angles, as a curve and as a point, at every ``nodes_per_axis``,
+  of three displacements and as a single point, at the default tolerance and
+  at each ``rel_tol`` of ``REL_TOLS``; then crossing displacements,
+  ``evaluate_with_gradient`` at random angles (at V = 5 and η = 0.8, then at
+  the wide V of ``WIDE_V_VALUES`` with per-mode η), the wide weights'
+  crossings of ``WIDE_CROSSINGS`` and one ``optimize_angles`` run; then the
+  refinement ladder's cases: w3 svetlichny3 at η = 0.7 with canonical
+  angles, as a curve and as a point, at every ``nodes_per_axis``,
   ``rel_tol`` and V of ``LADDER``, which walk the delta rule, both Hermite
   passes, the composite tail, the wide ladder and nonconvergence.  Every
   number of an output is kept as its ``repr``.
@@ -83,6 +85,9 @@ PAIRS = (("ghz3-bs", "svetlichny3"), ("ghz3-cond", "svetlichny3"),
 V_VALUES = (1.0, 2.0, 5.0, 10.0, 20.0, 1000.0)
 CROSSINGS = (("ghz3-cond", "svetlichny3"), ("ghz3-bs", "svetlichny3"),
              ("ghz4-cond", "svetlichny4"))
+# Crossings and gradients at wide weights, where only the composite rule runs
+WIDE_CROSSINGS = (("ghz3-kerr", "svetlichny3"), ("w3", "svetlichny3"))
+WIDE_V_VALUES = (100.0, 1e4)
 # Tolerances of the seeded curves and points, None for the default
 REL_TOLS = (None, 1e-5, 1e-10)
 # (nodes_per_axis, rel_tol, V) of the ladder cases
@@ -159,6 +164,23 @@ def _cases(seed: int) -> list:
         cases.append((f"gradient/{family}/{name}/V=5",
                       lambda s=spec, f=state, x=x: evaluate_with_gradient(s, f, x,
                                                                           gradient_detector)))
+    for family, name in WIDE_CROSSINGS:
+        for V in WIDE_V_VALUES:
+            for eta in (0.8, 1.0):
+                cases.append((f"crossing/{family}/{name}/V={V:g}/eta={eta:g}",
+                              lambda k=FamilyKind(family), s=INEQUALITIES[name], V=V, e=eta:
+                              crossing_displacement(k, s, V, e)))
+    for family, name in PAIRS:
+        spec = INEQUALITIES[name]
+        kind = FamilyKind(family)
+        for V in WIDE_V_VALUES:
+            x = rng.uniform(0.0, 2.0 * math.pi, 2 * sum(spec.settings_per_party))
+            state = StateFamily(kind, V, float(rng.uniform(0.05, 2.0 * math.sqrt(V))))
+            detector = DetectorModel(tuple(float(e) for e in
+                                           rng.uniform(0.4, 1.0, state.num_modes)))
+            cases.append((f"gradient/{family}/{name}/V={V:g}/eta=per-mode",
+                          lambda s=spec, f=state, x=x, t=detector:
+                          evaluate_with_gradient(s, f, x, t)))
     cases.append(("optimize/ghz3-kerr/svetlichny3/V=5",
                   lambda: optimize_angles(INEQUALITIES["svetlichny3"],
                                           StateFamily(FamilyKind.GHZ3_KERR, 5.0, 2.0),
