@@ -152,9 +152,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             eta_grid=_parse_grid(args.eta, "--eta"),
             angles=angles, cfg=cfg)
         result = run_sweep(plan)
-    except UnsupportedAngleSetError as exc:
-        parser.error(str(exc))
-    except ValueError as exc:
+    except (UnsupportedAngleSetError, ValueError) as exc:
         parser.error(str(exc))
 
     rows = [_row(kind, spec, row.V, row.d, row.eta, row.value, row.err, row.violated)
@@ -300,8 +298,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {"scan": cmd_scan, "figure": cmd_figure, "validate": cmd_validate}
     try:
         return handlers[args.command](args, parser)
-    except SystemExit:
-        raise
     except EtsError as exc:
         sys.stderr.write(f"etsbell: {exc}\n")
         return 1

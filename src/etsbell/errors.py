@@ -25,6 +25,8 @@ class NonconvergenceError(EtsError, RuntimeError):
 class UnsupportedAngleSetError(EtsError, KeyError):
     """No canonical angle set is stored for the requested inequality/family pair."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class NoCrossingError(EtsError, RuntimeError):
     """A functional never reaches its local-realistic bound on the search interval."""

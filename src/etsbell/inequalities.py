@@ -368,7 +368,7 @@ def canonical_angles(inequality: str | InequalitySpec,
         return _CANONICAL[(name, kind)]
     except KeyError:
         raise UnsupportedAngleSetError(
-            f"no canonical angles for inequality {name!r} on family {kind.value!r}")
+            f"no canonical angles for inequality {name!r} on family {kind.value!r}") from None
 
 
 @dataclass(frozen=True)

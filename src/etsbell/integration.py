@@ -69,9 +69,11 @@ pattern, one multiply by the y moments, one gather and one contraction over
 a stacked (points × stack rows) axis.  Each point stops at its own first
 converged pass and only the rest climb.  The composite rule's panels move
 with the centre, so there each point is a curve of its own on the same plan;
-a single estimate is a curve of one point.  The points axis meets only
-elementwise arithmetic and einsum sums over each point's own nodes, so a
-point carries the bits it has alone (the tests check this).
+a single estimate is a curve of one point.  A composite rule is built, in
+one vectorised step, when a pass needs it: each pass builds its x rules,
+and the plan forms each node source's y rules once.  The points axis meets
+only elementwise arithmetic and einsum sums over each point's own nodes, so
+a point carries the bits it has alone (the tests check this).
 
 The node functions need only real erf and Dawson's integral, which come from
 the numpy kernels of :mod:`._special` (within 2 ulp of the exact values), so
@@ -124,8 +126,6 @@ _FINE_PANEL_FRACTION = 0.4
 # from the integral, which leaves err far below the true error.
 _MIN_NODES_PER_AXIS = 10
 _MAX_NODES_PER_AXIS = 50
-# Axis rules kept in memory: a few per state, so this spans many states.
-_AXIS_RULE_CACHE = 256
 # Moment sets kept in memory: one state's refinement passes, which an
 # optimizer revisits at every evaluation.  A sweep or a crossing search moves
 # to new points at every curve, so it finds nothing here; what its passes
@@ -183,16 +183,14 @@ def _gl_rule(n: int):
     return leggauss(n)
 
 
-@lru_cache(maxsize=_AXIS_RULE_CACHE)
 def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, order: int):
     """Windowed composite rule of an axis, panelled Gauss-Legendre of
-    ``order`` with the Gaussian weight folded in, as read-only (nodes, weights).
+    ``order`` with the Gaussian weight folded in, as (nodes, weights).
 
     Fine panels cover the window around the origin where the erf and Dawson
     node functions vary on the 1/smax scale; panels of width sigma cover the
-    rest of the weight's support.  Rules are memoized: every term of a
-    functional, every refinement pass and every identical variable of a
-    state asks for the same ones.
+    rest of the weight's support.  The rule is built in one vectorised step,
+    each segment's panel edges at once, then every panel's nodes and weights.
     """
     lo = mu - _RANGE_SIGMAS * sigma
     hi = mu + _RANGE_SIGMAS * sigma
@@ -200,38 +198,21 @@ def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, order: int)
              _FINE_DAWSON_HALFWIDTH / (_SQRT2 * max(eta_min, 1e-3) * smax))
     fine_lo = max(lo, -zf)
     fine_hi = min(hi, zf)
-    fine_width = _FINE_PANEL_FRACTION / smax
-
-    edges: list[float] = [lo]
-
-    def extend(stop: float, width: float):
-        start = edges[-1]
-        if stop <= start:
-            return
-        count = max(1, int(math.ceil((stop - start) / width)))
-        step = (stop - start) / count
-        for k in range(1, count + 1):
-            edges.append(start + k * step)
-
-    if fine_hi > fine_lo:
-        extend(fine_lo, sigma)
-        extend(fine_hi, fine_width)
-    extend(hi, sigma)
-
+    # (stop, panel width) per segment, each starting where the last one ended
+    fine = ((fine_lo, sigma), (fine_hi, _FINE_PANEL_FRACTION / smax)) if fine_hi > fine_lo else ()
+    edges = [np.array([lo])]
+    for stop, width in (*fine, (hi, sigma)):
+        start = float(edges[-1][-1])
+        if stop > start:
+            count = max(1, math.ceil((stop - start) / width))
+            edges.append(start + np.arange(1, count + 1) * ((stop - start) / count))
+    edges = np.concatenate(edges)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
     t, w = _gl_rule(order)
-    xs = []
-    ws = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        xs.append(mid + half * t)
-        ws.append(half * w)
-    nodes = np.concatenate(xs)
+    nodes = (mid[:, None] + half[:, None] * t).ravel()
     density = np.exp(-0.5 * ((nodes - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    weights = np.concatenate(ws) * density
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return nodes, (half[:, None] * w).ravel() * density
 
 
 def _ladder(sigma: float, nodes_per_axis: int) -> tuple:
@@ -271,7 +252,6 @@ def curve_shares_pass(V: float) -> bool:
     return _variable_sigma(V) <= _GH_SIGMA_MAX
 
 
-@lru_cache(maxsize=None)
 def _moment_subscripts(k: int, points: bool) -> str:
     """einsum spec for a variable feeding k modes: it sums per-mode axis
     factors (u: numerator or Gram, one term letter per mode, p: point of a
@@ -352,7 +332,7 @@ def _pass_plan(kind, V: float, detector: DetectorModel, rules: tuple, patterns: 
     composite rule, whose panels depend on them, from its largest scale and
     smallest η too; variables equal in these share a node source, and
     those equal in scales, η and local patterns as well share a group.  The
-    y nodes are the frame's offsets, or the composite rule centred at 0.
+    y nodes are the frame's offsets, or per node source the composite rule at 0.
     """
     # A variable's centre at d = 1 is its centre per unit d.
     coeffs, signs, variables = family_structure(StateFamily(kind, V, 1.0))
@@ -371,13 +351,15 @@ def _pass_plan(kind, V: float, detector: DetectorModel, rules: tuple, patterns: 
         per_mode = tuple((scales[m], detector.eta_for(m) if m in measured else None)
                          for m in modes)
         local = tuple(tuple(p[m] for m in modes) for p in patterns)
-        nodes, ys = (unit, None, None), frame
-        if not shift:
-            nodes = (unit, max(map(abs, scales.values())), min(map(detector.eta_for, scales)))
-            ys = _join(_axis_rule(0.0, sigma, *nodes[1:], order) for order in sizes)
-        key = (sources.setdefault(nodes, len(sources)), per_mode, local)
+        nodes = (unit, None, None) if shift else (
+            unit, max(map(abs, scales.values())), min(map(detector.eta_for, scales)))
+        if nodes not in sources:
+            sources[nodes] = len(sources), frame if shift else _join(
+                _axis_rule(0.0, sigma, *nodes[1:], order) for order in sizes)
+        source, ys = sources[nodes]
+        key = (source, per_mode, local)
         if key not in groups:
-            groups[key] = _plan_group(key[0], per_mode, local, ys, row_parts, factors,
+            groups[key] = _plan_group(source, per_mode, local, ys, row_parts, factors,
                                       y_factors)
         members.append(list(groups).index(key))
     k = len(per_mode)
@@ -754,12 +736,14 @@ def estimate_curve(
         values = values[-1]
         errs = np.abs(values - previous)
         head_values, head_errs = values[:, :terms], errs[:, :terms]
-        # One comparison finds the points whose every term meets rel_tol;
-        # the others test term by term, as a term that stopped stays put.
-        met = (head_errs <= config.rel_tol * np.maximum(np.abs(head_values), 1.0)).all(axis=1)
+        # One comparison tests every term against rel_tol: a point whose every
+        # term meets it stops; the others read each term's verdict, as a term
+        # that stopped stays put.
+        ok = head_errs <= config.rel_tol * np.maximum(np.abs(head_values), 1.0)
+        met = ok.all(axis=1)
         climbing = []
-        for i, (p, point_values, point_errs, all_met) in enumerate(zip(
-                pending, head_values.tolist(), head_errs.tolist(), met.tolist())):
+        for i, (p, point_values, point_errs, point_ok, all_met) in enumerate(zip(
+                pending, head_values.tolist(), head_errs.tolist(), ok.tolist(), met.tolist())):
             point = found[p]
             # A derivative row takes each pass's value while its term is
             # open, so it keeps the one of the pass where the term stops.
@@ -772,8 +756,8 @@ def estimate_curve(
             elif layout.owners.size:
                 still = np.array([result is None for result in point])[layout.owners]
                 derivatives[p] = np.where(still, values[i, terms:], derivatives[p])
-            for t, (value, err) in enumerate(zip(point_values, point_errs)):
-                if point[t] is None and err <= config.rel_tol * max(abs(value), 1.0):
+            for t, (value, err, term_ok) in enumerate(zip(point_values, point_errs, point_ok)):
+                if point[t] is None and term_ok:
                     point[t] = (value, err)
             if None in point:
                 climbing.append(i)

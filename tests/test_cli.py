@@ -174,6 +174,16 @@ def test_scan_rejects_angle_list_without_explicit_mode(capsys, mode):
     assert f"--angle-list needs --angles explicit, not --angles {mode}" in err
 
 
+def test_scan_names_a_missing_canonical_set_unquoted(capsys):
+    # the error is a KeyError, whose str() would wrap the message in quotes
+    code, out, err = run(capsys, [
+        "scan", "--family", "ghz3-kerr", "--inequality", "mermin3", "--V", "5", "--d", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == ("etsbell: error: no canonical angles for inequality "
+                                    "'mermin3' on family 'ghz3-kerr'")
+
+
 def test_scan_reports_failed_rows_with_exit_two(capsys, monkeypatch):
     def fake_run_sweep(plan):
         row = SweepRow(V=1.0, d=1.0, eta=1.0, value=float("nan"),

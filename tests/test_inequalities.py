@@ -164,8 +164,12 @@ def test_evaluate_rejects_mismatched_angles_and_families():
 
 
 def test_canonical_angles_unknown_pairing():
-    with pytest.raises(UnsupportedAngleSetError):
+    with pytest.raises(UnsupportedAngleSetError) as caught:
         canonical_angles("wwzb4", FamilyKind.W3)
+    # still a KeyError, but its message reads unquoted and chains no lookup
+    assert isinstance(caught.value, KeyError)
+    assert str(caught.value) == "no canonical angles for inequality 'wwzb4' on family 'w3'"
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
 
 
 def test_canonical_angles_carry_provenance():

@@ -610,6 +610,92 @@ def test_a_point_on_the_composite_tail_makes_one_pass_per_level(monkeypatch):
             assert x.shape == (1, ends[-1]) and w.shape == (ends[-1],)
 
 
+def _panel_by_panel_rule(mu, sigma, smax, eta_min, order):
+    """The windowed composite rule built panel by panel: the edges in plain
+    Python floats, then each panel's nodes and weights on its own, with the
+    Gaussian density folded in over every node at the end."""
+    lo = mu - integration._RANGE_SIGMAS * sigma
+    hi = mu + integration._RANGE_SIGMAS * sigma
+    zf = max(integration._FINE_ERF_HALFWIDTH / smax,
+             integration._FINE_DAWSON_HALFWIDTH / (math.sqrt(2.0) * max(eta_min, 1e-3) * smax))
+    edges = [lo]
+
+    def extend(stop, width):
+        start = edges[-1]
+        if stop > start:
+            count = max(1, math.ceil((stop - start) / width))
+            step = (stop - start) / count
+            edges.extend(start + k * step for k in range(1, count + 1))
+
+    if min(hi, zf) > max(lo, -zf):
+        extend(max(lo, -zf), sigma)
+        extend(min(hi, zf), integration._FINE_PANEL_FRACTION / smax)
+    extend(hi, sigma)
+    t, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        nodes.extend(mid + half * tk for tk in t.tolist())
+        weights.extend(half * wk for wk in w.tolist())
+    nodes = np.array(nodes)
+    density = np.exp(-0.5 * ((nodes - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    return nodes, np.array(weights) * density
+
+
+def test_composite_rule_matches_a_panel_by_panel_build():
+    rng = np.random.default_rng(29)
+    seen = set()
+    for case in range(240):
+        sigma = integration._variable_sigma(10.0 ** rng.uniform(1.0, 6.0))
+        smax = float(rng.uniform(0.3, 2.0))
+        # every fourth case at the η floor, where the fine window is widest
+        eta_min = float(rng.uniform(0.05, 1.0)) if case % 4 else float(rng.choice([0.0, 5e-4]))
+        zf = max(integration._FINE_ERF_HALFWIDTH / smax,
+                 integration._FINE_DAWSON_HALFWIDTH
+                 / (math.sqrt(2.0) * max(eta_min, 1e-3) * smax))
+        reach = integration._RANGE_SIGMAS * sigma
+        side = float(rng.choice([-1.0, 1.0]))
+        # the fine window inside [lo, hi], astride lo or hi, or absent
+        mu = [float(rng.uniform(-1.0, 1.0)) * max(reach - zf, 0.0),
+              side * (reach + float(rng.uniform(-0.9, 0.9)) * zf),
+              side * (reach + zf) * float(rng.uniform(1.5, 50.0))][case % 3]
+        lo, hi = mu - reach, mu + reach
+        seen.add("inside" if lo <= -zf and zf <= hi else
+                 "absent" if hi <= -zf or zf <= lo else
+                 "clipped by lo" if lo > -zf else "clipped by hi")
+        order = (12, 24, 48)[case // 3 % 3]  # every order at every placement
+        nodes, weights = integration._axis_rule(mu, sigma, smax, eta_min, order)
+        want_nodes, want_weights = _panel_by_panel_rule(mu, sigma, smax, eta_min, order)
+        assert nodes.tobytes() == want_nodes.tobytes(), (mu, sigma, smax, eta_min, order)
+        assert weights.tobytes() == want_weights.tobytes(), (mu, sigma, smax, eta_min, order)
+    assert seen == {"inside", "clipped by lo", "clipped by hi", "absent"}
+
+
+def test_a_composite_plan_forms_each_y_rule_once(monkeypatch):
+    # ghz4-cond's four variables are equal, one node source: its first
+    # composite pass at V = 100 asks for one y rule (centred at 0) per order
+    # and one x rule per order, where a y rule per variable made 8 requests
+    requests = []
+    axis_rule = integration._axis_rule
+
+    def spy(mu, sigma, smax, eta_min, order):
+        requests.append((mu, order))
+        return axis_rule(mu, sigma, smax, eta_min, order)
+
+    _clear_memos()
+    monkeypatch.setattr(integration, "_axis_rule", spy)
+    layout = INEQUALITIES["svetlichny4"]._layout
+    family = StateFamily(FamilyKind.GHZ4_CONDITIONAL, 100.0, 2.0)
+    rules = (False, (12, 24))
+    assert integration._ladder(integration._variable_sigma(100.0), 40)[0] == rules
+    plan, _moments = integration._deterministic_moments((family,), DetectorModel(0.8), rules,
+                                                         layout.patterns, layout.stack_rows)
+    assert len(plan.variables) == 4 and len(plan.nodes) == 1
+    assert sorted(r for r in requests if r[0] == 0.0) == [(0.0, 12), (0.0, 24)]
+    assert sorted(r for r in requests if r[0] != 0.0) == [(2.0, 12), (2.0, 24)]
+    _clear_memos()
+
+
 def _clear_memos():
     """Empty every bounded memo of the engine, plan and angle memos included."""
     for memo in vars(integration).values():

@@ -23,7 +23,9 @@ trees compute, each in fresh interpreters:
   ``validate``, ``validate --checks lr-bounds --flip-sign k`` for every
   term index k the flip accepts, the w3 ``scan --angles optimize`` and a
   canonical ``scan --format json`` of every (family, functional) pair with
-  stored angles, split into fields on commas and whitespace.
+  stored angles, and two scans that fail with exit status 1 (a pair with no
+  stored angles, and V < 1), split into fields on commas and whitespace:
+  each command's exit status, stdout, stderr and the files it writes.
 
 For each output it prints ``identical``, or each value that moved with its
 ``repr`` before and after; then a summary line.  It exits 1 when anything
@@ -66,6 +68,14 @@ CLI_COMMANDS.update({
     "ghz3-bs scan --format json": ["scan", "--family", "ghz3-bs", "--inequality",
                                    "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
                                    "--eta", "0.3,1", "--format", "json"],
+})
+# Two flag errors, whose stderr names the cause
+CLI_COMMANDS.update({
+    "ghz3-kerr mermin3 scan (no canonical angles)": [
+        "scan", "--family", "ghz3-kerr", "--inequality", "mermin3", "--V", "5", "--d", "1"],
+    "ghz3-cond svetlichny3 scan (V < 1)": [
+        "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3", "--V", "0.5",
+        "--d", "1"],
 })
 # Every other (family, functional) pair with canonical angles, scanned on the
 # ghz3-bs grid and at V = 10⁶.
@@ -266,6 +276,7 @@ def _tree_outputs(checkout: Path, cwd: Path, seed: int) -> dict:
                               env=_env(checkout), capture_output=True, text=True)
         outputs[f"cli {name}: exit status"] = [["status", repr(done.returncode)]]
         outputs[f"cli {name}: stdout"] = split_output(done.stdout)
+        outputs[f"cli {name}: stderr"] = split_output(done.stderr)
         for path in sorted(run_dir.iterdir()):
             outputs[f"cli {name}: {path.name}"] = split_output(path.read_text())
         shutil.rmtree(run_dir)
