@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NonconvergenceError, RotationError, UnsupportedAngleSetError
+from .errors import NonconvergenceError, RotationError, UnsupportedAngleSetError, require_number
 # perfbench wraps the two single-term estimators by their names here.
 from .integration import (QuadratureConfig, TermLayout,  # noqa: F401
                           converged_correlation, estimate_correlation, estimate_curve,
@@ -58,15 +59,16 @@ class InequalitySpec:
     """A Bell functional: signed correlation terms plus its two bounds."""
 
     name: str
-    parties: int
     settings_per_party: tuple[int, ...]
     terms: tuple[tuple[int, TermIndices], ...]
     lr_bound: float
     quantum_max: float
 
+    @property
+    def parties(self) -> int:
+        return len(self.settings_per_party)
+
     def __post_init__(self):
-        if len(self.settings_per_party) != self.parties:
-            raise ValueError("settings_per_party must list every party")
         for sign, indices in self.terms:
             if sign not in (-1, 1):
                 raise ValueError(f"term sign must be ±1, got {sign}")
@@ -107,7 +109,6 @@ def _uniform_terms(parties: int, sign_by_flips: Sequence[int]) -> tuple:
 
 MERMIN3 = InequalitySpec(
     name="mermin3",
-    parties=3,
     settings_per_party=(2, 2, 2),
     terms=((1, (0, 0, 1)), (1, (0, 1, 0)), (1, (1, 0, 0)), (-1, (1, 1, 1))),
     lr_bound=2.0,
@@ -116,7 +117,6 @@ MERMIN3 = InequalitySpec(
 
 SVETLICHNY3 = InequalitySpec(
     name="svetlichny3",
-    parties=3,
     settings_per_party=(2, 2, 2),
     terms=(
         (1, (0, 0, 1)), (1, (0, 1, 0)), (1, (1, 0, 0)), (1, (0, 0, 0)),
@@ -128,7 +128,6 @@ SVETLICHNY3 = InequalitySpec(
 
 SVETLICHNY4 = InequalitySpec(
     name="svetlichny4",
-    parties=4,
     settings_per_party=(2, 2, 2, 2),
     terms=(
         (1, (0, 0, 0, 0)), (-1, (1, 0, 0, 0)), (-1, (0, 1, 0, 0)), (-1, (0, 0, 1, 0)),
@@ -142,7 +141,6 @@ SVETLICHNY4 = InequalitySpec(
 
 WWZB4 = InequalitySpec(
     name="wwzb4",
-    parties=4,
     settings_per_party=(2, 2, 2, 2),
     terms=_uniform_terms(4, (1, 1, -1, -1, 1)),
     lr_bound=4.0,
@@ -151,7 +149,6 @@ WWZB4 = InequalitySpec(
 
 SASA = InequalitySpec(
     name="sasa",
-    parties=4,
     settings_per_party=(2, 1, 2, 2),
     terms=(
         (1, (0, UNMEASURED, 0, 0)),
@@ -164,7 +161,7 @@ SASA = InequalitySpec(
 )
 
 INEQUALITIES: dict[str, InequalitySpec] = {
-    spec.name: spec for spec in (MERMIN3, SVETLICHNY3, SVETLICHNY4, WWZB4, SASA)
+    spec.name: spec for spec in (MERMIN3, SVETLICHNY3, SVETLICHNY4, SASA, WWZB4)
 }
 
 
@@ -356,19 +353,17 @@ _register(
 )
 
 
-def canonical_angles(inequality: str | InequalitySpec,
-                     kind: FamilyKind) -> CanonicalAngles:
+def canonical_angles(spec: InequalitySpec, kind: FamilyKind) -> CanonicalAngles:
     """Stored angle set for an inequality/family pair.
 
     Raises :class:`UnsupportedAngleSetError` when no set is on file; the
     optimizer covers those combinations.
     """
-    name = inequality if isinstance(inequality, str) else inequality.name
     try:
-        return _CANONICAL[(name, kind)]
+        return _CANONICAL[(spec.name, kind)]
     except KeyError:
-        raise UnsupportedAngleSetError(
-            f"no canonical angles for inequality {name!r} on family {kind.value!r}") from None
+        raise UnsupportedAngleSetError(f"no canonical angles for inequality {spec.name!r} "
+                                       f"on family {kind.value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -383,7 +378,6 @@ class OptimizationResult:
     value: float
     angles: AngleSet
     start_index: int
-    provenance: str = "optimizer"
     evaluations: int = 0
     restarts: int = 0
     stalled: int = 0
@@ -504,6 +498,7 @@ def optimize_angles(
     value at its last accepted point.  An evaluation that does not
     converge raises its :class:`NonconvergenceError` out of the optimizer.
     """
+    require_number("restarts", restarts, numbers.Integral)
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if config is None:
@@ -581,6 +576,7 @@ def verify_lr_bound(spec: InequalitySpec, flip_term: int | None = None) -> bool:
     """
     terms = list(spec.terms)
     if flip_term is not None:
+        require_number("flip_term", flip_term, numbers.Integral)
         if not 0 <= flip_term < len(terms):
             raise ValueError(
                 f"flip_term must lie in [0, {len(terms)}) for {spec.name}, got {flip_term}")

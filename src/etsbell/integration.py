@@ -86,9 +86,9 @@ variables of a conditional state are equal, and a per-mode η that differs
 splits them.  Sharing is decided by values, so it moves no bit.  Dawson's
 integral enters a y moment once per measured mode whose second part the
 moment takes.  It is odd and the y weight is symmetric about 0, so a moment
-with an odd number of such factors integrates to zero; the plan sets it to
-zero instead of summing roundoff, and a variable with at most one measured
-mode needs no Dawson values at all.
+with an odd number of such factors integrates to zero: a plan forms every
+measured mode's Dawson values and then sets each such moment to zero,
+instead of keeping the roundoff of its sum.
 """
 
 from __future__ import annotations
@@ -272,20 +272,17 @@ def _x_factors(x, scale: float, eta):
     return np.array((gram if eta is None else (erf(_SQRT2 * eta * sx), gauss), gram))
 
 
-def _y_factors(y, scale: float, eta, dawson: bool):
-    """A mode's y factors, as :func:`_x_factors`.  A measured mode's Dawson
-    part is formed only with ``dawson``; otherwise it is zero, as every y
-    moment it would enter is (see the module docstring)."""
+def _y_factors(y, scale: float, eta):
+    """A mode's y factors, as :func:`_x_factors`; a measured mode's second
+    numerator part carries Dawson's integral (see the module docstring for
+    the y moments it makes zero)."""
     sy = scale * y
     ones = np.ones_like(sy)
     gram = (ones, np.exp(-2.0 * sy * sy))
     if eta is None:
         return np.array((gram, gram))
-    if dawson:
-        part = ((2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
-                * dawsn(_SQRT2 * eta * sy))
-    else:
-        part = np.zeros_like(sy, dtype=complex)
+    part = ((2j / _SQRT_PI) * np.exp(-2.0 * (1.0 - eta * eta) * sy * sy)
+            * dawsn(_SQRT2 * eta * sy))
     return np.array(((ones, part), gram))
 
 
@@ -386,24 +383,21 @@ def _plan_group(source: int, per_mode: tuple, local: tuple, ys: tuple, row_parts
     for offs in distinct:
         # Dawson's integral is odd and the y weight symmetric, so a y moment
         # with an odd number of Dawson factors (the second part of an odd
-        # number of measured modes) is zero; with at most one measured mode
-        # every Dawson factor enters such a moment.
-        dawson = sum(not off for off in offs) > 1
+        # number of measured modes) is zero.
         measured = [m for m, off in enumerate(offs) if not off]
         odd = np.indices((2,) * len(offs))[measured].sum(axis=0) % 2 == 1
         y_parts, x_parts = [], []
         for (scale, eta), off in zip(per_mode, offs):
             eta = None if off else eta
-            if (source, scale, eta, dawson) not in y_factors:
-                y_factors[source, scale, eta, dawson] = _y_factors(y, scale, eta, dawson)
-            y_parts.append(y_factors[source, scale, eta, dawson])
+            if (source, scale, eta) not in y_factors:
+                y_factors[source, scale, eta] = _y_factors(y, scale, eta)
+            y_parts.append(y_factors[source, scale, eta])
             x_parts.append(factors.setdefault((source, scale, eta), len(factors)))
         x_factors.append(tuple(x_parts))
         per_rule = [np.einsum(y_sum, *(f[..., a:b] for f in y_parts), wy[a:b])
                     for a, b in zip(ends, ends[1:])]
-        if dawson:
-            for moments in per_rule:
-                moments[0][odd] = 0.0
+        for moments in per_rule:
+            moments[0][odd] = 0.0
         y_moments.append(per_rule)
     y_moments = np.array([list(rule) for rule in zip(*y_moments)])[..., None]
     gather = np.array([2 * distinct.index(local[p]) + part for p, part in row_parts])

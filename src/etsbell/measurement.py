@@ -32,6 +32,8 @@ class EffectiveRotation:
     phase: float = 0.0
 
     def __post_init__(self):
+        require_number("theta", self.theta)
+        require_number("phase", self.phase)
         if not (math.isfinite(self.theta) and math.isfinite(self.phase)):
             raise RotationError("rotation angles must be finite")
         object.__setattr__(self, "phase", self.phase % _TWO_PI)

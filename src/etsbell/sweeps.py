@@ -122,7 +122,7 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
                 detector=DetectorModel(eta), config=config,
                 restarts=plan.optimizer_restarts)
-            provenance = found.provenance
+            provenance = "optimizer"
             if found.stalled:
                 provenance += f" ({found.stalled} of {found.restarts} restarts stalled)"
             resolved[(V, eta)] = (found.angles, provenance)
@@ -270,7 +270,6 @@ def crossing_displacement(
     spec: InequalitySpec,
     V: float,
     eta: float,
-    cfg: QuadratureConfig | None = None,
     angles: AngleSet | str = "canonical",
     d_max: float | None = None,
 ) -> float:
@@ -304,7 +303,7 @@ def crossing_displacement(
     hi = d_max if d_max is not None else 20.0 * math.sqrt(V)
     probes = [hi * k / 8.0 for k in range(9)]
     profile = evaluate_curve_with_error(
-        spec, [StateFamily(family, V=V, d=d) for d in probes], angles, detector, cfg)
+        spec, [StateFamily(family, V=V, d=d) for d in probes], angles, detector)
     sampled = [point_result(outcome) for outcome in profile]
     for (va, ea), (vb, eb) in zip(sampled, sampled[1:]):
         if vb < va - 3.0 * (ea + eb) - 1e-9:
@@ -322,7 +321,7 @@ def crossing_displacement(
 
     def gaps(ds: tuple[float, ...]) -> list[float]:
         outcomes = evaluate_curve_with_error(
-            spec, [StateFamily(family, V=V, d=d) for d in ds], angles, detector, cfg)
+            spec, [StateFamily(family, V=V, d=d) for d in ds], angles, detector)
         return [point_result(outcome)[0] - spec.lr_bound for outcome in outcomes]
 
     # a round's points share an engine pass only on a shift rule; on the

@@ -1,19 +1,21 @@
 """Self-validation suite: oracle agreement, plateaus, orderings and kernels.
 
-Every check is a named function returning a :class:`CheckResult`, shared by
-the ``validate`` CLI command and the test suite so both report identical
-verdicts.  Reference numbers here are either closed forms evaluated in-place
-or high-precision constants frozen from an independent computation, such as
-the 50-digit erf and Dawson values that ``numerical-kernels`` holds the
-engine's own kernels to.  No check imports scipy: the angle optimizer behind
-``kerr-violation-exists`` is the package's own numpy BFGS.
+Each check returns a verdict and a detail line; the :data:`CHECKS` registry
+names it, and :func:`run_checks` joins name, verdict and detail into a
+:class:`CheckResult`.  The ``validate`` CLI command and the test suite share
+them, so both report identical verdicts.  Reference numbers here are either
+closed forms evaluated in-place or high-precision constants frozen from an
+independent computation, such as the 50-digit erf and Dawson values that
+``numerical-kernels`` holds the engine's own kernels to.  No check imports
+scipy: the angle optimizer behind ``kerr-violation-exists`` is the package's
+own numpy BFGS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -57,53 +59,33 @@ def _ghz_reference_pairs() -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-def check_ghz_oracle_agreement() -> CheckResult:
+def check_ghz_oracle_agreement() -> tuple[bool, str]:
     """Quadrature engine vs the GHZ closed form over the reference grid."""
     worst = 0.0
     for got, want in _ghz_reference_pairs():
         worst = max(worst, abs(got - want) / max(abs(want), 1.0))
-    return CheckResult(
-        name="ghz-oracle-agreement",
-        passed=worst <= 1e-6,
-        detail=f"max relative deviation {worst:.3e} (tolerance 1e-6)")
+    return worst <= 1e-6, f"max relative deviation {worst:.3e} (tolerance 1e-6)"
 
 
-def _plateau(name: str, inequality: str, kind: FamilyKind, eta: float, target: float,
-             label: str) -> Callable[[], CheckResult]:
-    """The check ``name``: with canonical angles, ``inequality`` on ``kind``
-    at V = 10, d = 50 and efficiency ``eta`` reads ``target`` (written
-    ``label``) within 1e-3."""
-    def check() -> CheckResult:
-        spec = INEQUALITIES[inequality]
-        angles = canonical_angles(spec, kind).angles
-        value = evaluate(spec, StateFamily(kind, V=10.0, d=50.0), angles, DetectorModel(eta))
-        diff = abs(value - target)
-        return CheckResult(
-            name=name,
-            passed=diff <= 1e-3,
-            detail=f"value {value:.9f} vs {label}, deviation {diff:.3e} (tolerance 1e-3)")
-    return check
+def _plateau(inequality: str, kind: FamilyKind, eta: float, target: float,
+             label: str) -> tuple[bool, str]:
+    """With canonical angles, ``inequality`` on ``kind`` at V = 10, d = 50
+    and efficiency ``eta`` reads ``target`` (written ``label``) within 1e-3."""
+    spec = INEQUALITIES[inequality]
+    angles = canonical_angles(spec, kind).angles
+    value = evaluate(spec, StateFamily(kind, V=10.0, d=50.0), angles, DetectorModel(eta))
+    diff = abs(value - target)
+    return diff <= 1e-3, f"value {value:.9f} vs {label}, deviation {diff:.3e} (tolerance 1e-3)"
 
 
-check_svetlichny3_plateau = _plateau("svetlichny3-plateau", "svetlichny3",
-                                     FamilyKind.GHZ3_CONDITIONAL, 0.1, GHZ3_SVETLICHNY_MAX, "4√2")
-check_svetlichny4_plateau = _plateau("svetlichny4-plateau", "svetlichny4",
-                                     FamilyKind.GHZ4_CONDITIONAL, 0.1, GHZ4_SVETLICHNY_MAX, "8√2")
-check_wwzb_plateau = _plateau("wwzb-plateau", "wwzb4", FamilyKind.CLUSTER4_CONDITIONAL, 1.0,
-                              4.0 * math.sqrt(2.0), "4√2")
-
-
-def check_w_plateau() -> CheckResult:
+def check_w_plateau() -> tuple[bool, str]:
     spec = INEQUALITIES["svetlichny3"]
     angles = canonical_angles(spec, FamilyKind.W3).angles
     value = evaluate(spec, StateFamily(FamilyKind.W3, V=10.0, d=40.0), angles)
-    return CheckResult(
-        name="w-plateau",
-        passed=4.35 <= value <= 4.36,
-        detail=f"value {value:.9f} expected inside [4.35, 4.36]")
+    return 4.35 <= value <= 4.36, f"value {value:.9f} expected inside [4.35, 4.36]"
 
 
-def check_sasa_exactness() -> CheckResult:
+def check_sasa_exactness() -> tuple[bool, str]:
     spec = INEQUALITIES["sasa"]
     angles = canonical_angles(spec, FamilyKind.CLUSTER4_CONDITIONAL).angles
     worst = 0.0
@@ -125,41 +107,28 @@ def check_sasa_exactness() -> CheckResult:
     crossing_d = reaching(2.0, 200.0)
     saturation_d = reaching(3.99, 400.0)
     ordered = crossing_d < 50.0 < saturation_d
-    return CheckResult(
-        name="sasa-exactness",
-        passed=worst <= 1e-6 and plateau <= 1e-6 and ordered,
-        detail=(f"max deviation {worst:.3e} (tolerance 1e-6), plateau gap {plateau:.3e}, "
-                f"V=1e3 crossing {crossing_d:.2f} < 50 < saturation {saturation_d:.2f}: {ordered}"))
+    return (worst <= 1e-6 and plateau <= 1e-6 and ordered,
+            f"max deviation {worst:.3e} (tolerance 1e-6), plateau gap {plateau:.3e}, "
+            f"V=1e3 crossing {crossing_d:.2f} < 50 < saturation {saturation_d:.2f}: {ordered}")
 
 
-def _scheme_ordering(name: str, inequality: str, scheme: FamilyKind,
-                     conditional: FamilyKind, eta: float,
-                     label: str) -> Callable[[], CheckResult]:
-    """The check ``name``: at V = 5 and 10 and efficiency ``eta``,
-    ``inequality`` crosses its bound at a smaller displacement on
-    ``scheme`` (written ``label``) than on ``conditional``."""
-    def check() -> CheckResult:
-        spec = INEQUALITIES[inequality]
-        parts = []
-        ok = True
-        for V in (5.0, 10.0):
-            first = crossing_displacement(scheme, spec, V, eta)
-            cond = crossing_displacement(conditional, spec, V, eta)
-            ok = ok and first < cond
-            parts.append(f"V={V:g}: {label} {first:.4f} vs conditional {cond:.4f}")
-        return CheckResult(name=name, passed=ok, detail="; ".join(parts))
-    return check
+def _scheme_ordering(inequality: str, scheme: FamilyKind, conditional: FamilyKind,
+                     eta: float, label: str) -> tuple[bool, str]:
+    """At V = 5 and 10 and efficiency ``eta``, ``inequality`` crosses its
+    bound at a smaller displacement on ``scheme`` (written ``label``) than
+    on ``conditional``."""
+    spec = INEQUALITIES[inequality]
+    parts = []
+    ok = True
+    for V in (5.0, 10.0):
+        first = crossing_displacement(scheme, spec, V, eta)
+        cond = crossing_displacement(conditional, spec, V, eta)
+        ok = ok and first < cond
+        parts.append(f"V={V:g}: {label} {first:.4f} vs conditional {cond:.4f}")
+    return ok, "; ".join(parts)
 
 
-check_tripartite_ordering = _scheme_ordering(
-    "tripartite-scheme-ordering", "svetlichny3", FamilyKind.GHZ3_BEAM_SPLITTER,
-    FamilyKind.GHZ3_CONDITIONAL, 0.3, "splitter")
-check_cluster_ordering = _scheme_ordering(
-    "cluster-scheme-ordering", "sasa", FamilyKind.CLUSTER4_CROSS_KERR,
-    FamilyKind.CLUSTER4_CONDITIONAL, 1.0, "cross-Kerr")
-
-
-def check_inefficiency_substitution() -> CheckResult:
+def check_inefficiency_substitution() -> tuple[bool, str]:
     """Loss handling: physical kernel vs substitution rule, plus compensation.
 
     The engine carries the detector through the smeared half-line kernels; the
@@ -176,52 +145,42 @@ def check_inefficiency_substitution() -> CheckResult:
         lossy = ghz_correlation_closed(100.0, boosted, phases, 0.3)
         ideal = ghz_correlation_closed(100.0, d, phases, 1.0)
         comp_worst = max(comp_worst, abs(lossy - ideal) / abs(ideal))
-    passed = worst <= 1e-4 and comp_worst <= 1e-2
-    return CheckResult(
-        name="inefficiency-substitution",
-        passed=passed,
-        detail=(f"max deviation {worst:.3e} (tolerance 1e-4); "
-                f"compensated displacement off by {comp_worst:.3%} (tolerance 1%)"))
+    return (worst <= 1e-4 and comp_worst <= 1e-2,
+            f"max deviation {worst:.3e} (tolerance 1e-4); "
+            f"compensated displacement off by {comp_worst:.3%} (tolerance 1%)")
 
 
-# The functionals whose stored local bounds ``lr-bounds`` enumerates, and the
-# term indices its sign flip may name: those present in every table.
-_LR_TABLES = ("mermin3", "svetlichny3", "svetlichny4", "sasa", "wwzb4")
-FLIPPABLE_TERMS = min(len(INEQUALITIES[name].terms) for name in _LR_TABLES)
+# The term indices the sign flip of ``lr-bounds`` may name: those present in
+# every table it enumerates.
+FLIPPABLE_TERMS = min(len(spec.terms) for spec in INEQUALITIES.values())
 
 
-def check_lr_bounds(flip_term: int | None = None) -> CheckResult:
+def check_lr_bounds(flip_term: int | None = None) -> tuple[bool, str]:
     """Exhaustive confirmation of every stored local bound.
 
     ``flip_term`` perturbs one sign in each table first; the check is
     expected to fail then, which is how its sensitivity is demonstrated.
     """
-    failures = []
-    for name in _LR_TABLES:
-        if not verify_lr_bound(INEQUALITIES[name], flip_term=flip_term):
-            failures.append(name)
-    bounds = ", ".join(
-        f"{name}={INEQUALITIES[name].lr_bound:g}"
-        for name in _LR_TABLES)
+    failures = [name for name, spec in INEQUALITIES.items()
+                if not verify_lr_bound(spec, flip_term=flip_term)]
+    bounds = ", ".join(f"{name}={spec.lr_bound:g}" for name, spec in INEQUALITIES.items())
     if flip_term is not None:
         detail = f"sign of term {flip_term} flipped; mismatching tables: {failures or 'none'}"
     else:
         detail = f"enumerated bounds match exactly: {bounds}" if not failures else \
             f"bound mismatch for: {', '.join(failures)}"
-    return CheckResult(name="lr-bounds", passed=not failures, detail=detail)
+    return not failures, detail
 
 
-def check_kerr_violation() -> CheckResult:
+def check_kerr_violation() -> tuple[bool, str]:
     spec = INEQUALITIES["svetlichny3"]
     family = StateFamily(FamilyKind.GHZ3_KERR, V=5.0, d=5.0 * math.sqrt(5.0))
     found = optimize_angles(spec, family, restarts=2,
                             config=QuadratureConfig(rel_tol=1e-4))
-    return CheckResult(
-        name="kerr-violation-exists",
-        passed=found.value > 4.0,
-        detail=f"optimizer reached {found.value:.6f} (needs > 4, "
-               f"start {found.start_index}, {found.evaluations} evaluations "
-               f"over {found.restarts} restarts, {found.stalled} stalled)")
+    return (found.value > 4.0,
+            f"optimizer reached {found.value:.6f} (needs > 4, "
+            f"start {found.start_index}, {found.evaluations} evaluations "
+            f"over {found.restarts} restarts, {found.stalled} stalled)")
 
 
 # (x, erf(x), Dawson(x)) computed once at 50 decimal digits with mpmath and
@@ -253,28 +212,33 @@ _KERNEL_TABLE = (
 )
 
 
-def check_numerical_kernels() -> CheckResult:
+def check_numerical_kernels() -> tuple[bool, str]:
     """The engine's erf and Dawson kernels against the frozen table."""
     x, erf_want, dawsn_want = np.array(_KERNEL_TABLE).T
     worst = 0.0
     for got, want in ((erf(x), erf_want), (dawsn(x), dawsn_want)):
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    return CheckResult(
-        name="numerical-kernels",
-        passed=worst <= 1e-15,
-        detail=(f"erf and Dawson max relative error {worst:.3e} at {len(x)} points "
-                f"vs 50-digit references (tolerance 1e-15)"))
+    return (worst <= 1e-15,
+            f"erf and Dawson max relative error {worst:.3e} at {len(x)} points "
+            f"vs 50-digit references (tolerance 1e-15)")
 
 
-CHECKS: dict[str, Callable[[], CheckResult]] = {
+CHECKS: dict[str, Callable[..., tuple[bool, str]]] = {
     "ghz-oracle-agreement": check_ghz_oracle_agreement,
-    "svetlichny3-plateau": check_svetlichny3_plateau,
+    "svetlichny3-plateau": partial(_plateau, "svetlichny3", FamilyKind.GHZ3_CONDITIONAL, 0.1,
+                                   GHZ3_SVETLICHNY_MAX, "4√2"),
     "w-plateau": check_w_plateau,
-    "svetlichny4-plateau": check_svetlichny4_plateau,
+    "svetlichny4-plateau": partial(_plateau, "svetlichny4", FamilyKind.GHZ4_CONDITIONAL, 0.1,
+                                   GHZ4_SVETLICHNY_MAX, "8√2"),
     "sasa-exactness": check_sasa_exactness,
-    "wwzb-plateau": check_wwzb_plateau,
-    "tripartite-scheme-ordering": check_tripartite_ordering,
-    "cluster-scheme-ordering": check_cluster_ordering,
+    "wwzb-plateau": partial(_plateau, "wwzb4", FamilyKind.CLUSTER4_CONDITIONAL, 1.0,
+                            4.0 * math.sqrt(2.0), "4√2"),
+    "tripartite-scheme-ordering": partial(
+        _scheme_ordering, "svetlichny3", FamilyKind.GHZ3_BEAM_SPLITTER,
+        FamilyKind.GHZ3_CONDITIONAL, 0.3, "splitter"),
+    "cluster-scheme-ordering": partial(
+        _scheme_ordering, "sasa", FamilyKind.CLUSTER4_CROSS_KERR,
+        FamilyKind.CLUSTER4_CONDITIONAL, 1.0, "cross-Kerr"),
     "inefficiency-substitution": check_inefficiency_substitution,
     "lr-bounds": check_lr_bounds,
     "kerr-violation-exists": check_kerr_violation,
@@ -284,14 +248,16 @@ CHECKS: dict[str, Callable[[], CheckResult]] = {
 
 def run_checks(names: Iterable[str] | None = None,
                flip_term: int | None = None) -> list[CheckResult]:
-    """Run the named checks (all by default) in registry order."""
+    """Run the named checks in the order given, or every check in registry
+    order; only ``lr-bounds`` takes ``flip_term``."""
+    if isinstance(names, str):
+        raise TypeError(f"names must be an iterable of check names, not the string {names!r}")
     selected = list(CHECKS) if names is None else list(names)
     results = []
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-        if name == "lr-bounds":
-            results.append(check_lr_bounds(flip_term=flip_term))
-        else:
-            results.append(CHECKS[name]())
+        check = CHECKS[name]
+        passed, detail = check(flip_term) if name == "lr-bounds" else check()
+        results.append(CheckResult(name, passed, detail))
     return results

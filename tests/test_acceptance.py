@@ -31,6 +31,7 @@ CRITERIA = (
     ids=[f"criterion-{k + 1:02d}-{name}" for k, name in enumerate(CRITERIA)])
 def test_acceptance_criterion(number, name, capsys):
     result, = run_checks([name])
+    assert result.name == name
     status = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
         print(f"{status} criterion {number:2d} [{name}]: {result.detail}")

@@ -80,13 +80,13 @@ def test_term_counts_and_bounds():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        InequalitySpec("bad", 2, (2, 2), ((2, (0, 0)),), 2.0, 2.0)
+        InequalitySpec("bad", (2, 2), ((2, (0, 0)),), 2.0, 2.0)
     with pytest.raises(ValueError):
-        InequalitySpec("bad", 2, (2, 2), ((1, (0, 5)),), 2.0, 2.0)
+        InequalitySpec("bad", (2, 2), ((1, (0, 5)),), 2.0, 2.0)
     with pytest.raises(ValueError):
-        InequalitySpec("bad", 2, (2, 2), ((1, (0,)),), 2.0, 2.0)
-    with pytest.raises(ValueError):
-        InequalitySpec("bad", 2, (2,), ((1, (0, 0)),), 2.0, 2.0)
+        InequalitySpec("bad", (2, 2), ((1, (0,)),), 2.0, 2.0)
+    with pytest.raises(ValueError, match="term index tuples must cover every party"):
+        InequalitySpec("bad", (2,), ((1, (0, 0)),), 2.0, 2.0)
 
 
 def test_sasa_uses_a_single_setting_for_party_two():
@@ -165,7 +165,7 @@ def test_evaluate_rejects_mismatched_angles_and_families():
 
 def test_canonical_angles_unknown_pairing():
     with pytest.raises(UnsupportedAngleSetError) as caught:
-        canonical_angles("wwzb4", FamilyKind.W3)
+        canonical_angles(WWZB4, FamilyKind.W3)
     # still a KeyError, but its message reads unquoted and chains no lookup
     assert isinstance(caught.value, KeyError)
     assert str(caught.value) == "no canonical angles for inequality 'wwzb4' on family 'w3'"
@@ -173,7 +173,7 @@ def test_canonical_angles_unknown_pairing():
 
 
 def test_canonical_angles_carry_provenance():
-    ca = canonical_angles("svetlichny3", FamilyKind.GHZ3_CONDITIONAL)
+    ca = canonical_angles(SVETLICHNY3, FamilyKind.GHZ3_CONDITIONAL)
     assert isinstance(ca.provenance, str) and ca.provenance
 
 
@@ -246,7 +246,7 @@ def test_partition_bound_equals_brute_force(seed):
                    for s in per_party))
             for _ in range(count))
 
-    spec = InequalitySpec("random", parties, per_party, table(False), 0.0, 0.0)
+    spec = InequalitySpec("random", per_party, table(False), 0.0, 0.0)
     local = partition_bound(spec, _singletons(parties))
     bipartite = partition_bound(spec, _bipartitions(parties))
     for partition in _bipartitions(parties):
@@ -269,6 +269,10 @@ def test_verify_lr_bound_and_mutations():
         for k in (-1, len(spec.terms)):
             message = rf"flip_term must lie in \[0, {len(spec.terms)}\)"
             with pytest.raises(ValueError, match=message):
+                verify_lr_bound(spec, flip_term=k)
+        # a bool or a float names no term
+        for k in (True, 1.0):
+            with pytest.raises(TypeError, match="^flip_term must be an integer, got "):
                 verify_lr_bound(spec, flip_term=k)
 
 
@@ -306,6 +310,13 @@ def test_optimizer_recovers_mermin_maximum():
 def test_optimizer_rejects_restarts_below_one(restarts):
     fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 6.0)
     with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+        optimize_angles(MERMIN3, fam, restarts=restarts)
+
+
+@pytest.mark.parametrize("restarts", [True, 2.5])
+def test_optimizer_rejects_a_restart_count_that_is_no_integer(restarts):
+    fam = StateFamily(FamilyKind.GHZ3_CONDITIONAL, 1.0, 6.0)
+    with pytest.raises(TypeError, match=f"^restarts must be an integer, got {restarts}$"):
         optimize_angles(MERMIN3, fam, restarts=restarts)
 
 

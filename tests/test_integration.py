@@ -819,12 +819,21 @@ def test_angle_memo_entries_are_read_only_and_fresh_bits():
     # and its gather, the Gram part on the pattern's row and the numerator
     # part on every term and derivative row
     ((_source, _factors, y_moments, gather),) = plan.groups
-    factors = integration._y_factors(offsets, 1.0, 0.7, True)
+    factors = integration._y_factors(offsets, 1.0, 0.7)
     for level, (a, b) in enumerate(((0, n), (n, 3 * n))):
         fresh = np.einsum("uax,ubx,ucx,x->uabc", *(factors[..., a:b],) * 3, w[a:b])
         fresh[0][np.indices((2, 2, 2)).sum(axis=0) % 2 == 1] = 0.0
         entries.append((y_moments[level, 0, ..., 0], fresh))
     entries.append((gather, np.array([1] + [0] * len(layout.index))))
+    # ghz3-cond's variables each feed one measured mode, so every y moment
+    # that takes a Dawson factor takes one, and is zeroed just the same
+    cond = integration._pass_plan(FamilyKind.GHZ3_CONDITIONAL, 5.0, DetectorModel(0.7),
+                                  (True, (n, 2 * n)), layout.patterns, layout.stack_rows)
+    ((_source, _factors, y_moments, _gather),) = cond.groups
+    for level, (a, b) in enumerate(((0, n), (n, 3 * n))):
+        fresh = np.einsum("uax,x->ua", factors[..., a:b], w[a:b])
+        fresh[0, 1] = 0.0
+        entries.append((y_moments[level, 0, ..., 0], fresh))
     for entry, fresh in entries:
         assert entry.shape == fresh.shape
         assert entry.tobytes() == fresh.tobytes()

@@ -79,6 +79,14 @@ def test_detector_model_validation():
     assert det.eta_for(1) == 0.7
 
 
+def test_rotation_angles_must_be_real_numbers():
+    # a bool is no angle, and a string is named by its field
+    for args, field in (((True, 0.0), "theta"), (("1", 0.0), "theta"),
+                        ((0.0, False), "phase"), ((0.0, "1"), "phase")):
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, got "):
+            EffectiveRotation(*args)
+
+
 def test_detector_model_rejects_an_empty_tuple():
     # it used to be accepted and fail only inside an estimate
     with pytest.raises(ValueError, match="at least one mode"):

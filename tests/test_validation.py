@@ -31,6 +31,9 @@ def test_registry_names():
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_checks(["bogus"])
+    # a bare string is one name, not the names of its letters
+    with pytest.raises(TypeError, match="not the string 'lr-bounds'"):
+        run_checks("lr-bounds")
 
 
 def test_single_check_returns_result():

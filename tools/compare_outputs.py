@@ -21,11 +21,12 @@ trees compute, each in fresh interpreters:
   number of an output is kept as its ``repr``.
 - the CLI outputs of ``figure fig2`` to ``fig7`` as CSV and as JSON,
   ``validate``, ``validate --checks lr-bounds --flip-sign k`` for every
-  term index k the flip accepts, the w3 ``scan --angles optimize`` and a
-  canonical ``scan --format json`` of every (family, functional) pair with
-  stored angles, and two scans that fail with exit status 1 (a pair with no
-  stored angles, and V < 1), split into fields on commas and whitespace:
-  each command's exit status, stdout, stderr and the files it writes.
+  term index k the flip accepts, the w3 ``scan --angles optimize`` as CSV
+  and as JSON, a canonical ``scan --format json`` of every (family,
+  functional) pair with stored angles, and two scans that fail with exit
+  status 1 (a pair with no stored angles, and V < 1), split into fields on
+  commas and whitespace: each command's exit status, stdout, stderr and the
+  files it writes.
 
 For each output it prints ``identical``, or each value that moved with its
 ``repr`` before and after; then a summary line.  It exits 1 when anything
@@ -65,6 +66,10 @@ CLI_COMMANDS.update({
 CLI_COMMANDS.update({
     "w3 scan --angles optimize": ["scan", "--family", "w3", "--inequality", "svetlichny3",
                                   "--V", "5", "--d", "1,3", "--angles", "optimize"],
+    # the same scan as JSON, whose metadata carries the optimizer provenance
+    "w3 scan --angles optimize --format json": [
+        "scan", "--family", "w3", "--inequality", "svetlichny3", "--V", "5", "--d", "1,3",
+        "--angles", "optimize", "--format", "json"],
     "ghz3-bs scan --format json": ["scan", "--family", "ghz3-bs", "--inequality",
                                    "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
                                    "--eta", "0.3,1", "--format", "json"],
