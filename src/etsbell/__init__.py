@@ -12,11 +12,9 @@ from .inequalities import (INEQUALITIES, MERMIN3, SASA, SVETLICHNY3, SVETLICHNY4
                            partition_bound, verify_lr_bound)
 from .integration import QuadratureConfig, converged_correlation, estimate_correlation
 from .measurement import PAULI_ROTATIONS, DetectorModel, EffectiveRotation, zx_rotation
-from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, W_SVETLICHNY_MAX,
-                      compensated_displacement, ghz_correlation_closed, gram_decay,
-                      sasa_closed, sign_contrast, spin_ghz_correlation,
-                      svetlichny_ghz4_closed, svetlichny_ghz_closed,
-                      w_correlation_closed)
+from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, compensated_displacement,
+                      ghz_correlation_closed, gram_decay, sasa_closed, sign_contrast,
+                      svetlichny_ghz4_closed, svetlichny_ghz_closed)
 from .states import FamilyKind, StateFamily, family_structure
 from .sweeps import (SweepPlan, SweepResult, SweepRow, crossing_displacement,
                      run_sweep)

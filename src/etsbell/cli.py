@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .errors import EtsError, UnsupportedAngleSetError
 from .inequalities import INEQUALITIES, AngleSet, InequalitySpec
-from .integration import QuadratureConfig
 from .measurement import EffectiveRotation
 from .oracles import sasa_closed, svetlichny_ghz4_closed, svetlichny_ghz_closed
 from .states import FamilyKind
@@ -144,13 +143,12 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         angles = args.angles
 
     try:
-        cfg = QuadratureConfig(nodes_per_axis=args.nodes)
         plan = SweepPlan(
             family=kind, spec=spec,
             V_grid=_parse_grid(args.V, "--V"),
             d_grid=_parse_grid(args.d, "--d"),
             eta_grid=_parse_grid(args.eta, "--eta"),
-            angles=angles, cfg=cfg)
+            angles=angles)
         result = run_sweep(plan)
     except (UnsupportedAngleSetError, ValueError) as exc:
         parser.error(str(exc))
@@ -161,7 +159,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     def metadata() -> dict:
         provenances = sorted({row.provenance for row in result.rows})
         return {"version": __version__, "family": kind.value, "inequality": spec.name,
-                "config": dataclasses.asdict(cfg),
+                "config": dataclasses.asdict(plan.cfg),
                 "angles": {"mode": args.angles, "provenance": provenances}}
 
     _write_output(rows, metadata, args.out, args.format)
@@ -275,7 +273,6 @@ def build_parser() -> _Parser:
                       choices=("canonical", "optimize", "explicit"))
     scan.add_argument("--angle-list", default=None,
                       help="explicit angles: 'θ,γ[,θ,γ]' per party, parties joined by ';'")
-    scan.add_argument("--nodes", type=int, default=40, help="quadrature nodes per axis")
     scan.add_argument("--out", default=None, help="output path (default: stdout)")
     scan.add_argument("--format", default="csv", choices=("csv", "json"))
 

@@ -8,6 +8,13 @@ variable feeding k modes is a sum of 2^k products of 1-D moments, one summed
 over each axis.  No 2-D grid is ever formed; a pass costs O(2^k·n) for n
 nodes per axis.
 
+The measurement model: each mode's ± pair of a mixture element is rotated
+as the family table labels it ("+" is s·α for the sign s = +1, whatever
+the sign of Re α; see :mod:`.states`), and the rotated sign numerator is
+divided by the Gram norm of the unrotated state.  A rotation is unitary on
+the pair only when ⟨α|−α⟩ is negligible, so where it is not, the
+sign-pattern probabilities need not sum to 1.
+
 An estimate runs in two steps.  The moments depend on the state, the
 detector, the axis rules and which modes a term leaves unmeasured, but not
 on the measurement angles; one pass forms them, kernels included, for every
@@ -15,13 +22,13 @@ term of a functional: per unmeasured pattern the numerator moments and the
 Gram moments its denominator takes.  A small memo keeps the last few moment
 sets so that an optimizer's evaluations of one state share them.
 
-The refinement ladder is one table, :func:`_ladder`, that lists an
+The refinement ladder is one fixed table, :func:`_ladder`, that lists an
 estimate's passes in order, each as (shift, sizes): whether its rules are
 shift rules, and the Gauss-Hermite node counts or composite panel orders
-of its rules.  With n = ``nodes_per_axis`` it reads
+of its rules.  It reads
 
 - σ = 0 (V = 1): the delta rule, which is the one-node Hermite rule;
-- 0 < σ ≤ 1.55: Hermite rules of n and 2n nodes, then 4n, then the
+- 0 < σ ≤ 1.55: Hermite rules of 40 and 80 nodes, then 160, then the
   composite rule of order 12, then 24;
 - σ > 1.55: the composite rule of orders 12 and 24, then 48.
 
@@ -95,7 +102,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -120,12 +126,6 @@ _RANGE_SIGMAS = 8.5
 _FINE_ERF_HALFWIDTH = 4.5
 _FINE_DAWSON_HALFWIDTH = 5.0
 _FINE_PANEL_FRACTION = 0.4
-# The ladder's finest Hermite rule has 4·nodes_per_axis nodes, and hermgauss
-# loses its weights past about 360 nodes (at 400 they are NaN).  With fewer
-# than 10 the first pass's rules of n and 2n nodes often agree by chance far
-# from the integral, which leaves err far below the true error.
-_MIN_NODES_PER_AXIS = 10
-_MAX_NODES_PER_AXIS = 50
 # Moment sets kept in memory: one state's refinement passes, which an
 # optimizer revisits at every evaluation.  A sweep or a crossing search moves
 # to new points at every curve, so it finds nothing here; what its passes
@@ -152,23 +152,14 @@ _GRAM_BLOCKS = np.array((np.eye(2), 1.0 - np.eye(2)), dtype=complex)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution and tolerance knobs shared by all integration routines.
+    """The tolerance shared by all integration routines: an estimate counts
+    as converged once a pass of :func:`_ladder` changes it by less than
+    ``rel_tol`` relative to max(|value|, 1)."""
 
-    ``nodes_per_axis`` (10 to 50) is the node count of the first
-    Gauss-Hermite rule of a narrow weight's ladder, which climbs to four
-    times it (see :func:`_ladder`); estimates count as converged once the
-    refinement difference drops below ``rel_tol`` relative to max(|value|, 1).
-    """
-
-    nodes_per_axis: int = 40
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        require_number("nodes_per_axis", self.nodes_per_axis, numbers.Integral)
         require_number("rel_tol", self.rel_tol)
-        if not (_MIN_NODES_PER_AXIS <= self.nodes_per_axis <= _MAX_NODES_PER_AXIS):
-            raise ValueError(f"nodes_per_axis must lie in [{_MIN_NODES_PER_AXIS}, "
-                             f"{_MAX_NODES_PER_AXIS}], got {self.nodes_per_axis}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
@@ -215,7 +206,7 @@ def _axis_rule(mu: float, sigma: float, smax: float, eta_min: float, order: int)
     return nodes, (half[:, None] * w).ravel() * density
 
 
-def _ladder(sigma: float, nodes_per_axis: int) -> tuple:
+def _ladder(sigma: float) -> tuple:
     """The refinement passes of an axis of spread ``sigma``, in order, each
     as (shift, sizes): with ``shift``, ``sizes`` holds the node counts of
     Gauss-Hermite rules, whose nodes follow the centre by a shift alone and
@@ -223,11 +214,13 @@ def _ladder(sigma: float, nodes_per_axis: int) -> tuple:
     windowed composite rules, which handle integrands the Hermite
     polynomials resolve slowly.  The delta rule at σ = 0 is the one-node
     Hermite rule.  No rule appears twice."""
-    n = nodes_per_axis
     if sigma == 0.0:
         return ((True, (1,)),)
     if sigma <= _GH_SIGMA_MAX:
-        return ((True, (n, 2 * n)), (True, (4 * n,)), (False, (12,)), (False, (24,)))
+        # hermgauss loses its weights past about 360 nodes (at 400 they are
+        # NaN), and smaller first rules can agree by chance far from the
+        # integral, which leaves err far below the true error.
+        return ((True, (40, 80)), (True, (160,)), (False, (12,)), (False, (24,)))
     return ((False, (12, 24)), (False, (48,)))
 
 
@@ -710,7 +703,7 @@ def estimate_curve(
     pending = list(range(len(curve)))
     previous = None
     # Every variable of a family carries its V, and so its σ.
-    for rules in _ladder(_variable_sigma(first.V), config.nodes_per_axis):
+    for rules in _ladder(_variable_sigma(first.V)):
         # Shift rules serve every climbing point in one pass; the composite
         # rule's panels move with the centre, so there each point is alone.
         points = tuple(curve[p] for p in pending)

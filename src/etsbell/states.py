@@ -7,6 +7,11 @@ a fixed scale.  Conditional schemes give every mode its own variable;
 splitter-based schemes split one variable coherently across several modes,
 with its center scaled up so that every output mode carries displacement d,
 so schemes are compared at equal per-mode displacement.
+
+A mode's sign in a branch labels its pair for the measurement: the branch
+amplitude s·α with s = +1 is the "+" state of the pair and −α the "−"
+state, whatever the sign of Re α, which a variable's Gaussian weight makes
+negative at V > 1.  The engine rotates each pair as so labelled.
 """
 
 from __future__ import annotations

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NoCrossingError, NonconvergenceError, require_number
 # perfbench wraps evaluate_with_error by its name here.
-from .inequalities import (OPTIMIZER_REL_TOL, AngleSet, InequalitySpec,  # noqa: F401
-                           canonical_angles, checked_rotations, evaluate_curve_with_error,
-                           evaluate_with_error, optimize_angles)
+from .inequalities import (AngleSet, InequalitySpec, canonical_angles,  # noqa: F401
+                           checked_rotations, evaluate_curve_with_error, evaluate_with_error,
+                           optimize_angles)
 from .integration import QuadratureConfig, curve_shares_pass, point_result
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
@@ -102,8 +102,9 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
     Canonical and explicit sets are shared across the grid.  Optimization runs
     once per (V, eta) at the largest displacement of the plan, where the
     functional sits on its plateau, and the result is reused along d.  The
-    optimizer integrates with the plan's config at its own looser tolerance;
-    a cell whose restarts stalled says how many in its provenance.
+    optimizer integrates at its own looser default tolerance, whatever the
+    plan's config; a cell whose restarts stalled says how many in its
+    provenance.
     """
     if not isinstance(plan.angles, str):
         shared = (tuple(tuple(p) for p in plan.angles), "explicit")
@@ -115,13 +116,11 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
 
     resolved = {}
     d_ref = plan.d_grid[-1]
-    config = replace(plan.cfg, rel_tol=OPTIMIZER_REL_TOL)
     for V in plan.V_grid:
         for eta in plan.eta_grid:
             found = optimize_angles(
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
-                detector=DetectorModel(eta), config=config,
-                restarts=plan.optimizer_restarts)
+                detector=DetectorModel(eta), restarts=plan.optimizer_restarts)
             provenance = "optimizer"
             if found.stalled:
                 provenance += f" ({found.stalled} of {found.restarts} restarts stalled)"
@@ -231,9 +230,12 @@ def sign_change_bracket(f: Callable[[tuple[float, ...]], Sequence[float]], lo: f
     nearest the bracket, so a smooth profile closes on the pair.  Every
     round leaves a bracket within ITP's budget, so there are at most
     ⌈log₂((up − lo)/width)⌉ + 1 rounds, bisection's count plus one, and only
-    a few on a smooth profile.  Raises :class:`ValueError` for ends or
-    knobs that break those terms, before any call of ``f``.
+    a few on a smooth profile.  Raises :class:`TypeError` for a knob that
+    is no number of its kind (a bool is none) and :class:`ValueError` for
+    ends or knobs that break those terms, before any call of ``f``.
     """
+    require_number("round_points", round_points, numbers.Integral)
+    require_number("width", width)
     if round_points < 1:
         raise ValueError(f"round_points must be at least 1, got {round_points}")
     if not 0.0 < width < math.inf:
@@ -295,8 +297,10 @@ def crossing_displacement(
         if angles != "canonical":
             raise ValueError("crossing search supports explicit or canonical angles")
         angles = canonical_angles(spec, family).angles
-    if d_max is not None and not 0.0 < d_max < math.inf:
-        raise ValueError(f"d_max must be finite and positive, got {d_max}")
+    if d_max is not None:
+        require_number("d_max", d_max)
+        if not 0.0 < d_max < math.inf:
+            raise ValueError(f"d_max must be finite and positive, got {d_max}")
     detector = DetectorModel(eta)
     # The default interval takes the square root of V, so V is checked first.
     StateFamily(family, V=V, d=0.0)

@@ -10,12 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etsbell
-from etsbell import cli, sweeps
+from etsbell import cli, inequalities, sweeps
 from etsbell.errors import NonconvergenceError
-from etsbell.inequalities import OPTIMIZER_REL_TOL, OptimizationResult, canonical_angles
+from etsbell.inequalities import OPTIMIZER_REL_TOL
 from etsbell.sweeps import SweepResult, SweepRow
 
 
@@ -64,7 +65,7 @@ def test_scan_json_mirrors_csv(tmp_path, capsys):
     assert doc["metadata"]["version"]
     assert doc["metadata"]["family"] == "ghz3-cond"
     assert doc["metadata"]["angles"]["mode"] == "canonical"
-    assert doc["metadata"]["config"] == {"nodes_per_axis": 40, "rel_tol": 1e-7}
+    assert doc["metadata"]["config"] == {"rel_tol": 1e-7}
 
     with csv_path.open() as fh:
         csv_rows = list(csv.DictReader(fh))
@@ -86,7 +87,7 @@ def test_only_json_scans_build_metadata(capsys, monkeypatch):
     assert built == []
     code, out, _err = run(capsys, SCAN + ["--format", "json"])
     assert code == 0 and len(built) == 1
-    assert json.loads(out)["metadata"]["config"] == {"nodes_per_axis": 40, "rel_tol": 1e-7}
+    assert json.loads(out)["metadata"]["config"] == {"rel_tol": 1e-7}
 
 
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
@@ -144,13 +145,12 @@ def test_scan_rejects_malformed_grid(capsys):
     assert "usage" in err
 
 
-@pytest.mark.parametrize("nodes", ["0", "9", "51"])
-def test_scan_rejects_nodes_out_of_range(capsys, nodes):
-    code, out, err = run(capsys, SCAN + ["--nodes", nodes])
+def test_scan_has_no_nodes_flag(capsys):
+    # the quadrature ladder is a fixed table, so there is no node count to set
+    code, out, err = run(capsys, SCAN + ["--nodes", "40"])
     assert code == 1
     assert out == ""
-    assert f"nodes_per_axis must lie in [10, 50], got {nodes}" in err
-    assert "Traceback" not in err
+    assert "unrecognized arguments: --nodes 40" in err
 
 
 def test_scan_rejects_incomplete_angle_list(capsys):
@@ -251,19 +251,19 @@ def test_scan_metadata_names_stalled_restarts(capsys):
 
 
 def test_scan_optimize_passes_nodes_to_optimizer(capsys, monkeypatch):
+    # the optimizer's objective runs at the optimizer's own tolerance
     seen = []
 
-    def fake_optimize_angles(spec, family, detector=None, config=None, **kwargs):
+    def fake_gradient(spec, family, x, detector=None, config=None):
         seen.append(config)
-        angles = canonical_angles(spec, family.kind).angles
-        return OptimizationResult(value=0.0, angles=angles, start_index=0)
+        return 0.0, np.zeros_like(x)
 
-    monkeypatch.setattr(sweeps, "optimize_angles", fake_optimize_angles)
+    monkeypatch.setattr(inequalities, "evaluate_with_gradient", fake_gradient)
     code, _out, _err = run(capsys, [
         "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3",
-        "--V", "1", "--d", "1", "--angles", "optimize", "--nodes", "24"])
+        "--V", "1", "--d", "1", "--angles", "optimize"])
     assert code == 0
-    assert [(c.nodes_per_axis, c.rel_tol) for c in seen] == [(24, OPTIMIZER_REL_TOL)]
+    assert seen and {config.rel_tol for config in seen} == {OPTIMIZER_REL_TOL}
 
 
 def test_figure_preset_writes_csv(tmp_path, capsys):

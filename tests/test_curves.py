@@ -92,7 +92,7 @@ def test_points_that_stop_at_different_levels(monkeypatch):
     spec = INEQUALITIES["svetlichny3"]
     d_grid = tuple(np.linspace(0.2, 4.0, 12))
     for V, climbs_to in ((5.0, 1), (8.0, 2)):
-        ladder = integration._ladder(integration._variable_sigma(V), 40)
+        ladder = integration._ladder(integration._variable_sigma(V))
         memo.cache_clear()
         calls.clear()
         plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(V,), d_grid=d_grid,

@@ -5,21 +5,19 @@ import math
 import pytest
 
 import qubit_oracle
+from closed_forms import W_SVETLICHNY_MAX, spin_ghz_correlation, w_correlation_closed
 from etsbell.integration import converged_correlation
 from etsbell.measurement import zx_rotation
 from etsbell.oracles import (
     GHZ3_SVETLICHNY_MAX,
     GHZ4_SVETLICHNY_MAX,
-    W_SVETLICHNY_MAX,
     compensated_displacement,
     ghz_correlation_closed,
     gram_decay,
     sasa_closed,
     sign_contrast,
-    spin_ghz_correlation,
     svetlichny_ghz4_closed,
     svetlichny_ghz_closed,
-    w_correlation_closed,
 )
 from etsbell.states import FamilyKind, StateFamily
 

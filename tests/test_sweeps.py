@@ -170,6 +170,11 @@ def test_crossing_rejects_a_bad_d_max():
         with pytest.raises(ValueError, match=f"^d_max must be finite and positive, got {d_max}$"):
             crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3,
                                   d_max=d_max)
+    # True used to search [0, 1], and "3" to fail on a comparison
+    for d_max in (True, "3"):
+        with pytest.raises(TypeError, match=f"^d_max must be a real number, got {d_max!r}$"):
+            crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3,
+                                  d_max=d_max)
 
 
 def test_crossing_rejects_a_bad_V():
@@ -266,6 +271,23 @@ def test_sign_change_bracket_rejects_bad_input_before_any_round(args, kwargs, me
 
     with pytest.raises(ValueError, match=message):
         sign_change_bracket(never, *args, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(round_points=True), "round_points must be an integer, got True"),
+    (dict(round_points=2.5), "round_points must be an integer, got 2.5"),
+    (dict(round_points=4.0), "round_points must be an integer, got 4.0"),
+    (dict(width=True), "width must be a real number, got True"),
+    (dict(width="0.1"), "width must be a real number, got '0.1'"),
+])
+def test_sign_change_bracket_rejects_a_knob_that_is_no_number(kwargs, message):
+    # round_points=True used to run as 1 and width=True to return the
+    # bracket unsearched; 2.5, 4.0 and "0.1" failed with Python's own errors
+    def never(xs):
+        raise AssertionError("f was called")
+
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        sign_change_bracket(never, 0.0, 1.0, -1.0, 1.0, **kwargs)
 
 
 def test_sign_change_bracket_accepts_a_root_at_its_lower_end():

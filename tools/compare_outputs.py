@@ -15,15 +15,17 @@ trees compute, each in fresh interpreters:
   the wide V of ``WIDE_V_VALUES`` with per-mode η), the wide weights'
   crossings of ``WIDE_CROSSINGS`` and one ``optimize_angles`` run; then the
   refinement ladder's cases: w3 svetlichny3 at η = 0.7 with canonical
-  angles, as a curve and as a point, at every ``nodes_per_axis``,
-  ``rel_tol`` and V of ``LADDER``, which walk the delta rule, both Hermite
-  passes, the composite tail, the wide ladder and nonconvergence.  Every
-  number of an output is kept as its ``repr``.
+  angles, as a curve and as a point, at every ``rel_tol`` and V of
+  ``LADDER``, which walk the delta rule, both Hermite passes, the composite
+  tail, the wide ladder and nonconvergence.  Every number of an output is
+  kept as its ``repr``.
 - the CLI outputs of ``figure fig2`` to ``fig7`` as CSV and as JSON,
   ``validate``, ``validate --checks lr-bounds --flip-sign k`` for every
   term index k the flip accepts, the w3 ``scan --angles optimize`` as CSV
   and as JSON, a canonical ``scan --format json`` of every (family,
-  functional) pair with stored angles, and two scans that fail with exit
+  functional) pair with stored angles, three V = 1 scans at η = 0.8, one
+  ``scan --angles explicit`` with the canonical angles written out, and two
+  scans that fail with exit
   status 1 (a pair with no stored angles, and V < 1), split into fields on
   commas and whitespace: each command's exit status, stdout, stderr and the
   files it writes.
@@ -74,6 +76,21 @@ CLI_COMMANDS.update({
                                    "svetlichny3", "--V", "1,5,100", "--d", "0.5,2,4",
                                    "--eta", "0.3,1", "--format", "json"],
 })
+# V = 1 scans at η = 0.8, where a mixture element's ± pair overlaps, and one
+# scan with ghz3-cond's canonical svetlichny3 angles written out, whose CSV
+# reads the same as the canonical scan's
+CLI_COMMANDS.update({
+    f"{family} {name} scan --V 1 --eta 0.8 --format json": [
+        "scan", "--family", family, "--inequality", name, "--V", "1", "--d", "0.3,0.7,1",
+        "--eta", "0.8", "--format", "json"]
+    for family, name in (("ghz3-cond", "svetlichny3"), ("w3", "svetlichny3"),
+                         ("cluster4-cond", "wwzb4"))})
+CLI_COMMANDS["ghz3-cond svetlichny3 scan --angles explicit"] = [
+    "scan", "--family", "ghz3-cond", "--inequality", "svetlichny3", "--V", "5", "--d", "1,3",
+    "--angles", "explicit", "--angle-list",
+    "1.5707963267948966,2.356194490192345,1.5707963267948966,0.7853981633974483;"
+    "1.5707963267948966,1.5707963267948966,1.5707963267948966,0;"
+    "1.5707963267948966,0,1.5707963267948966,4.71238898038469"]
 # Two flag errors, whose stderr names the cause
 CLI_COMMANDS.update({
     "ghz3-kerr mermin3 scan (no canonical angles)": [
@@ -105,8 +122,8 @@ WIDE_CROSSINGS = (("ghz3-kerr", "svetlichny3"), ("w3", "svetlichny3"))
 WIDE_V_VALUES = (100.0, 1e4)
 # Tolerances of the seeded curves and points, None for the default
 REL_TOLS = (None, 1e-5, 1e-10)
-# (nodes_per_axis, rel_tol, V) of the ladder cases
-LADDER = ((10, 24, 50), (1e-7, 1e-12, 1e-16), (1.0, 5.0, 10.0, 1e6))
+# (rel_tol, V) of the ladder cases
+LADDER = ((1e-7, 1e-12, 1e-16), (1.0, 5.0, 10.0, 1e6))
 DEFAULT_SEED = 22
 
 
@@ -203,10 +220,10 @@ def _cases(seed: int) -> list:
     spec = INEQUALITIES["svetlichny3"]
     angles = canonical_angles(spec, FamilyKind.W3).angles
     detector = DetectorModel(0.7)
-    for nodes, rel_tol, V in itertools.product(*LADDER):
-        config = QuadratureConfig(nodes_per_axis=nodes, rel_tol=rel_tol)
+    for rel_tol, V in itertools.product(*LADDER):
+        config = QuadratureConfig(rel_tol=rel_tol)
         curve = tuple(StateFamily(FamilyKind.W3, V, d * math.sqrt(V)) for d in (0.5, 1.0, 2.0))
-        label = f"ladder/w3/svetlichny3/nodes={nodes}/rel_tol={rel_tol:g}/V={V:g}"
+        label = f"ladder/w3/svetlichny3/rel_tol={rel_tol:g}/V={V:g}"
         cases.append((f"{label}/curve", lambda c=curve, q=config:
                       evaluate_curve_with_error(spec, c, angles, detector, q)))
         cases.append((f"{label}/point", lambda p=curve[1], q=config:
