@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import EtsError, UnsupportedAngleSetError
 from .inequalities import INEQUALITIES, AngleSet, InequalitySpec
+from .integration import QuadratureConfig
 from .measurement import EffectiveRotation
 from .oracles import sasa_closed, svetlichny_ghz4_closed, svetlichny_ghz_closed
 from .states import FamilyKind
@@ -143,13 +144,12 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         angles = args.angles
 
     try:
-        plan = SweepPlan(
+        result = run_sweep(SweepPlan(
             family=kind, spec=spec,
             V_grid=_parse_grid(args.V, "--V"),
             d_grid=_parse_grid(args.d, "--d"),
             eta_grid=_parse_grid(args.eta, "--eta"),
-            angles=angles)
-        result = run_sweep(plan)
+            angles=angles))
     except (UnsupportedAngleSetError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -159,7 +159,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     def metadata() -> dict:
         provenances = sorted({row.provenance for row in result.rows})
         return {"version": __version__, "family": kind.value, "inequality": spec.name,
-                "config": dataclasses.asdict(plan.cfg),
+                "config": dataclasses.asdict(QuadratureConfig()),
                 "angles": {"mode": args.angles, "provenance": provenances}}
 
     _write_output(rows, metadata, args.out, args.format)

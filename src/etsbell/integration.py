@@ -780,7 +780,9 @@ def estimate_correlation(
 
     ``rotations`` holds one entry per mode: its rotation, or None for a mode
     the correlation leaves unmeasured.  This is the one-term, one-point
-    case of :func:`estimate_curve`.
+    case of :func:`estimate_curve`.  Nothing in the package calls it or
+    :func:`converged_correlation`; both stay for the hooks of
+    ``perfbench/layers.py``, which wrap them by name.
     """
     modes = family.num_modes
     if len(rotations) != modes:

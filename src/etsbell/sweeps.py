@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import NoCrossingError, NonconvergenceError, require_number
@@ -18,7 +18,7 @@ from .errors import NoCrossingError, NonconvergenceError, require_number
 from .inequalities import (AngleSet, InequalitySpec, canonical_angles,  # noqa: F401
                            checked_rotations, evaluate_curve_with_error, evaluate_with_error,
                            optimize_angles)
-from .integration import QuadratureConfig, curve_shares_pass, point_result
+from .integration import curve_shares_pass, point_result
 from .measurement import DetectorModel
 from .states import FamilyKind, StateFamily
 
@@ -46,12 +46,9 @@ class SweepPlan:
     d_grid: tuple[float, ...]
     eta_grid: tuple[float, ...] = (1.0,)
     angles: AngleSet | str = "canonical"
-    cfg: QuadratureConfig = field(default_factory=QuadratureConfig)
-    optimizer_restarts: int = 4
 
     def __post_init__(self):
-        for name, kind in (("family", FamilyKind), ("spec", InequalitySpec),
-                           ("cfg", QuadratureConfig)):
+        for name, kind in (("family", FamilyKind), ("spec", InequalitySpec)):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
@@ -60,10 +57,6 @@ class SweepPlan:
         object.__setattr__(self, "eta_grid", _validated_grid("eta", self.eta_grid, 0.0, 1.0))
         if any(eta <= 0.0 for eta in self.eta_grid):
             raise ValueError("eta values must be positive")
-        require_number("optimizer_restarts", self.optimizer_restarts, numbers.Integral)
-        if self.optimizer_restarts < 1:
-            raise ValueError(
-                f"optimizer_restarts must be at least 1, got {self.optimizer_restarts}")
         if isinstance(self.angles, str) and self.angles not in ("canonical", "optimize"):
             raise ValueError(
                 f"angles must be an angle set, 'canonical' or 'optimize', got {self.angles!r}")
@@ -92,7 +85,6 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    plan: SweepPlan
     rows: tuple[SweepRow, ...]
 
 
@@ -100,11 +92,10 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
     """Angle set per (V, eta) cell.
 
     Canonical and explicit sets are shared across the grid.  Optimization runs
-    once per (V, eta) at the largest displacement of the plan, where the
-    functional sits on its plateau, and the result is reused along d.  The
-    optimizer integrates at its own looser default tolerance, whatever the
-    plan's config; a cell whose restarts stalled says how many in its
-    provenance.
+    once per (V, eta), with four restarts, at the largest displacement of the
+    plan, where the functional sits on its plateau, and the result is reused
+    along d.  The optimizer integrates at its own looser default tolerance; a
+    cell whose restarts stalled says how many in its provenance.
     """
     if not isinstance(plan.angles, str):
         shared = (tuple(tuple(p) for p in plan.angles), "explicit")
@@ -120,7 +111,7 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
         for eta in plan.eta_grid:
             found = optimize_angles(
                 plan.spec, StateFamily(plan.family, V=V, d=d_ref),
-                detector=DetectorModel(eta), restarts=plan.optimizer_restarts)
+                detector=DetectorModel(eta), restarts=4)
             provenance = "optimizer"
             if found.stalled:
                 provenance += f" ({found.stalled} of {found.restarts} restarts stalled)"
@@ -129,10 +120,11 @@ def _resolve_angles(plan: SweepPlan) -> dict[tuple[float, float], tuple[AngleSet
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Evaluate the plan's functional at every grid point.
+    """Evaluate the plan's functional at every grid point, at the engine's
+    default tolerance (:class:`etsbell.integration.QuadratureConfig`).
 
-    Each (V, η) cell is one curve: its points share the angles, the
-    detector and the config and differ only in d, so each engine pass
+    Each (V, η) cell is one curve: its points share the angles and the
+    detector and differ only in d, so each engine pass
     serves all of them while they sit on a shift rule (every point alone on
     the composite rule); see :mod:`etsbell.integration` for the passes.
     Rows come back ordered lexicographically by (V, d, eta).  Nonconvergent
@@ -147,8 +139,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
         for eta in plan.eta_grid:
             angles, provenance = angle_map[(V, eta)]
             curve = [StateFamily(plan.family, V=V, d=d) for d in plan.d_grid]
-            outcomes = evaluate_curve_with_error(plan.spec, curve, angles, DetectorModel(eta),
-                                                 plan.cfg)
+            outcomes = evaluate_curve_with_error(plan.spec, curve, angles, DetectorModel(eta))
             for d, outcome in zip(plan.d_grid, outcomes):
                 if isinstance(outcome, NonconvergenceError):
                     row = SweepRow(V=V, d=d, eta=eta, value=math.nan, err=math.nan,
@@ -160,7 +151,7 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
                                    violated=value > plan.spec.lr_bound + err, failed=False,
                                    angles_used=angles, provenance=provenance)
                 rows[(V, d, eta)] = row
-    return SweepResult(plan=plan, rows=tuple(
+    return SweepResult(rows=tuple(
         rows[(V, d, eta)] for V in plan.V_grid for d in plan.d_grid for eta in plan.eta_grid))
 
 
@@ -230,12 +221,14 @@ def sign_change_bracket(f: Callable[[tuple[float, ...]], Sequence[float]], lo: f
     nearest the bracket, so a smooth profile closes on the pair.  Every
     round leaves a bracket within ITP's budget, so there are at most
     ⌈log₂((up − lo)/width)⌉ + 1 rounds, bisection's count plus one, and only
-    a few on a smooth profile.  Raises :class:`TypeError` for a knob that
-    is no number of its kind (a bool is none) and :class:`ValueError` for
-    ends or knobs that break those terms, before any call of ``f``.
+    a few on a smooth profile.  Raises :class:`TypeError` for an end, an
+    end's value or a knob that is no number of its kind (a bool is none) and
+    :class:`ValueError` for ends or knobs that break those terms, before any
+    call of ``f``.
     """
     require_number("round_points", round_points, numbers.Integral)
-    require_number("width", width)
+    for name, value in (("width", width), ("lo", lo), ("up", up), ("f_lo", f_lo), ("f_up", f_up)):
+        require_number(name, value)
     if round_points < 1:
         raise ValueError(f"round_points must be at least 1, got {round_points}")
     if not 0.0 < width < math.inf:
@@ -273,12 +266,12 @@ def crossing_displacement(
     V: float,
     eta: float,
     angles: AngleSet | str = "canonical",
-    d_max: float | None = None,
 ) -> float:
     """Smallest displacement at which the functional reaches its local bound.
 
-    A profile of nine probes on d ∈ [0, d_max] (default 20√V) must increase
-    with d; the two probes around the first one above the bound then go to
+    Every value is taken at the engine's default tolerance.  A profile of
+    nine probes on d ∈ [0, 20√V] must increase with d; the two probes
+    around the first one above the bound then go to
     :func:`sign_change_bracket`, and the midpoint of its final bracket, at
     most 10⁻³ wide, is returned.  A point counts as above the bound when
     ``value > lr_bound``; a sweep row is ``violated`` only when
@@ -297,14 +290,10 @@ def crossing_displacement(
         if angles != "canonical":
             raise ValueError("crossing search supports explicit or canonical angles")
         angles = canonical_angles(spec, family).angles
-    if d_max is not None:
-        require_number("d_max", d_max)
-        if not 0.0 < d_max < math.inf:
-            raise ValueError(f"d_max must be finite and positive, got {d_max}")
     detector = DetectorModel(eta)
-    # The default interval takes the square root of V, so V is checked first.
+    # The interval takes the square root of V, so V is checked first.
     StateFamily(family, V=V, d=0.0)
-    hi = d_max if d_max is not None else 20.0 * math.sqrt(V)
+    hi = 20.0 * math.sqrt(V)
     probes = [hi * k / 8.0 for k in range(9)]
     profile = evaluate_curve_with_error(
         spec, [StateFamily(family, V=V, d=d) for d in probes], angles, detector)

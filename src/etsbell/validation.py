@@ -22,7 +22,8 @@ import numpy as np
 
 from ._special import dawsn, erf
 from .inequalities import INEQUALITIES, canonical_angles, evaluate, optimize_angles, verify_lr_bound
-from .integration import QuadratureConfig, converged_correlation
+from .integration import (QuadratureConfig, estimate_curve, point_result, rotation_angles,
+                          term_layout)
 from .measurement import DetectorModel, EffectiveRotation
 from .oracles import (GHZ3_SVETLICHNY_MAX, GHZ4_SVETLICHNY_MAX, compensated_displacement,
                       ghz_correlation_closed, sasa_closed)
@@ -43,19 +44,24 @@ class CheckResult:
 def _ghz_reference_pairs() -> tuple[tuple[float, float], ...]:
     """(engine, closed form) on the shared GHZ comparison grid.
 
-    Two checks read the same 240 points, so the engine runs over them once.
+    Two checks read the same 120 points, so the engine runs over them once,
+    as one curve in d per (V, η) cell whose terms are the phase triples.
     """
     rng = np.random.default_rng(_GRID_SEED)
     triples = [tuple(rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(5)]
+    angles = rotation_angles([EffectiveRotation(math.pi / 2.0, p)
+                              for phases in triples for p in phases])
+    layout = term_layout([[3 * t, 3 * t + 1, 3 * t + 2] for t in range(len(triples))])
     pairs = []
     for V in (1.0, 5.0, 10.0):
-        for d in (0.5, 1.0, 2.0, 5.0):
-            for eta in (0.3, 1.0):
-                for phases in triples:
-                    family = StateFamily(FamilyKind.GHZ3_CONDITIONAL, V=V, d=d)
-                    rotations = [EffectiveRotation(math.pi / 2.0, p) for p in phases]
-                    pairs.append((converged_correlation(family, rotations, DetectorModel(eta)),
-                                  ghz_correlation_closed(V, d, phases, eta)))
+        curve = [StateFamily(FamilyKind.GHZ3_CONDITIONAL, V=V, d=d)
+                 for d in (0.5, 1.0, 2.0, 5.0)]
+        for eta in (0.3, 1.0):
+            outcomes = estimate_curve(curve, *angles, layout, DetectorModel(eta))
+            for family, outcome in zip(curve, outcomes):
+                terms, _derivatives = point_result(outcome)
+                pairs.extend((value, ghz_correlation_closed(V, family.d, phases, eta))
+                             for (value, _err), phases in zip(terms, triples))
     return tuple(pairs)
 
 

@@ -189,7 +189,7 @@ def test_scan_reports_failed_rows_with_exit_two(capsys, monkeypatch):
         row = SweepRow(V=1.0, d=1.0, eta=1.0, value=float("nan"),
                        err=float("nan"), violated=False, failed=True,
                        angles_used=None, provenance="stub")
-        return SweepResult(plan=plan, rows=(row,))
+        return SweepResult(rows=(row,))
 
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     code, out, _err = run(capsys, [
@@ -204,7 +204,7 @@ def test_failed_rows_become_null_in_json(tmp_path, capsys, monkeypatch):
         row = SweepRow(V=1.0, d=1.0, eta=1.0, value=float("nan"),
                        err=float("nan"), violated=False, failed=True,
                        angles_used=None, provenance="stub")
-        return SweepResult(plan=plan, rows=(row,))
+        return SweepResult(rows=(row,))
 
     monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
     out_path = tmp_path / "rows.json"

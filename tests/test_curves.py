@@ -1,5 +1,6 @@
 """Curves in d: every point batched along a curve keeps the bits it has alone."""
 
+import functools
 import math
 
 import numpy as np
@@ -40,12 +41,12 @@ def _random_angles(rng, spec):
         for count in spec.settings_per_party)
 
 
-def _alone(plan, row):
-    """``row``'s point evaluated by itself: its (value, err), or the reason
-    it fails."""
+def _alone(plan, row, config=None):
+    """``row``'s point evaluated by itself at ``config`` (default: the
+    engine's): its (value, err), or the reason it fails."""
     try:
         return evaluate_with_error(plan.spec, StateFamily(plan.family, row.V, row.d),
-                                   row.angles_used, DetectorModel(row.eta), plan.cfg)
+                                   row.angles_used, DetectorModel(row.eta), config)
     except NonconvergenceError as exc:
         return str(exc)
 
@@ -53,11 +54,10 @@ def _alone(plan, row):
 def _assert_rows_match_points(**plan):
     # each V has its own d grid, so each V is its own plan
     for V in V_GRID:
-        result = run_sweep(SweepPlan(V_grid=(V,), d_grid=_d_grid(V), eta_grid=ETA_GRID,
-                                     **plan))
-        for row in result.rows:
+        sweep = SweepPlan(V_grid=(V,), d_grid=_d_grid(V), eta_grid=ETA_GRID, **plan)
+        for row in run_sweep(sweep).rows:
             got = row.reason if row.failed else (row.value, row.err)
-            assert got == _alone(result.plan, row), (row.V, row.d, row.eta)
+            assert got == _alone(sweep, row), (row.V, row.d, row.eta)
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
@@ -70,10 +70,10 @@ def test_sweep_rows_equal_lone_points(kind):
 
 @pytest.mark.parametrize("kind", list(FamilyKind), ids=lambda k: k.value)
 def test_optimized_sweep_rows_equal_lone_points(kind):
-    # one restart per (V, η) cell: the optimizer picks the cell's angles, and
-    # the cell's curve is then evaluated with them like any explicit set
+    # the optimizer picks each (V, η) cell's angles, and the cell's curve is
+    # then evaluated with them like any explicit set
     _assert_rows_match_points(family=kind, spec=INEQUALITIES[FUNCTIONALS[kind]],
-                              angles="optimize", optimizer_restarts=1)
+                              angles="optimize")
 
 
 def test_points_that_stop_at_different_levels(monkeypatch):
@@ -89,6 +89,9 @@ def test_points_that_stop_at_different_levels(monkeypatch):
         return memo(curve, detector, rules, *layout)
 
     monkeypatch.setattr(integration, "_deterministic_moments", spy)
+    config = QuadratureConfig(rel_tol=1e-13)
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error",
+                        functools.partial(evaluate_curve_with_error, config=config))
     spec = INEQUALITIES["svetlichny3"]
     d_grid = tuple(np.linspace(0.2, 4.0, 12))
     for V, climbs_to in ((5.0, 1), (8.0, 2)):
@@ -96,23 +99,25 @@ def test_points_that_stop_at_different_levels(monkeypatch):
         memo.cache_clear()
         calls.clear()
         plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(V,), d_grid=d_grid,
-                         eta_grid=(0.7,), cfg=QuadratureConfig(rel_tol=1e-13))
+                         eta_grid=(0.7,))
         result = run_sweep(plan)
         assert ((True, (40, 80)), len(d_grid)) in calls
         assert 0 < sum(size for rules, size in calls if rules == ladder[climbs_to]) < len(d_grid)
         assert all(size == 1 for (shift, _sizes), size in calls if not shift)
         for row in result.rows:
             assert not row.failed
-            assert (row.value, row.err) == _alone(plan, row), (V, row.d)
+            assert (row.value, row.err) == _alone(plan, row, config), (V, row.d)
 
 
-def test_a_nonconverging_point_leaves_its_curve_unchanged():
+def test_a_nonconverging_point_leaves_its_curve_unchanged(monkeypatch):
     # rel_tol 1e-16 asks for agreement to the last bits between levels:
     # some points of this curve reach it and others exhaust the ladder
+    config = QuadratureConfig(rel_tol=1e-16)
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error",
+                        functools.partial(evaluate_curve_with_error, config=config))
     spec = INEQUALITIES["svetlichny3"]
     plan = SweepPlan(family=FamilyKind.GHZ3_KERR, spec=spec, V_grid=(2.0,),
-                     d_grid=(0.0, 0.3, 0.8, 1.5, 2.5, 4.0), eta_grid=(0.6,),
-                     cfg=QuadratureConfig(rel_tol=1e-16))
+                     d_grid=(0.0, 0.3, 0.8, 1.5, 2.5, 4.0), eta_grid=(0.6,))
     result = run_sweep(plan)
     failed = [row for row in result.rows if row.failed]
     assert failed and len(failed) < len(result.rows)
@@ -120,9 +125,9 @@ def test_a_nonconverging_point_leaves_its_curve_unchanged():
         if row.failed:
             assert math.isnan(row.value) and math.isnan(row.err) and not row.violated
             assert row.reason.startswith("correlation refinement stalled at ")
-            assert row.reason == _alone(plan, row), row.d
+            assert row.reason == _alone(plan, row, config), row.d
         else:
-            assert (row.value, row.err) == _alone(plan, row), row.d
+            assert (row.value, row.err) == _alone(plan, row, config), row.d
 
 
 def test_curve_points_must_share_kind_and_V():

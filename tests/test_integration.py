@@ -192,6 +192,36 @@ def test_engine_normalizes_the_rotated_numerator_by_the_unrotated_gram_norm(kind
     assert largest_gap > 1e-2
 
 
+def test_engine_reads_ghz3_bs_elements_by_their_label():
+    # The other convention of the measurement model: at V = 1 the ghz3-bs
+    # mixture has one node, α = √3·d per mode, and its two branches are
+    # each other's negatives with equal weights, so ψ_α = ψ_{−α} is the
+    # same vector.  Yet the labels α = ±1 (d = ±1/√3) give every term of
+    # svetlichny3 the same denominator and opposite numerators, because
+    # each ± pair is rotated as the table labels it.  The engine takes
+    # d ≥ 0 only, so it reads the + label's ratio; the dense reference
+    # carries the − label.
+    coeffs, signs, _variables = dense_reference.FAMILIES["ghz3-bs"]
+    assert coeffs[0] == coeffs[1] and signs[1] == tuple(-s for s in signs[0])
+    spec = INEQUALITIES["svetlichny3"]
+    kind = FamilyKind.GHZ3_BEAM_SPLITTER
+    d = 1.0 / math.sqrt(3.0)
+    with pytest.raises(ValueError, match="d must be finite and >= 0"):
+        StateFamily(kind, 1.0, -d)
+    for rotations in _term_rotations(spec, canonical_angles(spec, kind).angles):
+        term = _dense_term(rotations)
+        plus_num, plus_den = dense_reference.correlation(kind.value, 1.0, d, term, (0.8,) * 3, 1)
+        minus_num, minus_den = dense_reference.correlation(kind.value, 1.0, -d, term,
+                                                           (0.8,) * 3, 1)
+        assert minus_den == pytest.approx(plus_den, abs=1e-15)
+        assert minus_num == pytest.approx(-plus_num, abs=1e-15)
+        assert abs(plus_num) == pytest.approx(0.378407, abs=1e-6)
+        assert plus_den == pytest.approx(2.270671, abs=1e-6)
+        got, _err = estimate_correlation(StateFamily(kind, 1.0, d), rotations,
+                                         DetectorModel(0.8))
+        assert got == pytest.approx(plus_num / plus_den, abs=1e-12), term
+
+
 def test_estimate_is_deterministic():
     fam = StateFamily(FamilyKind.W3, 5.0, 1.2)
     first = estimate_correlation(fam, EQUATORIAL)

@@ -1,5 +1,6 @@
 """Grid sweeps, violation flags, and crossing searches."""
 
+import functools
 import math
 
 import numpy as np
@@ -41,12 +42,8 @@ def test_plan_validation():
                         ("d", math.inf), ("eta", math.nan)):
         with pytest.raises(ValueError, match=f"^{grid} value {value} out of range$"):
             small_plan(**{f"{grid}_grid": (value,)})
-    for restarts in (0, -2):
-        message = f"optimizer_restarts must be at least 1, got {restarts}"
-        with pytest.raises(ValueError, match=message):
-            small_plan(optimizer_restarts=restarts)
     # each used to build a plan and fail only inside run_sweep, with an
-    # AttributeError or a TypeError that named no field (True ran as 1 restart)
+    # AttributeError or a TypeError that named no field
     angles = canonical_angles(SV3, FamilyKind.GHZ3_CONDITIONAL).angles
     numbers = tuple(tuple(0.5 for _rotation in party) for party in angles)
     cases = [
@@ -54,12 +51,6 @@ def test_plan_validation():
          "family must be of type FamilyKind, got 'ghz3-cond'"),
         (dict(spec="svetlichny3"), TypeError,
          "spec must be of type InequalitySpec, got 'svetlichny3'"),
-        (dict(angles="optimize", cfg=None), TypeError,
-         "cfg must be of type QuadratureConfig, got None"),
-        (dict(angles="optimize", optimizer_restarts=2.5), TypeError,
-         "optimizer_restarts must be an integer, got 2.5"),
-        (dict(angles="optimize", optimizer_restarts=True), TypeError,
-         "optimizer_restarts must be an integer, got True"),
         (dict(angles=numbers), TypeError,
          "party 0 setting 0 must be an EffectiveRotation, got 0.5"),
         (dict(angles=angles[:2] + (angles[2][:1],)), ValueError,
@@ -75,7 +66,6 @@ def test_sweep_rows_follow_grid_order():
     assert len(result.rows) == 12
     keys = [(r.V, r.d, r.eta) for r in result.rows]
     assert keys == sorted(keys)
-    assert result.plan.spec is SV3
 
 
 def test_sweep_matches_closed_form():
@@ -110,10 +100,11 @@ def test_sweep_value_grows_with_displacement():
     assert values == sorted(values)
 
 
-def test_sweep_isolates_nonconverged_rows():
-    cfg = QuadratureConfig(rel_tol=1e-17)
-    result = run_sweep(small_plan(V_grid=(5.0,), d_grid=(1.0,),
-                                  eta_grid=(1.0,), cfg=cfg))
+def test_sweep_isolates_nonconverged_rows(monkeypatch):
+    # sweeps run at the default tolerance; 1e-17 is one no pass can meet
+    monkeypatch.setattr(sweeps, "evaluate_curve_with_error", functools.partial(
+        evaluate_curve_with_error, config=QuadratureConfig(rel_tol=1e-17)))
+    result = run_sweep(small_plan(V_grid=(5.0,), d_grid=(1.0,), eta_grid=(1.0,)))
     row = result.rows[0]
     assert row.failed
     assert math.isnan(row.value)
@@ -160,21 +151,10 @@ def test_crossing_is_bracketed_by_sweep():
 
 
 def test_crossing_reports_absence():
-    with pytest.raises(NoCrossingError):
-        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3,
-                              V=5.0, eta=0.3, d_max=0.5)
-
-
-def test_crossing_rejects_a_bad_d_max():
-    for d_max in (math.nan, math.inf, -1.0, 0.0):
-        with pytest.raises(ValueError, match=f"^d_max must be finite and positive, got {d_max}$"):
-            crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3,
-                                  d_max=d_max)
-    # True used to search [0, 1], and "3" to fail on a comparison
-    for d_max in (True, "3"):
-        with pytest.raises(TypeError, match=f"^d_max must be a real number, got {d_max!r}$"):
-            crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3,
-                                  d_max=d_max)
+    # at η = 0.01 the functional stays below its bound on all of [0, 20√V]
+    message = r"^functional stays below the bound 4\.0 up to d = 44\.7$"
+    with pytest.raises(NoCrossingError, match=message):
+        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.01)
 
 
 def test_crossing_rejects_a_bad_V():
@@ -195,10 +175,11 @@ def test_crossing_refuses_a_falling_profile(monkeypatch):
         return [(5.0 - 0.1 * family.d, 0.0) for family in curve]
 
     monkeypatch.setattr(sweeps, "evaluate_curve_with_error", falling)
-    message = (r"^functional is not increasing in d on \[0, 3\]; "
+    # the probes span [0, 20√V]
+    message = (r"^functional is not increasing in d on \[0, 44\.7\]; "
                r"the ITP bracket search would be unreliable$")
     with pytest.raises(NoCrossingError, match=message):
-        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3, d_max=3.0)
+        crossing_displacement(FamilyKind.GHZ3_CONDITIONAL, SV3, V=5.0, eta=0.3)
 
 
 def test_state_family_rejects_non_finite_inputs():
@@ -279,15 +260,24 @@ def test_sign_change_bracket_rejects_bad_input_before_any_round(args, kwargs, me
     (dict(round_points=4.0), "round_points must be an integer, got 4.0"),
     (dict(width=True), "width must be a real number, got True"),
     (dict(width="0.1"), "width must be a real number, got '0.1'"),
+    (dict(lo=False), "lo must be a real number, got False"),
+    (dict(lo="0"), "lo must be a real number, got '0'"),
+    (dict(up=True), "up must be a real number, got True"),
+    (dict(f_lo=None), "f_lo must be a real number, got None"),
+    (dict(f_up=True), "f_up must be a real number, got True"),
+    (dict(f_up="1"), "f_up must be a real number, got '1'"),
 ])
 def test_sign_change_bracket_rejects_a_knob_that_is_no_number(kwargs, message):
     # round_points=True used to run as 1 and width=True to return the
-    # bracket unsearched; 2.5, 4.0 and "0.1" failed with Python's own errors
+    # bracket unsearched; lo=False and f_up=True ran as 0 and 1 and returned
+    # a bracket; 2.5, 4.0 and the strings failed with Python's own errors
     def never(xs):
         raise AssertionError("f was called")
 
+    call = dict(lo=0.0, up=1.0, f_lo=-1.0, f_up=1.0)
+    call.update(kwargs)
     with pytest.raises(TypeError, match=f"^{message}$"):
-        sign_change_bracket(never, 0.0, 1.0, -1.0, 1.0, **kwargs)
+        sign_change_bracket(never, **call)
 
 
 def test_sign_change_bracket_accepts_a_root_at_its_lower_end():

@@ -1,13 +1,21 @@
 """Self-check registry plumbing; the full battery runs in test_acceptance."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etsbell
+from etsbell import validation
+from etsbell.integration import converged_correlation
+from etsbell.measurement import DetectorModel, EffectiveRotation
+from etsbell.oracles import ghz_correlation_closed
+from etsbell.states import FamilyKind, StateFamily
 from etsbell.validation import CHECKS, CheckResult, run_checks
 
 
@@ -75,3 +83,32 @@ def test_crossing_checks_leave_scipy_unloaded():
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == [
         "[True, True, True, True]", "V=1e3 crossing 21.16 < 50 < saturation 53.50: True", "[]"]
+
+
+def test_ghz_reference_grid_is_six_curves_with_the_bits_of_lone_points(monkeypatch):
+    # one curve in d per (V, η) cell, the five phase triples its terms; each
+    # engine value equals a lone single-term estimate bit for bit
+    calls = []
+    estimate_curve = validation.estimate_curve
+
+    def spy(curve, *args):
+        calls.append(len(curve))
+        return estimate_curve(curve, *args)
+
+    monkeypatch.setattr(validation, "estimate_curve", spy)
+    validation._ghz_reference_pairs.cache_clear()
+    try:
+        pairs = validation._ghz_reference_pairs()
+    finally:
+        validation._ghz_reference_pairs.cache_clear()
+    assert calls == [4] * 6
+    rng = np.random.default_rng(validation._GRID_SEED)
+    triples = [tuple(rng.uniform(0.0, 2.0 * math.pi, 3)) for _ in range(5)]
+    grid = list(itertools.product((1.0, 5.0, 10.0), (0.3, 1.0), (0.5, 1.0, 2.0, 5.0), triples))
+    assert len(pairs) == len(grid) == 120
+    for i in np.random.default_rng(7).choice(len(grid), 24, replace=False):
+        V, eta, d, phases = grid[i]
+        rotations = [EffectiveRotation(math.pi / 2.0, p) for p in phases]
+        lone = converged_correlation(StateFamily(FamilyKind.GHZ3_CONDITIONAL, V, d),
+                                     rotations, DetectorModel(eta))
+        assert pairs[i] == (lone, ghz_correlation_closed(V, d, phases, eta)), grid[i]

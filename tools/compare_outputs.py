@@ -10,9 +10,10 @@ trees compute, each in fresh interpreters:
 - a seeded case set: nine (family, functional) pairs at V in {1, 2, 5, 10,
   20, 1000} and η in {0.3, 1, per mode}, each with random angles as a curve
   of three displacements and as a single point, at the default tolerance and
-  at each ``rel_tol`` of ``REL_TOLS``; then crossing displacements,
-  ``evaluate_with_gradient`` at random angles (at V = 5 and η = 0.8, then at
-  the wide V of ``WIDE_V_VALUES`` with per-mode η), the wide weights'
+  at each ``rel_tol`` of ``REL_TOLS``; then crossing displacements, one of
+  which, at η = 0.01, finds no crossing on [0, 20√V];
+  ``evaluate_with_gradient`` at random angles (at V = 5 and η = 0.8, then
+  at the wide V of ``WIDE_V_VALUES`` with per-mode η), the wide weights'
   crossings of ``WIDE_CROSSINGS`` and one ``optimize_angles`` run; then the
   refinement ladder's cases: w3 svetlichny3 at η = 0.7 with canonical
   angles, as a curve and as a point, at every ``rel_tol`` and V of
@@ -188,6 +189,10 @@ def _cases(seed: int) -> list:
                 cases.append((f"crossing/{family}/{name}/V={V:g}/eta={eta:g}",
                               lambda k=FamilyKind(family), s=INEQUALITIES[name], V=V, e=eta:
                               crossing_displacement(k, s, V, e)))
+    # the functional stays below its bound on the whole probe interval
+    cases.append(("crossing/ghz3-cond/svetlichny3/V=5/eta=0.01",
+                  lambda: crossing_displacement(FamilyKind.GHZ3_CONDITIONAL,
+                                                INEQUALITIES["svetlichny3"], 5.0, 0.01)))
     gradient_detector = DetectorModel(0.8)
     for family, name in PAIRS:
         spec = INEQUALITIES[name]
